@@ -44,6 +44,7 @@ __all__ = [
     "rank_one_form",
     "rank_one_norm",
     "hs_to_op_scale",
+    "slot_gradient",
     "weighted_power_sum",
 ]
 
@@ -102,7 +103,8 @@ def hs_to_op_scale(dims: Sequence[int], norms: NormSpec) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _slot_gradient(kernel: np.ndarray, factors: list[np.ndarray], y: np.ndarray, k: int) -> np.ndarray:
+def slot_gradient(kernel: np.ndarray, factors: list[np.ndarray], y: np.ndarray, k: int) -> np.ndarray:
+    """The gradient in slot k of <y, T(x_1, ..., x_n)>: contract every other slot and the codomain."""
     n = kernel.ndim - 1
     operands: list = [kernel, list(range(n)) + [n]]
     for j in range(n):
@@ -130,7 +132,7 @@ def _alternating_max(
     best = -math.inf
     for _ in range(max_sweeps):
         for k in range(op.n):
-            g = _slot_gradient(kernel, factors, y, k)
+            g = slot_gradient(kernel, factors, y, k)
             factors[k] = dual_norming_vector(g, op.norms.factors[k])
         t = eval_operator(op, SegrePoint(tuple(factors)))
         y = dual_norming_vector(t, s_dual)
@@ -345,82 +347,136 @@ def _hs_ascent(
     return value
 
 
-def _rank_one_value(
-    lams: list[np.ndarray], PU: list[np.ndarray], PV: list[np.ndarray],
-    weights: np.ndarray, p: float, duals: list[float],
-) -> float:
-    su = np.ones(len(weights))
-    sv = np.ones(len(weights))
-    for k, lam in enumerate(lams):
-        su *= PU[k] @ lam
-        sv *= PV[k] @ lam
-    scale = math.prod(vector_norm(lam, duals[k]) for k, lam in enumerate(lams))
-    if scale == 0:
-        return 0.0
-    return weighted_power_sum(su - sv, weights, p) / scale
+def _prod(factors: list[np.ndarray]) -> np.ndarray | float:
+    """Left-to-right elementwise product from 1, as math.prod and np.prod take it."""
+    out = 1.0
+    for f in factors:
+        out = out * f
+    return out
+
+
+def _row_norms(X: np.ndarray, r: float) -> np.ndarray:
+    """vector_norm(x, r) of every row x of X, with the same arithmetic."""
+    if r == 1.0:
+        return np.sum(np.abs(X), axis=1)
+    if r == 2.0:
+        return np.sqrt((X[:, None, :] @ X[:, :, None])[:, 0, 0])
+    return np.max(np.abs(X), axis=1)
+
+
+def _norming_rows(X: np.ndarray, r: float) -> np.ndarray:
+    """dual_norming_vector(x, r) of every row x of X, with the same arithmetic."""
+    if r == 2.0:
+        nrm = _row_norms(X, 2.0)
+        out = X / np.where(nrm == 0, 1.0, nrm)[:, None]
+    elif r == 1.0:
+        rows, i = np.arange(len(X)), np.argmax(np.abs(X), axis=1)
+        out = np.zeros_like(X)
+        out[rows, i] = np.where(X[rows, i] >= 0, 1.0, -1.0)
+    else:
+        out = np.where(X >= 0, 1.0, -1.0)
+    zero = ~np.any(X, axis=1)
+    out[zero] = 0.0
+    out[zero, 0] = 1.0
+    return out
+
+
+def _power_sums(s: np.ndarray, weights: np.ndarray, p: float) -> np.ndarray:
+    """weighted_power_sum of every row of s.  The root stays one scalar power
+    per row: numpy's array power rounds differently from its scalar power."""
+    t = np.abs(s)
+    if math.isinf(p):
+        return np.max(t, axis=1)
+    return np.array([x ** (1.0 / p) for x in np.sum(weights * t**p, axis=1)])
 
 
 def _rank_one_ascent(
-    cfg: PairConfiguration, norms: NormSpec, p: float, rng: np.random.Generator | None,
-    start: list[np.ndarray] | None, iters: int, tol: float,
-) -> tuple[float, list[np.ndarray]]:
+    cfg: PairConfiguration, norms: NormSpec, p: float, starts: list[list[np.ndarray]],
+    iters: int, tol: float,
+) -> tuple[np.ndarray, list[np.ndarray]]:
     """Maximize the ratio objective over rank-one forms lam_1 (x) ... (x) lam_n.
 
-    The normalization prod ||lam_k||_(r_k') is exact, so the returned value
-    is a certified lower bound of the operator-ball denominator.
+    The normalization prod ||lam_k||_(r_k') is exact, so each returned value
+    is a certified lower bound of the operator-ball denominator.  All starts
+    ascend in lockstep, one (starts, d_k) array per slot: each round computes
+    a gradient for the starts that moved and makes one line-search trial for
+    every start still running.  A start keeps its own step size, its cap of
+    `iters` gradients and its stopping rules, and does the same floating-point
+    operations as a run on its own (docs/formats.md).  Returns the value of
+    each start and, per slot, its maximizer as row i of a (starts, d_k) array.
     """
-    k_pairs = len(cfg)
     weights = np.asarray(cfg.weights)
     duals = [dual_exponent(r) for r in norms.factors]
-    PU = [np.stack([u.factors[k] for u, _ in cfg.pairs]) for k in range(len(cfg.dims))]
-    PV = [np.stack([v.factors[k] for _, v in cfg.pairs]) for k in range(len(cfg.dims))]
-    if start is not None:
-        lams = [np.asarray(s, dtype=float) for s in start]
-    else:
-        lams = [rng.standard_normal(d) for d in cfg.dims]
-    lams = [lam / max(vector_norm(lam, duals[k]), 1e-300) for k, lam in enumerate(lams)]
+    slots = range(len(cfg.dims))
+    # one gemv per start and slot, as PU[k] @ lam: a gemm would round differently
+    PU = [np.stack([u.factors[k] for u, _ in cfg.pairs]) for k in slots]
+    PV = [np.stack([v.factors[k] for _, v in cfg.pairs]) for k in slots]
 
-    value = _rank_one_value(lams, PU, PV, weights, p, duals)
-    step = 0.5
-    for _ in range(iters):
-        pu = np.stack([PU[k] @ lam for k, lam in enumerate(lams)])
-        pv = np.stack([PV[k] @ lam for k, lam in enumerate(lams)])
-        s = np.prod(pu, axis=0) - np.prod(pv, axis=0)
+    def evaluations(lams):
+        return ([(PU[k] @ X[:, :, None])[..., 0] for k, X in enumerate(lams)],
+                [(PV[k] @ X[:, :, None])[..., 0] for k, X in enumerate(lams)])
+
+    def normalized(lams):
+        return [X / np.maximum(_row_norms(X, duals[k]), 1e-300)[:, None]
+                for k, X in enumerate(lams)]
+
+    def ratio(lams):
+        pu, pv = evaluations(lams)
+        raw = _power_sums(_prod(pu) - _prod(pv), weights, p)
+        scale = _prod([_row_norms(X, duals[k]) for k, X in enumerate(lams)])
+        return np.divide(raw, scale, out=np.zeros_like(raw), where=scale != 0)
+
+    lams = normalized([np.stack([np.asarray(s[k], dtype=float) for s in starts]) for k in slots])
+    value = ratio(lams)
+    step = np.full(len(value), 0.5)
+    left = np.full(len(value), iters)        # gradient evaluations left
+    moved = np.ones(len(value), dtype=bool)  # needs a gradient at its new point
+    running = np.ones(len(value), dtype=bool)
+    grads = [np.zeros_like(X) for X in lams]
+    gn = np.ones(len(value))
+    while running.any():
+        due = np.flatnonzero(running & moved)
+        running[due[left[due] == 0]] = False
+        due = due[left[due] > 0]
+        left[due] -= 1
+        X = [L[due] for L in lams]
+        pu, pv = evaluations(X)
+        s = _prod(pu) - _prod(pv)
+        num = _power_sums(s, weights, p)
+        # at p = inf, num == 0 makes the gradient 0, so that start stops on gn below
         if math.isinf(p):
-            coef = np.zeros(k_pairs)
-            i = int(np.argmax(np.abs(s)))
-            coef[i] = np.sign(s[i])
+            rows, i = np.arange(len(due)), np.argmax(np.abs(s), axis=1)
+            coef = np.zeros_like(s)
+            coef[rows, i] = np.sign(s[rows, i])
         else:
-            num = weighted_power_sum(s, weights, p)
-            if num == 0:
-                break
-            coef = weights * np.abs(s) ** (p - 1.0) * np.sign(s) * num ** (1.0 - p)
-        grads = []
-        for k in range(len(lams)):
-            others_u = np.prod(np.delete(pu, k, axis=0), axis=0) if len(lams) > 1 else np.ones(k_pairs)
-            others_v = np.prod(np.delete(pv, k, axis=0), axis=0) if len(lams) > 1 else np.ones(k_pairs)
-            g_num = (coef * others_u) @ PU[k] - (coef * others_v) @ PV[k]
+            damp = np.array([float(x) ** (1.0 - p) if x else 0.0 for x in num])
+            coef = weights * np.abs(s) ** (p - 1.0) * np.sign(s) * damp[:, None]
+        sq = 0.0
+        for k in slots:
+            cu = coef * _prod(pu[:k] + pu[k + 1:])
+            cv = coef * _prod(pv[:k] + pv[k + 1:])
+            g_num = (cu[:, None, :] @ PU[k])[:, 0, :] - (cv[:, None, :] @ PV[k])[:, 0, :]
             # subtract the normalization's log-gradient (norming functional)
-            g = g_num - value * dual_norming_vector(lams[k], dual_exponent(duals[k]))
-            grads.append(g)
-        gn = math.sqrt(sum(float(np.dot(g, g)) for g in grads))
-        if gn < 1e-14:
-            break
-        improved = False
-        while step > 1e-12:
-            cand = [lam + step * g / gn for lam, g in zip(lams, grads)]
-            cand = [c / max(vector_norm(c, duals[k]), 1e-300) for k, c in enumerate(cand)]
-            cand_val = _rank_one_value(cand, PU, PV, weights, p, duals)
-            if cand_val > value:
-                lams, improved = cand, True
-                if cand_val <= value * (1.0 + tol):
-                    return cand_val, lams
-                value = cand_val
-                step *= 1.5
-                break
-            step *= 0.5
-        if not improved:
-            break
+            g = g_num - value[due, None] * _norming_rows(X[k], norms.factors[k])
+            grads[k][due] = g
+            sq = sq + (g[:, None, :] @ g[:, :, None])[:, 0, 0]
+        gn[due] = np.sqrt(sq)
+        running[due[(num == 0) | (gn[due] < 1e-14)]] = False
+        running &= step > 1e-12
+
+        trial = np.flatnonzero(running)
+        cand = normalized([L[trial] + step[trial, None] * G[trial] / gn[trial, None]
+                           for L, G in zip(lams, grads)])
+        cand_val = ratio(cand)
+        up = cand_val > value[trial]
+        better = trial[up]
+        for L, C in zip(lams, cand):
+            L[better] = C[up]
+        running[better[cand_val[up] <= value[better] * (1.0 + tol)]] = False
+        value[better] = cand_val[up]
+        step[better] *= 1.5
+        step[trial[~up]] *= 0.5
+        moved[trial] = up
     return value, lams
 
 
@@ -503,20 +559,19 @@ def config_denominator(
 
     certified = 0.0
     best_lams: list[np.ndarray] | None = None
-    starts: list[list[np.ndarray] | None] = [
+    starts: list[list[np.ndarray]] = [
         [np.asarray(v, dtype=float) for v in s] for s in (extra_rank_one_starts or [])
     ]
     for u, v in cfg.pairs[: max(1, restarts // 4)]:
         starts.append([dual_norming_vector(f, r) for f, r in zip(u.factors, norms.factors)])
         starts.append([dual_norming_vector(f, r) for f, r in zip(v.factors, norms.factors)])
-    n_starts = max(restarts, len(starts))
-    while len(starts) < n_starts:
-        starts.append(None)
-    for i, start in enumerate(starts[:n_starts]):
+    for i in range(len(starts), max(restarts, len(starts))):
         rng = stream(seed, 2, i)
-        value, lams = _rank_one_ascent(cfg, norms, p, rng, start, max_iters, tol)
-        if value > certified:
-            certified, best_lams = value, lams
+        starts.append([rng.standard_normal(d) for d in cfg.dims])
+    values, lams = _rank_one_ascent(cfg, norms, p, starts, max_iters, tol)
+    best = int(np.argmax(values))  # the first maximum
+    if values[best] > certified:
+        certified, best_lams = float(values[best]), [L[best] for L in lams]
 
     # full-kernel candidates: the HS geometry maximizer, the per-pair
     # spectral-ball norming kernels U V^T (which attain the nuclear pairing

@@ -17,7 +17,7 @@ import numpy as np
 
 from .rng import child_seed, stream
 from .summing import Budget, lower_bound_config, pietsch_upper_lp, _initial_dictionary
-from .tensors import MultilinearOperator, PairConfiguration, SegrePoint
+from .tensors import MultilinearOperator, PairConfiguration, SegrePoint, unit_vector
 
 __all__ = [
     "KhintchineConstant",
@@ -125,8 +125,8 @@ def verify_sandwich(
     pairs = list(cfg.pairs)
     rng = stream(seed, 12)
     for _ in range(4):
-        u = SegrePoint(tuple(_unit(rng.standard_normal(d)) for d in op.dims))
-        v = SegrePoint(tuple(_unit(rng.standard_normal(d)) for d in op.dims))
+        u = SegrePoint(tuple(unit_vector(rng.standard_normal(d)) for d in op.dims))
+        v = SegrePoint(tuple(unit_vector(rng.standard_normal(d)) for d in op.dims))
         pairs.append((u, v))
     pairset = PairConfiguration(tuple(pairs))
     dictionary = _initial_dictionary(
@@ -151,8 +151,3 @@ def verify_sandwich(
 
     report["passed"] = bool(lower_ok and lp_consistent)
     return report
-
-
-def _unit(v: np.ndarray) -> np.ndarray:
-    n = np.linalg.norm(v)
-    return v / n if n > 0 else v

@@ -38,6 +38,7 @@ from .formnorm import (
     operator_norm_upper,
     rank_one_form,
     rank_one_norm,
+    slot_gradient,
     weighted_power_sum,
 )
 from .rng import child_seed, stream
@@ -414,16 +415,6 @@ def _random_segre(dims: Sequence[int], norms: NormSpec, rng: np.random.Generator
     )
 
 
-def _slot_grad(kernel: np.ndarray, factors: list[np.ndarray], y: np.ndarray, k: int) -> np.ndarray:
-    n = kernel.ndim - 1
-    operands: list = [kernel, list(range(n)) + [n]]
-    for j in range(n):
-        if j != k:
-            operands.extend([factors[j], [j]])
-    operands.extend([y, [n]])
-    return np.einsum(*operands, [k])
-
-
 class _ViolationObjective:
     """||T(u)-T(v)|| / ||j_p(u)-j_p(v)|| with stacked form kernels.
 
@@ -464,10 +455,10 @@ class _ViolationObjective:
         grads_u, grads_v = [], []
         one = np.ones(1)
         for k in range(op.n):
-            gu = _slot_grad(kernel, list(u.factors), ystar, k) / lhs
-            gv = -_slot_grad(kernel, list(v.factors), ystar, k) / lhs
-            du = _slot_grad(combined, list(u.factors), one, k)
-            dv = -_slot_grad(combined, list(v.factors), one, k)
+            gu = slot_gradient(kernel, list(u.factors), ystar, k) / lhs
+            gv = -slot_gradient(kernel, list(v.factors), ystar, k) / lhs
+            du = slot_gradient(combined, list(u.factors), one, k)
+            dv = -slot_gradient(combined, list(v.factors), one, k)
             grads_u.append(gu - du / rhs_p)
             grads_v.append(gv - dv / rhs_p)
         return grads_u, grads_v

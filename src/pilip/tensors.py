@@ -30,6 +30,7 @@ __all__ = [
     "eval_operator",
     "elementary_tensor",
     "vector_norm",
+    "unit_vector",
     "dual_exponent",
     "dual_norming_vector",
     "project_to_ball",
@@ -318,6 +319,12 @@ def vector_norm(v: np.ndarray, r: float) -> float:
     if r == 2.0:
         return float(np.linalg.norm(v))
     return float(np.max(np.abs(v)))
+
+
+def unit_vector(v: np.ndarray) -> np.ndarray:
+    """v scaled to unit l2 norm; the zero vector is returned as it is."""
+    n = np.linalg.norm(v)
+    return v / n if n > 0 else v
 
 
 def dual_exponent(r: float) -> float:

@@ -42,6 +42,7 @@ from .tensors import (
     elementary_tensor,
     eval_operator,
     flatten,
+    unit_vector,
 )
 
 __all__ = ["run_all", "random_operator", "random_mixed", "random_pairs", "lambda_n"]
@@ -78,18 +79,13 @@ def random_pairs(
 ) -> PairConfiguration:
     pairs = []
     for _ in range(count):
-        u = SegrePoint(tuple(_unit(rng.standard_normal(d)) for d in dims))
+        u = SegrePoint(tuple(unit_vector(rng.standard_normal(d)) for d in dims))
         if rng.random() < zero_fraction:
             v = SegrePoint.zero(dims)
         else:
-            v = SegrePoint(tuple(_unit(rng.standard_normal(d)) for d in dims))
+            v = SegrePoint(tuple(unit_vector(rng.standard_normal(d)) for d in dims))
         pairs.append((u, v))
     return PairConfiguration(tuple(pairs))
-
-
-def _unit(v: np.ndarray) -> np.ndarray:
-    n = np.linalg.norm(v)
-    return v / n if n > 0 else v
 
 
 def _orthogonal(d: int, rng: np.random.Generator) -> np.ndarray:

@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from pilip import formnorm
 from pilip.formnorm import (
+    ASCENT_MAX_ITERS,
+    ASCENT_TOL,
     config_denominator,
     hs_to_op_scale,
     operator_norm,
@@ -16,7 +19,10 @@ from pilip.tensors import (
     NormSpec,
     PairConfiguration,
     SegrePoint,
+    dual_exponent,
+    dual_norming_vector,
     eval_operator,
+    vector_norm,
 )
 from pilip.verify import lambda_n, random_pairs
 from pilip.rng import stream
@@ -270,3 +276,125 @@ def test_weighted_denominator_matches_grid():
     rep = config_denominator(cfg, 2.0, "op", seed=3, restarts=16)
     assert rep.certified_lower <= oracle * (1 + 1e-6)
     assert rep.certified_upper >= oracle * (1 - 1e-6)
+
+
+# --------------------------------------------------------------------------
+# lockstep rank-one ascent against the one-start loop, bit for bit
+# --------------------------------------------------------------------------
+
+
+def _reference_value(lams, PU, PV, weights, p, duals):
+    su = np.ones(len(weights))
+    sv = np.ones(len(weights))
+    for k, lam in enumerate(lams):
+        su *= PU[k] @ lam
+        sv *= PV[k] @ lam
+    scale = math.prod(vector_norm(lam, duals[k]) for k, lam in enumerate(lams))
+    if scale == 0:
+        return 0.0
+    return formnorm.weighted_power_sum(su - sv, weights, p) / scale
+
+
+def _reference_ascent(cfg, norms, p, start, iters, tol):
+    """The ascent from one start, run on its own: the oracle for the batch."""
+    k_pairs = len(cfg)
+    weights = np.asarray(cfg.weights)
+    duals = [dual_exponent(r) for r in norms.factors]
+    PU = [np.stack([u.factors[k] for u, _ in cfg.pairs]) for k in range(len(cfg.dims))]
+    PV = [np.stack([v.factors[k] for _, v in cfg.pairs]) for k in range(len(cfg.dims))]
+    lams = [np.asarray(s, dtype=float) for s in start]
+    lams = [lam / max(vector_norm(lam, duals[k]), 1e-300) for k, lam in enumerate(lams)]
+
+    value = _reference_value(lams, PU, PV, weights, p, duals)
+    step = 0.5
+    for _ in range(iters):
+        pu = np.stack([PU[k] @ lam for k, lam in enumerate(lams)])
+        pv = np.stack([PV[k] @ lam for k, lam in enumerate(lams)])
+        s = np.prod(pu, axis=0) - np.prod(pv, axis=0)
+        if math.isinf(p):
+            coef = np.zeros(k_pairs)
+            i = int(np.argmax(np.abs(s)))
+            coef[i] = np.sign(s[i])
+        else:
+            num = formnorm.weighted_power_sum(s, weights, p)
+            if num == 0:
+                break
+            coef = weights * np.abs(s) ** (p - 1.0) * np.sign(s) * num ** (1.0 - p)
+        grads = []
+        for k in range(len(lams)):
+            others_u = np.prod(np.delete(pu, k, axis=0), axis=0) if len(lams) > 1 else np.ones(k_pairs)
+            others_v = np.prod(np.delete(pv, k, axis=0), axis=0) if len(lams) > 1 else np.ones(k_pairs)
+            g_num = (coef * others_u) @ PU[k] - (coef * others_v) @ PV[k]
+            g = g_num - value * dual_norming_vector(lams[k], dual_exponent(duals[k]))
+            grads.append(g)
+        gn = math.sqrt(sum(float(np.dot(g, g)) for g in grads))
+        if gn < 1e-14:
+            break
+        improved = False
+        while step > 1e-12:
+            cand = [lam + step * g / gn for lam, g in zip(lams, grads)]
+            cand = [c / max(vector_norm(c, duals[k]), 1e-300) for k, c in enumerate(cand)]
+            cand_val = _reference_value(cand, PU, PV, weights, p, duals)
+            if cand_val > value:
+                lams, improved = cand, True
+                if cand_val <= value * (1.0 + tol):
+                    return cand_val, lams
+                value = cand_val
+                step *= 1.5
+                break
+            step *= 0.5
+        if not improved:
+            break
+    return value, lams
+
+
+def _assert_batch_matches_reference(cfg, norms, p, starts, iters):
+    values, lams = formnorm._rank_one_ascent(cfg, norms, p, starts, iters, ASCENT_TOL)
+    assert len(values) == len(starts)
+    for i, start in enumerate(starts):
+        ref_value, ref_lams = _reference_ascent(cfg, norms, p, start, iters, ASCENT_TOL)
+        assert values[i] == ref_value, (i, values[i], ref_value)
+        for k, ref in enumerate(ref_lams):
+            assert np.array_equal(lams[k][i], ref), (i, k)
+
+
+_NORM_MIXES = [(1.0,), (2.0,), (math.inf,), "mixed"]
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0, math.inf])
+def test_lockstep_ascent_is_bitwise_the_one_start_loop(p):
+    rng = stream(77, int(p) if math.isfinite(p) else 99)
+    for n in (1, 2, 3):
+        for mix in _NORM_MIXES:
+            factors = (tuple(rng.choice([1.0, 2.0, math.inf], size=n)) if mix == "mixed"
+                       else mix * n)
+            dims = tuple(int(d) for d in rng.integers(2, 4, size=n))
+            # 12 pairs reach numpy's pairwise summation (8 or more terms after the first)
+            count = int(rng.choice([1, 3, 12]))
+            pairs = []
+            for _ in range(count):
+                u = SegrePoint(tuple(rng.standard_normal(d) for d in dims))
+                v = (SegrePoint.zero(dims) if rng.random() < 0.3
+                     else SegrePoint(tuple(rng.standard_normal(d) for d in dims)))
+                pairs.append((u, v))
+            cfg = PairConfiguration(tuple(pairs), tuple(rng.uniform(0.2, 2.0, size=count)))
+            norms = NormSpec(factors, 2.0)
+            starts = [[rng.standard_normal(d) for d in dims] for _ in range(5)]
+            starts.append([np.zeros(d) for d in dims])
+            starts.append([dual_norming_vector(f, r) for f, r in zip(pairs[0][0].factors, factors)])
+            for iters in (1, 2, ASCENT_MAX_ITERS):
+                _assert_batch_matches_reference(cfg, norms, p, starts, iters)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+def test_lockstep_ascent_stationary_start_stops_at_once(p):
+    # at lam = (e_0, e_0) on the pair ((e_0, e_0), 0) the gradient is exactly 0
+    e0 = np.array([1.0, 0.0])
+    cfg = PairConfiguration(((SegrePoint((e0, e0)), SegrePoint.zero((2, 2))),))
+    norms = NormSpec((2.0, 1.0), 2.0)
+    starts = [[e0, e0], [np.array([0.6, 0.8]), np.array([1.0, -0.5])], [e0, np.zeros(2)]]
+    for iters in (0, 1, 2, ASCENT_MAX_ITERS):
+        _assert_batch_matches_reference(cfg, norms, p, starts, iters)
+    values, lams = formnorm._rank_one_ascent(cfg, norms, p, starts[:1], ASCENT_MAX_ITERS,
+                                             ASCENT_TOL)
+    assert np.array_equal(lams[0][0], e0) and np.array_equal(lams[1][0], e0)
