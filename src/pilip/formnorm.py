@@ -44,6 +44,7 @@ __all__ = [
     "rank_one_form",
     "rank_one_norm",
     "hs_to_op_scale",
+    "op_ball_uppers",
     "slot_gradient",
     "weighted_power_sum",
 ]
@@ -104,14 +105,15 @@ def hs_to_op_scale(dims: Sequence[int], norms: NormSpec) -> float:
 
 
 def slot_gradient(kernel: np.ndarray, factors: list[np.ndarray], y: np.ndarray, k: int) -> np.ndarray:
-    """The gradient in slot k of <y, T(x_1, ..., x_n)>: contract every other slot and the codomain."""
+    """The gradient in slot k of <y, T(x_1, ..., x_n)>: contract every other slot and the codomain.
+    The factors and y may carry a leading batch index (a row per point), kept in the result."""
     n = kernel.ndim - 1
     operands: list = [kernel, list(range(n)) + [n]]
     for j in range(n):
         if j != k:
-            operands.extend([factors[j], [j]])
-    operands.extend([y, [n]])
-    return np.einsum(*operands, [k])
+            operands.extend([factors[j], [..., j]])
+    operands.extend([y, [..., n]])
+    return np.einsum(*operands, [..., k])
 
 
 def _alternating_start(op: MultilinearOperator, rng: np.random.Generator | None) -> list[np.ndarray]:
@@ -125,22 +127,36 @@ def _alternating_start(op: MultilinearOperator, rng: np.random.Generator | None)
 
 def _alternating_max(
     op: MultilinearOperator, factors: list[np.ndarray], max_sweeps: int = 200
-) -> tuple[float, list[np.ndarray]]:
-    kernel = op.kernel.array
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Alternating maximization from all starts in lockstep, one (starts, d_k) array per
+    slot; each start stops on its own and does the same floating-point operations as a
+    run on its own (docs/formats.md).  Returns the value and the maximizer of each start."""
+    kernel, n = op.kernel.array, op.n
     s_dual = dual_exponent(op.norms.codomain)
-    y = dual_norming_vector(eval_operator(op, SegrePoint(tuple(factors))), s_dual)
-    best = -math.inf
+
+    def evaluate(X):  # one gemv per start and slot, as eval_operator: a gemm rounds differently
+        out = (X[0][:, None, :] @ kernel.reshape(op.dims[0], -1))[:, 0, :]
+        for x, d in zip(X[1:], op.dims[1:]):
+            out = (x[:, None, :] @ out.reshape(len(x), d, -1))[:, 0, :]
+        return out
+
+    y = _norming_rows(evaluate(factors), s_dual)
+    best = np.full(len(y), -math.inf)
+    running = np.arange(len(y))
     for _ in range(max_sweeps):
-        for k in range(op.n):
-            g = slot_gradient(kernel, factors, y, k)
-            factors[k] = dual_norming_vector(g, op.norms.factors[k])
-        t = eval_operator(op, SegrePoint(tuple(factors)))
-        y = dual_norming_vector(t, s_dual)
-        value = vector_norm(t, op.norms.codomain)
-        if value <= best * (1.0 + 1e-13):
-            best = max(best, value)
+        X, Y = [F[running] for F in factors], y[running]
+        for k in range(n):
+            X[k] = _norming_rows(slot_gradient(kernel, X, Y, k), op.norms.factors[k])
+        t = evaluate(X)
+        y[running] = _norming_rows(t, s_dual)
+        value = _row_norms(t, op.norms.codomain)
+        stop = value <= best[running] * (1.0 + 1e-13)
+        best[running] = np.maximum(best[running], value)
+        for F, x in zip(factors, X):
+            F[running] = x
+        running = running[~stop]
+        if not running.size:
             break
-        best = value
     return best, factors
 
 
@@ -212,11 +228,16 @@ def operator_norm_upper(
     svd = _svd_argmax(op)
     if svd is not None:
         return svd[0], "svd"
-    flat = kernel.reshape(-1, op.m)
+    return _relaxed_upper(op), "relaxed"
+
+
+def _relaxed_upper(op: MultilinearOperator) -> float:
+    """The scaled-HS relaxation: sqrt(d_i) per linf factor, sqrt(m) for an l1 codomain."""
+    flat = op.kernel.array.reshape(-1, op.m)
     scale = math.prod(math.sqrt(d) for d, r in zip(op.dims, op.norms.factors) if r == math.inf)
     if op.norms.codomain == 1.0:
         scale *= math.sqrt(op.m)
-    return scale * float(np.linalg.svd(flat, compute_uv=False)[0]), "relaxed"
+    return scale * float(np.linalg.svd(flat, compute_uv=False)[0])
 
 
 def operator_norm(
@@ -254,17 +275,18 @@ def operator_norm(
             detail={"argmax": argmax, "seed": seed},
         )
 
-    best = 0.0
-    argmax = None
-    for i in range(restarts):
-        rng = None if i == 0 else stream(seed, 0, i)
-        value, factors = _alternating_max(op, _alternating_start(op, rng))
-        if value > best:
-            best = value
-            argmax = SegrePoint(tuple(factors))
-    upper, method = operator_norm_upper(op, enumeration_cap)
+    best, argmax = 0.0, None
+    if restarts > 0:
+        starts = [_alternating_start(op, None if i == 0 else stream(seed, 0, i))
+                  for i in range(restarts)]
+        values, factors = _alternating_max(op, [np.stack([s[k] for s in starts])
+                                                for k in range(op.n)])
+        i = int(np.argmax(values))  # the first maximum
+        if values[i] > best:
+            best, argmax = float(values[i]), SegrePoint(tuple(F[i] for F in factors))
+    upper = _relaxed_upper(op)
     return BoundReport(
-        best, best, max(upper, best), method=method,
+        best, best, max(upper, best), method="relaxed",
         detail={"argmax": argmax, "seed": seed, "restarts": restarts},
     )
 
@@ -480,14 +502,19 @@ def _rank_one_ascent(
     return value, lams
 
 
-def _triangle_upper(cfg: PairConfiguration, norms: NormSpec, p: float) -> float:
-    """|phi(Delta_i)| <= prod||u_k|| + prod||v_k|| for any unit-ball form."""
-    bounds = []
-    for u, v in cfg.pairs:
-        bounds.append(
-            math.prod(u.factor_norms(norms)) + math.prod(v.factor_norms(norms))
-        )
-    return weighted_power_sum(np.asarray(bounds), np.asarray(cfg.weights), p)
+def op_ball_uppers(
+    cfg: PairConfiguration, norms: NormSpec, p: float, deltas: np.ndarray | None = None
+) -> dict[str, float]:
+    """The op-ball denominator's certified uppers that need no search: "kappa-hs" (the HS
+    upper scaled by hs_to_op_scale) and "triangle" (|phi(Delta_i)| <= prod||u_k|| + prod||v_k||).
+    `deltas` are cfg's flattened differences, computed when not given."""
+    weights = np.asarray(cfg.weights)
+    if deltas is None:
+        deltas = np.stack([d.reshape(-1) for d in cfg.deltas()])
+    triangle = [math.prod(u.factor_norms(norms)) + math.prod(v.factor_norms(norms))
+                for u, v in cfg.pairs]
+    return {"kappa-hs": hs_to_op_scale(cfg.dims, norms) * _hs_upper(deltas, weights, p),
+            "triangle": weighted_power_sum(np.asarray(triangle), weights, p)}
 
 
 def config_denominator(
@@ -533,8 +560,8 @@ def config_denominator(
         exact = weighted_power_sum(deltas[:, 0], weights, p)
         return BoundReport(exact, exact, exact, method="scalar-exact", detail=detail)
 
-    hs_up = _hs_upper(deltas, weights, p)
     if ball == "hs":
+        hs_up = _hs_upper(deltas, weights, p)
         if p == 2.0 or math.isinf(p):
             return BoundReport(hs_up, hs_up, hs_up, method="hs-exact", detail=detail)
         lower = 0.0
@@ -547,8 +574,7 @@ def config_denominator(
         return BoundReport(lower, lower, max(hs_up, lower), method="hs-ascent", detail=detail)
 
     # operator ball
-    uppers = {"kappa-hs": hs_to_op_scale(cfg.dims, norms) * hs_up,
-              "triangle": _triangle_upper(cfg, norms, p)}
+    uppers = op_ball_uppers(cfg, norms, p, deltas)
     if len(cfg) == 1 and len(cfg.dims) == 2 and norms.factors == (2.0, 2.0):
         delta_mat = cfg.deltas()[0]
         nuc = float(np.sum(np.linalg.svd(delta_mat, compute_uv=False)))

@@ -16,7 +16,7 @@ from typing import Any
 import numpy as np
 
 from .rng import child_seed, stream
-from .summing import Budget, lower_bound_config, pietsch_upper_lp, _initial_dictionary
+from .summing import Budget, initial_dictionary, lower_bound_config, pietsch_upper_lp
 from .tensors import MultilinearOperator, PairConfiguration, SegrePoint, unit_vector
 
 __all__ = [
@@ -129,7 +129,7 @@ def verify_sandwich(
         v = SegrePoint(tuple(unit_vector(rng.standard_normal(d)) for d in op.dims))
         pairs.append((u, v))
     pairset = PairConfiguration(tuple(pairs))
-    dictionary = _initial_dictionary(
+    dictionary = initial_dictionary(
         op, pairs[: budget.max_pairs], child_seed(seed, 13), budget.max_dictionary, "hs"
     )
 

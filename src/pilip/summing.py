@@ -64,6 +64,7 @@ __all__ = [
     "lower_bound_config",
     "pietsch_upper_lp",
     "estimate_pi_lip",
+    "initial_dictionary",
     "build_factorization",
     "restrict_operator",
     "symmetrize_kernel",
@@ -532,7 +533,7 @@ def _unit_rank_one(vecs, norms: NormSpec, ball: str) -> MultilinearOperator:
     return MultilinearOperator.from_array(form.kernel.array / scale, form.norms)
 
 
-def _initial_dictionary(
+def initial_dictionary(
     op: MultilinearOperator,
     pairs: list[tuple[SegrePoint, SegrePoint]],
     seed: int,
@@ -600,7 +601,7 @@ def estimate_pi_lip(
     seed: int = 0,
     ball: str = "op",
     initial_pairs: Sequence[tuple[SegrePoint, SegrePoint]] | None = None,
-    initial_dictionary: Sequence[MultilinearOperator] | None = None,
+    extra_dictionary: Sequence[MultilinearOperator] | None = None,
 ) -> BoundReport:
     """Bracket pi_p(T): certified lower from explored configurations, the
     final LP constant as the (restricted, heuristic) upper.
@@ -629,8 +630,8 @@ def estimate_pi_lip(
         v = SegrePoint.zero(op.dims) if rng.random() < 0.5 else _random_segre(op.dims, op.norms, rng)
         pairs.append((u, v))
 
-    dictionary = list(initial_dictionary or [])
-    dictionary += _initial_dictionary(op, pairs, seed, budget.max_dictionary, ball)
+    dictionary = list(extra_dictionary or [])
+    dictionary += initial_dictionary(op, pairs, seed, budget.max_dictionary, ball)
     dictionary = _dedup_forms(dictionary, budget.max_dictionary)
 
     best_lower, best_heuristic = 0.0, 0.0

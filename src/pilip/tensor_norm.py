@@ -22,12 +22,12 @@ import numpy as np
 from .bounds import BoundReport
 from .formnorm import (
     config_denominator,
-    hs_to_op_scale,
+    op_ball_uppers,
     rank_one_norm,
     weighted_power_sum,
 )
 from .rng import child_seed, stream
-from .summing import Budget, _initial_dictionary, pietsch_upper_lp
+from .summing import Budget, initial_dictionary, pietsch_upper_lp
 from .tensors import (
     DenseTensor,
     MultilinearOperator,
@@ -160,26 +160,9 @@ def _elementary_factors(w: np.ndarray, tol: float = 1e-10) -> list[np.ndarray] |
     return [u[:, 0]] + rest
 
 
-def _cheap_denominator(cfg: PairConfiguration, p: float, norms: NormSpec) -> float:
-    """min(kappa-scaled HS bound, triangle bound); certified, no search."""
-    weights = np.asarray(cfg.weights)
-    deltas = np.stack([d.reshape(-1) for d in cfg.deltas()])
-    if math.isinf(p):
-        hs = float(np.max(np.linalg.norm(deltas, axis=1)))
-    else:
-        sigma = float(np.linalg.svd(deltas * (weights ** (1.0 / p))[:, None],
-                                    compute_uv=False)[0])
-        hs = sigma if p >= 2 else len(cfg) ** (1.0 / p - 0.5) * sigma
-    tri = []
-    for u, v in cfg.pairs:
-        tri.append(math.prod(u.factor_norms(norms)) + math.prod(v.factor_norms(norms)))
-    triangle = weighted_power_sum(np.asarray(tri), weights, p)
-    return min(hs_to_op_scale(cfg.dims, norms) * hs, triangle)
-
-
 def _rep_value_cheap(rep: Representation, p: float, pp: float, norms: NormSpec) -> float:
-    cfg = rep.pair_configuration()
-    return _cheap_denominator(cfg, pp, norms) * delta_p_norm(rep.y_vectors(), p, norms.codomain)
+    den = min(op_ball_uppers(rep.pair_configuration(), norms, pp).values())  # certified, no search
+    return den * delta_p_norm(rep.y_vectors(), p, norms.codomain)
 
 
 def _solve_ys(pairs: list[tuple[SegrePoint, SegrePoint]], Z: np.ndarray) -> np.ndarray:
@@ -512,7 +495,7 @@ def check_delta_epsilon_bound(
     lhs = delta_p_norm(ys, p, op.norms.codomain)
     eps = epsilon_norm_diff(cfg, p, op.norms, seed=child_seed(seed, 23),
                             restarts=max(8, budget.restarts // 8))
-    dictionary = _initial_dictionary(
+    dictionary = initial_dictionary(
         op, list(cfg.pairs), child_seed(seed, 24), budget.max_dictionary, "op"
     )
     cert = pietsch_upper_lp(op, cfg, dictionary, p, bisect_steps=budget.bisect_steps)

@@ -23,8 +23,8 @@ from .hilbert_schmidt import (
 from .rng import child_seed, stream
 from .summing import (
     Budget,
-    _initial_dictionary,
     estimate_pi_lip,
+    initial_dictionary,
     lower_bound_config,
     pietsch_upper_lp,
 )
@@ -247,7 +247,7 @@ def _check_inclusion(seed: int, trials: int) -> tuple[bool, dict]:
         rng = stream(seed, i)
         op = random_operator((2, 2), 2, rng)
         cfg = random_pairs(op.dims, 5, rng)
-        dictionary = _initial_dictionary(op, list(cfg.pairs), child_seed(seed, 34, i), 24, "op")
+        dictionary = initial_dictionary(op, list(cfg.pairs), child_seed(seed, 34, i), 24, "op")
         for p, q in ((1.0, 2.0), (2.0, 4.0)):
             cert = pietsch_upper_lp(op, cfg, dictionary, p)
             low_q = lower_bound_config(op, cfg, q, seed=child_seed(seed, 35, i), restarts=8)
@@ -299,7 +299,7 @@ def _check_composition(seed: int, trials: int) -> tuple[bool, dict]:
             for u, v in comp_cfg.pairs
         )
         mapped = PairConfiguration(mapped_pairs)
-        dictionary = _initial_dictionary(
+        dictionary = initial_dictionary(
             op, list(mapped.pairs), child_seed(seed, 37, i), 24, "op"
         )
         cert = pietsch_upper_lp(op, mapped, dictionary, 2.0)

@@ -20,8 +20,8 @@ from pilip.rng import child_seed, stream
 from pilip.serialize import operator_to_json, save_json
 from pilip.summing import (
     Budget,
-    _initial_dictionary,
     estimate_pi_lip,
+    initial_dictionary,
     lower_bound_config,
     pietsch_upper_lp,
     restrict_operator,
@@ -51,7 +51,7 @@ def test_acceptance_1_lambda_unit_norm(tmp_path):
         for p in (1.0, 2.0):
             start = time.perf_counter()
             rep = estimate_pi_lip(
-                lambda_n(n), p, seed=7, initial_dictionary=[lambda_n(n)]
+                lambda_n(n), p, seed=7, extra_dictionary=[lambda_n(n)]
             )
             elapsed = time.perf_counter() - start
             worst_time = max(worst_time, elapsed)
@@ -110,7 +110,7 @@ def test_acceptance_4_inclusion_theorem():
         rng = stream(3000 + i)
         op = random_operator((2, 2), 2, rng)
         cfg = random_pairs(op.dims, 5, rng)
-        dictionary = _initial_dictionary(op, list(cfg.pairs), child_seed(4, i), 16, "op")
+        dictionary = initial_dictionary(op, list(cfg.pairs), child_seed(4, i), 16, "op")
         for p, q in ((1.0, 2.0), (2.0, 4.0)):
             cert = pietsch_upper_lp(op, cfg, dictionary, p)
             low_q = lower_bound_config(op, cfg, q, seed=child_seed(4, i, 1), restarts=8)
@@ -156,7 +156,7 @@ def test_acceptance_6_restriction_bound():
             return SegrePoint(tuple(factors))
 
         lifted = PairConfiguration(tuple((lift(u), lift(v)) for u, v in r_cfg.pairs))
-        dictionary = _initial_dictionary(op, list(lifted.pairs), child_seed(6, i), 16, "op")
+        dictionary = initial_dictionary(op, list(lifted.pairs), child_seed(6, i), 16, "op")
         cert = pietsch_upper_lp(op, lifted, dictionary, 2.0)
         low = lower_bound_config(restricted, r_cfg, 2.0, seed=child_seed(6, i, 1), restarts=8)
         margin = low.certified_lower - 1.0 * cert.constant  # ||x0|| = 1

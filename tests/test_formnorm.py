@@ -398,3 +398,114 @@ def test_lockstep_ascent_stationary_start_stops_at_once(p):
     values, lams = formnorm._rank_one_ascent(cfg, norms, p, starts[:1], ASCENT_MAX_ITERS,
                                              ASCENT_TOL)
     assert np.array_equal(lams[0][0], e0) and np.array_equal(lams[1][0], e0)
+
+
+# --------------------------------------------------------------------------
+# lockstep alternating maximization against the one-start loop, bit for bit
+# --------------------------------------------------------------------------
+
+
+def _reference_gradient(kernel, factors, y, k):
+    """slot_gradient of one point, with plain labels and no batch index."""
+    n = kernel.ndim - 1
+    operands: list = [kernel, list(range(n)) + [n]]
+    for j in range(n):
+        if j != k:
+            operands.extend([factors[j], [j]])
+    operands.extend([y, [n]])
+    return np.einsum(*operands, [k])
+
+
+def _reference_alternating(op, factors, max_sweeps):
+    """Alternating maximization from one start, run on its own: the oracle for the batch."""
+    factors = [np.asarray(f, dtype=float) for f in factors]
+    s_dual = dual_exponent(op.norms.codomain)
+    y = dual_norming_vector(eval_operator(op, SegrePoint(tuple(factors))), s_dual)
+    best = -math.inf
+    for _ in range(max_sweeps):
+        for k in range(op.n):
+            g = _reference_gradient(op.kernel.array, factors, y, k)
+            assert np.array_equal(formnorm.slot_gradient(op.kernel.array, factors, y, k), g)
+            factors[k] = dual_norming_vector(g, op.norms.factors[k])
+        t = eval_operator(op, SegrePoint(tuple(factors)))
+        y = dual_norming_vector(t, s_dual)
+        value = vector_norm(t, op.norms.codomain)
+        if value <= best * (1.0 + 1e-13):
+            best = max(best, value)
+            break
+        best = value
+    return best, factors
+
+
+def _assert_alternating_matches_reference(op, starts, max_sweeps):
+    values, factors = formnorm._alternating_max(
+        op, [np.stack([s[k] for s in starts]) for k in range(op.n)], max_sweeps)
+    assert len(values) == len(starts)
+    for i, start in enumerate(starts):
+        ref_value, ref_factors = _reference_alternating(op, start, max_sweeps)
+        assert values[i] == ref_value, (i, values[i], ref_value)
+        for k, ref in enumerate(ref_factors):
+            assert np.array_equal(factors[k][i], ref), (i, k)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_lockstep_alternating_max_is_bitwise_the_one_start_loop(n):
+    rng = stream(78, n)
+    exponents = [1.0, 2.0, math.inf]
+    for m in (1, 2, 3):
+        for codomain in exponents:
+            for case in ("random", "zero-slice", "integer"):
+                factors = tuple(rng.choice(exponents, size=n))
+                dims = tuple(int(d) for d in rng.integers(1, 5, size=n))
+                if case == "integer":  # integer entries make ties in the argmax
+                    kernel = rng.integers(-2, 3, size=dims + (m,)).astype(float)
+                else:
+                    kernel = rng.standard_normal(dims + (m,))
+                if case == "zero-slice":
+                    kernel[..., 0] = 0.0
+                op = MultilinearOperator.from_array(kernel, NormSpec(factors, codomain))
+                starts = [formnorm._alternating_start(op, None)]
+                starts += [formnorm._alternating_start(op, stream(78, n, i)) for i in range(4)]
+                starts += [[rng.standard_normal(d) for d in dims], [np.zeros(d) for d in dims]]
+                for max_sweeps in (1, 2, 200):
+                    _assert_alternating_matches_reference(op, starts, max_sweeps)
+
+
+def test_operator_norm_takes_the_first_maximum():
+    # a {-1, 0, 1} kernel on l2 x l1 x l1 factors: many restarts reach the same
+    # value exactly, at different maximizers
+    rng = stream(79)
+    kernel = rng.integers(-1, 2, size=(3, 3, 3, 2)).astype(float)
+    op = MultilinearOperator.from_array(kernel, NormSpec((2.0, 1.0, 1.0), 2.0))
+    starts = [formnorm._alternating_start(op, None if i == 0 else stream(5, 0, i))
+              for i in range(16)]
+    values, factors = formnorm._alternating_max(
+        op, [np.stack([s[k] for s in starts]) for k in range(op.n)])
+    tied = np.flatnonzero(values == values.max())
+    first = tied[0]
+    assert any(not all(np.array_equal(F[first], F[i]) for F in factors) for i in tied[1:])
+    rep = operator_norm(op, seed=5, restarts=16)
+    assert rep.method == "relaxed"
+    assert rep.certified_lower == values[first]
+    for F, x in zip(factors, rep.detail["argmax"].factors):
+        assert np.array_equal(x, F[first])
+
+
+def test_operator_norm_without_restarts_has_zero_lower_end():
+    op = MultilinearOperator.from_array(stream(80).standard_normal((2, 2, 2, 2)))
+    rep = operator_norm(op, restarts=0)
+    assert rep.certified_lower == 0.0 and rep.detail["argmax"] is None
+    assert rep.certified_upper == operator_norm_upper(op)[0] > 0
+
+
+def test_operator_norm_pinned_values():
+    from pilip.verify import random_operator
+
+    rep = operator_norm(random_operator((3, 3, 3), 2, stream(0, 22)), seed=0)
+    assert repr([rep.certified_lower, rep.certified_upper]) == repr(
+        [3.76754314458202, 5.186514468949431])
+    assert rep.method == "relaxed"
+    op = random_operator((2, 3), 2, stream(0, 3), NormSpec((math.inf, 2.0), 2.0))
+    rep = operator_norm(op, seed=0, restarts=8)
+    assert repr([rep.certified_lower, rep.certified_upper]) == repr(
+        [3.6644274890840927, 4.237541798334501])

@@ -7,10 +7,10 @@ from pilip.formnorm import operator_norm
 from pilip.rng import stream
 from pilip.summing import (
     Budget,
-    _initial_dictionary,
     build_factorization,
     estimate_pi_lip,
     estimate_pi_lip_poly,
+    initial_dictionary,
     lower_bound_config,
     pietsch_upper_lp,
     restrict_operator,
@@ -107,7 +107,7 @@ def test_lp_certificate_invariants():
     rng = stream(4)
     op = random_operator((2, 2), 2, rng)
     cfg = random_pairs((2, 2), 5, rng)
-    dictionary = _initial_dictionary(op, list(cfg.pairs), 11, 16, "op")
+    dictionary = initial_dictionary(op, list(cfg.pairs), 11, 16, "op")
     cert = pietsch_upper_lp(op, cfg, dictionary, 2.0)
     assert cert.feasible
     assert abs(sum(cert.weights) - 1.0) <= 1e-12
@@ -270,7 +270,7 @@ def test_factorization_lipschitz_bounded_by_constant():
         rng = stream(40 + i)
         op = random_operator((2, 2), 2, rng)
         cfg = random_pairs((2, 2), 5, rng)
-        dictionary = _initial_dictionary(op, list(cfg.pairs), 17 + i, 16, "op")
+        dictionary = initial_dictionary(op, list(cfg.pairs), 17 + i, 16, "op")
         cert = pietsch_upper_lp(op, cfg, dictionary, 2.0)
         bundle = build_factorization(cert, [u for u, _ in cfg.pairs[:3]], op)
         assert bundle.lipschitz_constant <= cert.constant + 1e-9
@@ -335,7 +335,7 @@ def test_restriction_norm_bound_property():
             for u, v in r_cfg.pairs
         )
     )
-    dictionary = _initial_dictionary(op, list(lifted.pairs), 15, 16, "op")
+    dictionary = initial_dictionary(op, list(lifted.pairs), 15, 16, "op")
     cert = pietsch_upper_lp(op, lifted, dictionary, 2.0)
     low = lower_bound_config(restricted, r_cfg, 2.0, seed=16, restarts=8)
     assert low.certified_lower <= cert.constant + 1e-6
