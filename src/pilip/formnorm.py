@@ -45,6 +45,7 @@ __all__ = [
     "rank_one_norm",
     "hs_to_op_scale",
     "op_ball_uppers",
+    "pair_triangle",
     "slot_gradient",
     "weighted_power_sum",
 ]
@@ -502,18 +503,19 @@ def _rank_one_ascent(
     return value, lams
 
 
+def pair_triangle(u: SegrePoint, v: SegrePoint, norms: NormSpec) -> float:
+    """prod||u_k|| + prod||v_k||, which bounds |phi(u) - phi(v)| for every phi with ||phi||_op <= 1."""
+    return math.prod(u.factor_norms(norms)) + math.prod(v.factor_norms(norms))
+
+
 def op_ball_uppers(
-    cfg: PairConfiguration, norms: NormSpec, p: float, deltas: np.ndarray | None = None
+    deltas: np.ndarray, triangle: Sequence[float], weights: np.ndarray,
+    dims: Sequence[int], norms: NormSpec, p: float,
 ) -> dict[str, float]:
     """The op-ball denominator's certified uppers that need no search: "kappa-hs" (the HS
-    upper scaled by hs_to_op_scale) and "triangle" (|phi(Delta_i)| <= prod||u_k|| + prod||v_k||).
-    `deltas` are cfg's flattened differences, computed when not given."""
-    weights = np.asarray(cfg.weights)
-    if deltas is None:
-        deltas = np.stack([d.reshape(-1) for d in cfg.deltas()])
-    triangle = [math.prod(u.factor_norms(norms)) + math.prod(v.factor_norms(norms))
-                for u, v in cfg.pairs]
-    return {"kappa-hs": hs_to_op_scale(cfg.dims, norms) * _hs_upper(deltas, weights, p),
+    upper scaled by hs_to_op_scale) and "triangle" (the weighted p-sum of pair_triangle).
+    `deltas` stacks the pairs' flattened differences, one row per pair, as `triangle` does."""
+    return {"kappa-hs": hs_to_op_scale(dims, norms) * _hs_upper(deltas, weights, p),
             "triangle": weighted_power_sum(np.asarray(triangle), weights, p)}
 
 
@@ -552,7 +554,8 @@ def config_denominator(
         raise ValueError("norm spec does not match configuration dims")
 
     weights = np.asarray(cfg.weights)
-    deltas = np.stack([d.reshape(-1) for d in cfg.deltas()])
+    delta_list = cfg.deltas()
+    deltas = np.stack([d.reshape(-1) for d in delta_list])
     detail: dict = {"seed": seed, "restarts": restarts, "ball": ball, "p": p}
 
     if math.prod(cfg.dims) == 1:
@@ -574,10 +577,10 @@ def config_denominator(
         return BoundReport(lower, lower, max(hs_up, lower), method="hs-ascent", detail=detail)
 
     # operator ball
-    uppers = op_ball_uppers(cfg, norms, p, deltas)
+    triangle = [pair_triangle(u, v, norms) for u, v in cfg.pairs]
+    uppers = op_ball_uppers(deltas, triangle, weights, cfg.dims, norms, p)
     if len(cfg) == 1 and len(cfg.dims) == 2 and norms.factors == (2.0, 2.0):
-        delta_mat = cfg.deltas()[0]
-        nuc = float(np.sum(np.linalg.svd(delta_mat, compute_uv=False)))
+        nuc = float(np.sum(np.linalg.svd(delta_list[0], compute_uv=False)))
         a0 = 1.0 if math.isinf(p) else float(weights[0] ** (1.0 / p))
         uppers["nuclear"] = a0 * nuc
     method_up = min(uppers, key=uppers.get)
@@ -608,7 +611,7 @@ def config_denominator(
     _, _, vt = np.linalg.svd(deltas * w2[:, None], full_matrices=False)
     kernels = [vt[0]] + [np.asarray(k, dtype=float).reshape(-1) for k in (extra_kernels or [])]
     if len(cfg.dims) == 2 and norms.factors == (2.0, 2.0):
-        for d_mat in cfg.deltas()[:4]:
+        for d_mat in delta_list[:4]:
             du, _, dvt = np.linalg.svd(d_mat, full_matrices=False)
             kernels.append((du @ dvt).reshape(-1))
     for G_flat in kernels:

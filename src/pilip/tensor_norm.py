@@ -23,6 +23,7 @@ from .bounds import BoundReport
 from .formnorm import (
     config_denominator,
     op_ball_uppers,
+    pair_triangle,
     rank_one_norm,
     weighted_power_sum,
 )
@@ -160,11 +161,6 @@ def _elementary_factors(w: np.ndarray, tol: float = 1e-10) -> list[np.ndarray] |
     return [u[:, 0]] + rest
 
 
-def _rep_value_cheap(rep: Representation, p: float, pp: float, norms: NormSpec) -> float:
-    den = min(op_ball_uppers(rep.pair_configuration(), norms, pp).values())  # certified, no search
-    return den * delta_p_norm(rep.y_vectors(), p, norms.codomain)
-
-
 def _solve_ys(pairs: list[tuple[SegrePoint, SegrePoint]], Z: np.ndarray) -> np.ndarray:
     """Least-squares y-block for fixed pairs: minimizes the reconstruction error."""
     W = np.stack(
@@ -242,23 +238,45 @@ def _perturbed(rep: Representation, rng: np.random.Generator, scale: float) -> l
 
 
 def _rebalance(rep: Representation, z: MixedTensor, p: float, pp: float) -> Representation:
-    """Per-term scale sweeps: move mass between a pair and its y (tensor fixed)."""
+    """Per-term scale sweeps: move mass between a pair and its y (tensor fixed).
+
+    A representation's value is the certified search-free op-ball upper of its
+    pairs times the p-sum of its y norms.  Each term's difference row, triangle
+    value, y norm and keep flag (the PairConfiguration drop rule) are computed
+    once; a candidate recomputes only the term it rescales."""
     norms = z.norms
     n = len(z.dims)
+
+    def parts(term):
+        p_pt, q_pt, y = term
+        row = (elementary_tensor(p_pt).array - elementary_tensor(q_pt).array).reshape(-1)
+        kept = not np.max(np.abs(row)) <= 1e-300
+        return row, pair_triangle(p_pt, q_pt, norms), vector_norm(y, norms.codomain), kept
+
+    def value(cache):
+        kept = [c for c in cache if c[3]]
+        if not kept:
+            raise ValueError("configuration is empty after dropping degenerate pairs")
+        uppers = op_ball_uppers(np.stack([c[0] for c in kept]), [c[1] for c in kept],
+                                np.ones(len(kept)), z.dims, norms, pp)
+        return min(uppers.values()) * weighted_power_sum(
+            np.array([c[2] for c in cache]), np.ones(len(cache)), p)
+
     best = rep
-    best_val = _rep_value_cheap(rep, p, pp, norms)
+    cache = [parts(t) for t in rep.terms]
+    best_val = value(cache)
     for _ in range(3):
         improved = False
         for i in range(len(best.terms)):
             for s in (0.5, 0.75, 1.5, 2.0):
-                terms = list(best.terms)
-                p_pt, q_pt, y = terms[i]
+                p_pt, q_pt, y = best.terms[i]
                 factor = s ** (1.0 / n)
-                terms[i] = (p_pt.scale(factor), q_pt.scale(factor), y / s)
-                cand = Representation(tuple(terms))
-                val = _rep_value_cheap(cand, p, pp, norms)
+                term = (p_pt.scale(factor), q_pt.scale(factor), y / s)
+                cand = cache[:i] + [parts(term)] + cache[i + 1:]
+                val = value(cand)
                 if val < best_val * (1 - 1e-12):
-                    best, best_val, improved = cand, val, True
+                    best = Representation(best.terms[:i] + (term,) + best.terms[i + 1:])
+                    cache, best_val, improved = cand, val, True
         if not improved:
             break
     return best
@@ -282,8 +300,9 @@ def dp_upper(
     of the reconstruction error.  Raises ValueError("... increase k") when
     no candidate meets the residual tolerance within k terms.
 
-    The default k is 2 x rank of the ({factors},{codomain}) flattening,
-    raised when the deterministic construction needs more terms.
+    The default k is the larger of 2 x rank of the ({factors},{codomain})
+    flattening and the term count of the deterministic SVD construction, so
+    that construction is always a candidate; `budget.max_pairs` does not cap it.
     """
     if p <= 1:
         raise ValueError("dp_upper needs p in (1, inf]")
@@ -309,7 +328,7 @@ def dp_upper(
     if base.terms:
         candidates.append(base)
     rank = int(np.sum(s > max(Z.shape) * np.finfo(float).eps * s[0]))
-    k_default = max(2 * rank, min(len(base.terms), budget.max_pairs) or 1)
+    k_default = max(2 * rank, len(base.terms), 1)
     k_eff = k if k is not None else k_default
 
     # refinement: perturb pair factors, re-solve y by least squares

@@ -1,4 +1,6 @@
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from pilip.rng import stream
 from pilip.summing import Budget
 from pilip.tensor_norm import (
+    _rebalance,
     DualWitness,
     MixedTensor,
     Representation,
@@ -16,9 +19,11 @@ from pilip.tensor_norm import (
     dp_upper,
     epsilon_norm_diff,
 )
-from pilip.formnorm import config_denominator
+from pilip.formnorm import config_denominator, op_ball_uppers
 from pilip.tensors import (
+    DegeneratePairWarning,
     MultilinearOperator,
+    NormSpec,
     PairConfiguration,
     SegrePoint,
 )
@@ -218,3 +223,113 @@ def test_delta_epsilon_random_instances():
         cfg = random_pairs((2, 2), 4, rng)
         report = check_delta_epsilon_bound(op, cfg, 2.0, FAST, seed=i)
         assert report["passed"], report
+
+
+def _rep_value_reference(rep, p, pp, norms):
+    """The representation value through a PairConfiguration, as _rebalance once computed it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegeneratePairWarning)
+        cfg = rep.pair_configuration()
+    deltas = np.stack([d.reshape(-1) for d in cfg.deltas()])
+    triangle = [math.prod(u.factor_norms(norms)) + math.prod(v.factor_norms(norms))
+                for u, v in cfg.pairs]
+    den = min(op_ball_uppers(deltas, triangle, np.asarray(cfg.weights), cfg.dims, norms, pp).values())
+    return den * delta_p_norm(rep.y_vectors(), p, norms.codomain)
+
+
+def _rebalance_reference(rep, z, p, pp):
+    """The whole-representation sweep loop that the incremental _rebalance replaced."""
+    n = len(z.dims)
+    best = rep
+    best_val = _rep_value_reference(rep, p, pp, z.norms)
+    for _ in range(3):
+        improved = False
+        for i in range(len(best.terms)):
+            for s in (0.5, 0.75, 1.5, 2.0):
+                terms = list(best.terms)
+                p_pt, q_pt, y = terms[i]
+                factor = s ** (1.0 / n)
+                terms[i] = (p_pt.scale(factor), q_pt.scale(factor), y / s)
+                cand = Representation(tuple(terms))
+                val = _rep_value_reference(cand, p, pp, z.norms)
+                if val < best_val * (1 - 1e-12):
+                    best, best_val, improved = cand, val, True
+        if not improved:
+            break
+    return best
+
+
+def _uneven_representation(dims, m, rng):
+    """Terms at scattered scales, with one degenerate pair (p == q) and two equal terms."""
+    def point(scale):
+        return SegrePoint(tuple(scale * rng.standard_normal(d) for d in dims))
+
+    terms = []
+    for j in range(4):
+        q_pt = SegrePoint.zero(dims) if j % 2 else point(math.exp(rng.standard_normal()))
+        terms.append((point(math.exp(1.5 * rng.standard_normal())), q_pt,
+                      math.exp(1.5 * rng.standard_normal()) * rng.standard_normal(m)))
+    same = point(2.0)
+    terms.append((same, same, rng.standard_normal(m)))
+    terms.append(terms[0])
+    return Representation(tuple(terms))
+
+
+EXPONENTS = (1.0, 2.0, math.inf)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("codomain", EXPONENTS)
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, math.inf])
+def test_incremental_rebalance_is_bitwise_the_whole_rebuild(n, codomain, p):
+    dims = (3, 2, 2)[:n]
+    moved = 0
+    for c, factors in enumerate(itertools.product(EXPONENTS, repeat=n)):
+        if n == 3 and c % 4:  # a third of the 27 combinations keeps the test short
+            continue
+        norms = NormSpec(factors, codomain)
+        rng = stream(90, n, c, int(codomain) if math.isfinite(codomain) else 0)
+        rep = _uneven_representation(dims, 2, rng)
+        z = MixedTensor.from_array(rep.reconstruct(dims, 2), norms)
+        pp = conjugate_exponent(p)
+        got, want = _rebalance(rep, z, p, pp), _rebalance_reference(rep, z, p, pp)
+        assert len(got.terms) == len(want.terms)
+        for (gp, gq, gy), (wp, wq, wy) in zip(got.terms, want.terms):
+            assert all(np.array_equal(a, b) for a, b in zip(gp.factors + gq.factors,
+                                                            wp.factors + wq.factors))
+            assert np.array_equal(gy, wy)
+        moved += got is not rep
+    assert moved > 0  # the sweeps accepted candidates, so the comparison is not vacuous
+
+
+def test_rebalance_of_all_degenerate_pairs_raises():
+    rng = stream(91)
+    pt = SegrePoint((rng.standard_normal(2), rng.standard_normal(3)))
+    rep = Representation(((pt, pt, rng.standard_normal(2)), (pt, pt, rng.standard_normal(2))))
+    z = MixedTensor.from_array(np.zeros((2, 3, 2)))
+    with pytest.raises(ValueError, match="empty after dropping degenerate pairs"):
+        _rebalance(rep, z, 2.0, 2.0)
+
+
+@pytest.mark.parametrize(
+    "i,dims,m,p,norms,expected",
+    [
+        (0, (3, 3, 2), 2, 3.0, None, "18.098757597842127"),
+        (1, (2, 2, 2), 3, 1.5, None, "16.02385793431671"),
+        (2, (3, 3), 2, 2.0, NormSpec((1.0, math.inf), 2.0), "7.134316393151542"),
+        (3, (2, 3), 3, math.inf, NormSpec((math.inf, 2.0), 1.0), "9.171949427441277"),
+        (4, (4,), 3, 2.0, NormSpec((1.0,), math.inf), "8.072208081226192"),
+    ],
+)
+def test_dp_upper_pinned_values(i, dims, m, p, norms, expected):
+    z = random_mixed(dims, m, stream(0, 30, i), norms)
+    up = dp_upper(z, p, seed=0, budget=Budget(restarts=2))
+    assert repr(up.certified_upper) == expected
+
+
+def test_dp_upper_default_k_covers_the_svd_construction():
+    # 27 base terms, more than Budget().max_pairs: the default k must not drop them
+    z = random_mixed((3, 3, 3), 3, stream(0, 77))
+    up = dp_upper(z, 2.0)
+    assert up.detail["k"] == 27
+    assert repr(up.certified_upper) == "45.35185082075107"
