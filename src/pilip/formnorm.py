@@ -34,6 +34,9 @@ from .tensors import (
     dual_exponent,
     dual_norming_vector,
     eval_operator,
+    eval_rows,
+    norming_rows,
+    row_norms,
     vector_norm,
 )
 
@@ -107,9 +110,16 @@ def hs_to_op_scale(dims: Sequence[int], norms: NormSpec) -> float:
 
 def slot_gradient(kernel: np.ndarray, factors: list[np.ndarray], y: np.ndarray, k: int) -> np.ndarray:
     """The gradient in slot k of <y, T(x_1, ..., x_n)>: contract every other slot and the codomain.
-    The factors and y may carry a leading batch index (a row per point), kept in the result."""
-    n = kernel.ndim - 1
-    operands: list = [kernel, list(range(n)) + [n]]
+    The kernel, the factors and y may carry a leading batch index (a row per point), kept in the
+    result; each row is then bit for bit the gradient of that point alone."""
+    n = len(factors)
+    if factors[k].ndim == 2 and factors[k].shape[1] == 1:
+        # einsum orders a batched sum into a unit slot unlike a one-point sum: go row by row
+        return np.array([
+            slot_gradient(kernel[r] if kernel.ndim > n + 1 else kernel, [f[r] for f in factors],
+                          y[r] if y.ndim > 1 else y, k)
+            for r in range(len(factors[k]))]).reshape(-1, 1)
+    operands: list = [kernel, [..., *range(n), n]]
     for j in range(n):
         if j != k:
             operands.extend([factors[j], [..., j]])
@@ -134,23 +144,16 @@ def _alternating_max(
     run on its own (docs/formats.md).  Returns the value and the maximizer of each start."""
     kernel, n = op.kernel.array, op.n
     s_dual = dual_exponent(op.norms.codomain)
-
-    def evaluate(X):  # one gemv per start and slot, as eval_operator: a gemm rounds differently
-        out = (X[0][:, None, :] @ kernel.reshape(op.dims[0], -1))[:, 0, :]
-        for x, d in zip(X[1:], op.dims[1:]):
-            out = (x[:, None, :] @ out.reshape(len(x), d, -1))[:, 0, :]
-        return out
-
-    y = _norming_rows(evaluate(factors), s_dual)
+    y = norming_rows(eval_rows(op, factors), s_dual)
     best = np.full(len(y), -math.inf)
     running = np.arange(len(y))
     for _ in range(max_sweeps):
         X, Y = [F[running] for F in factors], y[running]
         for k in range(n):
-            X[k] = _norming_rows(slot_gradient(kernel, X, Y, k), op.norms.factors[k])
-        t = evaluate(X)
-        y[running] = _norming_rows(t, s_dual)
-        value = _row_norms(t, op.norms.codomain)
+            X[k] = norming_rows(slot_gradient(kernel, X, Y, k), op.norms.factors[k])
+        t = eval_rows(op, X)
+        y[running] = norming_rows(t, s_dual)
+        value = row_norms(t, op.norms.codomain)
         stop = value <= best[running] * (1.0 + 1e-13)
         best[running] = np.maximum(best[running], value)
         for F, x in zip(factors, X):
@@ -378,32 +381,6 @@ def _prod(factors: list[np.ndarray]) -> np.ndarray | float:
     return out
 
 
-def _row_norms(X: np.ndarray, r: float) -> np.ndarray:
-    """vector_norm(x, r) of every row x of X, with the same arithmetic."""
-    if r == 1.0:
-        return np.sum(np.abs(X), axis=1)
-    if r == 2.0:
-        return np.sqrt((X[:, None, :] @ X[:, :, None])[:, 0, 0])
-    return np.max(np.abs(X), axis=1)
-
-
-def _norming_rows(X: np.ndarray, r: float) -> np.ndarray:
-    """dual_norming_vector(x, r) of every row x of X, with the same arithmetic."""
-    if r == 2.0:
-        nrm = _row_norms(X, 2.0)
-        out = X / np.where(nrm == 0, 1.0, nrm)[:, None]
-    elif r == 1.0:
-        rows, i = np.arange(len(X)), np.argmax(np.abs(X), axis=1)
-        out = np.zeros_like(X)
-        out[rows, i] = np.where(X[rows, i] >= 0, 1.0, -1.0)
-    else:
-        out = np.where(X >= 0, 1.0, -1.0)
-    zero = ~np.any(X, axis=1)
-    out[zero] = 0.0
-    out[zero, 0] = 1.0
-    return out
-
-
 def _power_sums(s: np.ndarray, weights: np.ndarray, p: float) -> np.ndarray:
     """weighted_power_sum of every row of s.  The root stays one scalar power
     per row: numpy's array power rounds differently from its scalar power."""
@@ -440,13 +417,13 @@ def _rank_one_ascent(
                 [(PV[k] @ X[:, :, None])[..., 0] for k, X in enumerate(lams)])
 
     def normalized(lams):
-        return [X / np.maximum(_row_norms(X, duals[k]), 1e-300)[:, None]
+        return [X / np.maximum(row_norms(X, duals[k]), 1e-300)[:, None]
                 for k, X in enumerate(lams)]
 
     def ratio(lams):
         pu, pv = evaluations(lams)
         raw = _power_sums(_prod(pu) - _prod(pv), weights, p)
-        scale = _prod([_row_norms(X, duals[k]) for k, X in enumerate(lams)])
+        scale = _prod([row_norms(X, duals[k]) for k, X in enumerate(lams)])
         return np.divide(raw, scale, out=np.zeros_like(raw), where=scale != 0)
 
     lams = normalized([np.stack([np.asarray(s[k], dtype=float) for s in starts]) for k in slots])
@@ -480,7 +457,7 @@ def _rank_one_ascent(
             cv = coef * _prod(pv[:k] + pv[k + 1:])
             g_num = (cu[:, None, :] @ PU[k])[:, 0, :] - (cv[:, None, :] @ PV[k])[:, 0, :]
             # subtract the normalization's log-gradient (norming functional)
-            g = g_num - value[due, None] * _norming_rows(X[k], norms.factors[k])
+            g = g_num - value[due, None] * norming_rows(X[k], norms.factors[k])
             grads[k][due] = g
             sq = sq + (g[:, None, :] @ g[:, :, None])[:, 0, 0]
         gn[due] = np.sqrt(sq)
@@ -503,9 +480,11 @@ def _rank_one_ascent(
     return value, lams
 
 
-def pair_triangle(u: SegrePoint, v: SegrePoint, norms: NormSpec) -> float:
-    """prod||u_k|| + prod||v_k||, which bounds |phi(u) - phi(v)| for every phi with ||phi||_op <= 1."""
-    return math.prod(u.factor_norms(norms)) + math.prod(v.factor_norms(norms))
+def pair_triangle(u: Sequence[np.ndarray], v: Sequence[np.ndarray], norms: NormSpec) -> float:
+    """prod||u_k|| + prod||v_k|| for the factors u_k, v_k of two Segre points u and v, which
+    bounds |phi(u) - phi(v)| for every phi with ||phi||_op <= 1."""
+    return (math.prod(vector_norm(f, r) for f, r in zip(u, norms.factors))
+            + math.prod(vector_norm(f, r) for f, r in zip(v, norms.factors)))
 
 
 def op_ball_uppers(
@@ -577,7 +556,7 @@ def config_denominator(
         return BoundReport(lower, lower, max(hs_up, lower), method="hs-ascent", detail=detail)
 
     # operator ball
-    triangle = [pair_triangle(u, v, norms) for u, v in cfg.pairs]
+    triangle = [pair_triangle(u.factors, v.factors, norms) for u, v in cfg.pairs]
     uppers = op_ball_uppers(deltas, triangle, weights, cfg.dims, norms, p)
     if len(cfg) == 1 and len(cfg.dims) == 2 and norms.factors == (2.0, 2.0):
         nuc = float(np.sum(np.linalg.svd(delta_list[0], compute_uv=False)))

@@ -51,9 +51,14 @@ from .tensors import (
     ShapeError,
     dual_exponent,
     dual_norming_vector,
+    elementary_rows,
     elementary_tensor,
     eval_operator,
+    eval_rows,
+    norming_rows,
+    project_rows,
     project_to_ball,
+    row_norms,
     vector_norm,
 )
 
@@ -410,59 +415,14 @@ def pietsch_upper_lp(
 # ---------------------------------------------------------------------------
 
 
+def _random_factors(
+    dims: Sequence[int], norms: NormSpec, rng: np.random.Generator
+) -> list[np.ndarray]:
+    return [project_to_ball(rng.standard_normal(d), r) for d, r in zip(dims, norms.factors)]
+
+
 def _random_segre(dims: Sequence[int], norms: NormSpec, rng: np.random.Generator) -> SegrePoint:
-    return SegrePoint(
-        tuple(project_to_ball(rng.standard_normal(d), r) for d, r in zip(dims, norms.factors))
-    )
-
-
-class _ViolationObjective:
-    """||T(u)-T(v)|| / ||j_p(u)-j_p(v)|| with stacked form kernels.
-
-    Form evaluations are one matrix-vector product against the vectorized
-    elementary-tensor difference; form gradients collapse into a single
-    synthetic kernel by linearity.
-    """
-
-    def __init__(self, op: MultilinearOperator, cert: PietschCertificate, p: float):
-        self.op = op
-        self.p = p
-        keep = [j for j, w in enumerate(cert.weights) if w > 1e-15]
-        self.F = cert.form_matrix()[keep]
-        self.w = np.asarray(cert.weights)[keep]
-
-    def ratio(self, u: SegrePoint, v: SegrePoint) -> float:
-        lhs = vector_norm(
-            eval_operator(self.op, u) - eval_operator(self.op, v), self.op.norms.codomain
-        )
-        vals = self.F @ (elementary_tensor(u).data - elementary_tensor(v).data)
-        rhs = float(np.sum(self.w * np.abs(vals) ** self.p)) ** (1.0 / self.p)
-        if rhs <= 1e-300:
-            return math.inf if lhs > 1e-14 else 0.0
-        return lhs / rhs
-
-    def gradients(self, u: SegrePoint, v: SegrePoint):
-        """Gradients of log(lhs) - (1/p) log sum w_j |phi_j(Delta)|^p."""
-        op, p = self.op, self.p
-        kernel = op.kernel.array
-        diff = eval_operator(op, u) - eval_operator(op, v)
-        lhs = max(vector_norm(diff, op.norms.codomain), 1e-300)
-        ystar = dual_norming_vector(diff, dual_exponent(op.norms.codomain))
-        vals = self.F @ (elementary_tensor(u).data - elementary_tensor(v).data)
-        rhs_p = max(float(np.sum(self.w * np.abs(vals) ** p)), 1e-300)
-        coef = self.w * np.abs(vals) ** (p - 1.0) * np.sign(vals)
-        combined = (coef @ self.F).reshape(op.dims)[..., np.newaxis]
-
-        grads_u, grads_v = [], []
-        one = np.ones(1)
-        for k in range(op.n):
-            gu = slot_gradient(kernel, list(u.factors), ystar, k) / lhs
-            gv = -slot_gradient(kernel, list(v.factors), ystar, k) / lhs
-            du = slot_gradient(combined, list(u.factors), one, k)
-            dv = -slot_gradient(combined, list(v.factors), one, k)
-            grads_u.append(gu - du / rhs_p)
-            grads_v.append(gv - dv / rhs_p)
-        return grads_u, grads_v
+    return SegrePoint(tuple(_random_factors(dims, norms, rng)))
 
 
 def _violation_search(
@@ -473,54 +433,121 @@ def _violation_search(
     starts: int,
     iters: int = 60,
 ) -> list[tuple[SegrePoint, SegrePoint, float]]:
-    """Ascent on the domination-violation ratio from random starts.
+    """Ascent on the domination-violation ratio ||T(u)-T(v)|| / ||j_p(u)-j_p(v)||
+    from random starts, largest ratio first (ties in start order).
 
-    The ratio is invariant under joint scaling of all factors, so factors
-    stay projected into their unit balls without loss of generality.
+    The ratio is invariant under joint scaling of all factors, so factors stay
+    projected into their unit balls without loss of generality.  All starts
+    ascend in lockstep, one (starts, d_k) array per slot of u and of v: each
+    round computes gradients for the starts that moved and makes one
+    line-search trial for every start still running.  A start keeps its own
+    step size, its cap of `iters` gradients and its stopping rules, and does
+    the same floating-point operations as a run on its own (docs/formats.md).
+    Form values are one gemv per start against the elementary-tensor
+    difference; form gradients collapse into one synthetic kernel per start
+    by linearity.
     """
-    if not cert.feasible or not cert.dictionary:
+    if not cert.feasible or not cert.dictionary or starts < 1:
         return []
-    norms = op.norms
-    objective = _ViolationObjective(op, cert, p)
-    results = []
+    norms, n = op.norms, op.n
+    kernel = op.kernel.array
+    keep = [j for j, w in enumerate(cert.weights) if w > 1e-15]
+    F, w = cert.form_matrix()[keep], np.asarray(cert.weights)[keep]
+    s_dual = dual_exponent(norms.codomain)
+    one = np.ones(1)
+
+    def evaluate(U, V):  # T(u) - T(v) and the form values phi_j(Delta) of every start
+        delta = elementary_rows(U) - elementary_rows(V)
+        return eval_rows(op, U) - eval_rows(op, V), (F @ delta[:, :, None])[..., 0]
+
+    def form_sums(vals):  # sum_j w_j |phi_j(Delta)|^p
+        return np.sum(w * np.abs(vals) ** p, axis=1)
+
+    def ratio(diff, vals):
+        lhs = row_norms(diff, norms.codomain)
+        rhs = np.array([float(x) ** (1.0 / p) for x in form_sums(vals)])  # a scalar power each
+        return np.divide(lhs, rhs, out=np.where(lhs > 1e-14, math.inf, 0.0),
+                         where=~(rhs <= 1e-300))
+
+    def gradients(X_u, X_v, diff, vals):
+        """Gradients of log(lhs) - (1/p) log sum_j w_j |phi_j(Delta)|^p, and their norms."""
+        lhs = np.maximum(row_norms(diff, norms.codomain), 1e-300)[:, None]
+        ystar = norming_rows(diff, s_dual)
+        rhs_p = np.maximum(form_sums(vals), 1e-300)[:, None]
+        coef = w * np.abs(vals) ** (p - 1.0) * np.sign(vals)
+        combined = (coef[:, None, :] @ F)[:, 0, :].reshape((len(vals),) + op.dims + (1,))
+        grads_u, grads_v = [], []
+        for k in range(n):
+            gu = slot_gradient(kernel, X_u, ystar, k) / lhs
+            gv = -slot_gradient(kernel, X_v, ystar, k) / lhs
+            du = slot_gradient(combined, X_u, one, k)
+            dv = -slot_gradient(combined, X_v, one, k)
+            grads_u.append(gu - du / rhs_p)
+            grads_v.append(gv - dv / rhs_p)
+        sq_u = sq_v = 0.0  # sum(u terms) + sum(v terms), as in the one-start loop
+        for g_u, g_v in zip(grads_u, grads_v):
+            sq_u = sq_u + (g_u[:, None, :] @ g_u[:, :, None])[:, 0, 0]
+            sq_v = sq_v + (g_v[:, None, :] @ g_v[:, :, None])[:, 0, 0]
+        return grads_u, grads_v, np.sqrt(sq_u + sq_v)
+
+    drawn_u, drawn_v = [], []
     for s_idx in range(starts):
         rng = stream(seed, 5, s_idx)
-        u = _random_segre(op.dims, norms, rng)
-        v = SegrePoint.zero(op.dims) if s_idx % 3 == 0 else _random_segre(op.dims, norms, rng)
-        value = objective.ratio(u, v)
-        step = 0.25
-        for _ in range(iters):
-            if math.isinf(value):
-                break
-            grads_u, grads_v = objective.gradients(u, v)
-            gn = math.sqrt(
-                sum(float(np.dot(g, g)) for g in grads_u)
-                + sum(float(np.dot(g, g)) for g in grads_v)
-            )
-            if gn < 1e-14:
-                break
-            improved = False
-            while step > 1e-10:
-                cu = SegrePoint(tuple(
-                    project_to_ball(f + step * g / gn, r)
-                    for f, g, r in zip(u.factors, grads_u, norms.factors)
-                ))
-                cv = SegrePoint(tuple(
-                    project_to_ball(f + step * g / gn, r)
-                    for f, g, r in zip(v.factors, grads_v, norms.factors)
-                ))
-                cand = objective.ratio(cu, cv)
-                if cand > value:
-                    converged = math.isfinite(value) and cand <= value * (1 + 1e-10)
-                    u, v, value = cu, cv, cand
-                    improved = not converged
-                    step *= 1.5
-                    break
-                step *= 0.5
-            if not improved:
-                break
-        if value > 0:
-            results.append((u, v, value))
+        drawn_u.append(_random_factors(op.dims, norms, rng))
+        drawn_v.append([np.zeros(d) for d in op.dims] if s_idx % 3 == 0
+                       else _random_factors(op.dims, norms, rng))
+    U = [np.stack([x[k] for x in drawn_u]) for k in range(n)]
+    V = [np.stack([x[k] for x in drawn_v]) for k in range(n)]
+    diff, vals = evaluate(U, V)  # at each start's current point
+    value = ratio(diff, vals)
+    step = np.full(starts, 0.25)
+    left = np.full(starts, iters)          # gradient evaluations left
+    moved = np.ones(starts, dtype=bool)    # needs a gradient at its new point
+    running = np.ones(starts, dtype=bool)
+    GU, GV = [np.zeros_like(X) for X in U], [np.zeros_like(X) for X in V]
+    gn = np.ones(starts)
+    while running.any():
+        due = np.flatnonzero(running & moved)
+        done = (left[due] == 0) | np.isinf(value[due])
+        running[due[done]] = False
+        due = due[~done]
+        left[due] -= 1
+        if due.size:
+            g_u, g_v, gn[due] = gradients([X[due] for X in U], [X[due] for X in V],
+                                          diff[due], vals[due])
+            for G, g in zip(GU + GV, g_u + g_v):
+                G[due] = g
+            running[due[gn[due] < 1e-14]] = False
+        running &= step > 1e-10
+
+        trial = np.flatnonzero(running)
+        if not trial.size:
+            break
+        t_step, t_gn = step[trial, None], gn[trial, None]
+        cand_u = [project_rows(X[trial] + t_step * G[trial] / t_gn, r)
+                  for X, G, r in zip(U, GU, norms.factors)]
+        cand_v = [project_rows(X[trial] + t_step * G[trial] / t_gn, r)
+                  for X, G, r in zip(V, GV, norms.factors)]
+        if not all(np.all(np.isfinite(C)) for C in cand_u + cand_v):
+            raise ValueError("entries must be finite")  # the check SegrePoint makes
+        c_diff, c_vals = evaluate(cand_u, cand_v)
+        cand = ratio(c_diff, c_vals)
+        old = value[trial]
+        up = cand > old
+        better = trial[up]
+        for X, C in zip(U + V, cand_u + cand_v):
+            X[better] = C[up]
+        diff[better], vals[better] = c_diff[up], c_vals[up]
+        converged = np.isfinite(old[up]) & (cand[up] <= old[up] * (1 + 1e-10))
+        running[better[converged]] = False
+        value[better] = cand[up]
+        step[better] *= 1.5
+        step[trial[~up]] *= 0.5
+        moved[trial] = up
+
+    results = [(SegrePoint(tuple(X[i].copy() for X in U)),
+                SegrePoint(tuple(X[i].copy() for X in V)), float(value[i]))
+               for i in range(starts) if value[i] > 0]
     results.sort(key=lambda r: -min(r[2], 1e300))
     return results
 

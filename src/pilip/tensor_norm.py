@@ -37,6 +37,7 @@ from .tensors import (
     SegrePoint,
     dual_exponent,
     dual_norming_vector,
+    elementary_rows,
     elementary_tensor,
     eval_operator,
     vector_norm,
@@ -243,15 +244,16 @@ def _rebalance(rep: Representation, z: MixedTensor, p: float, pp: float) -> Repr
     A representation's value is the certified search-free op-ball upper of its
     pairs times the p-sum of its y norms.  Each term's difference row, triangle
     value, y norm and keep flag (the PairConfiguration drop rule) are computed
-    once; a candidate recomputes only the term it rescales."""
+    once; a candidate recomputes only the term it rescales, from its factor
+    arrays, and SegrePoints are built only for an accepted candidate."""
     norms = z.norms
     n = len(z.dims)
 
-    def parts(term):
-        p_pt, q_pt, y = term
-        row = (elementary_tensor(p_pt).array - elementary_tensor(q_pt).array).reshape(-1)
+    def parts(p_fs, q_fs, y):
+        E = elementary_rows([np.stack(fs) for fs in zip(p_fs, q_fs)])
+        row = E[0] - E[1]
         kept = not np.max(np.abs(row)) <= 1e-300
-        return row, pair_triangle(p_pt, q_pt, norms), vector_norm(y, norms.codomain), kept
+        return row, pair_triangle(p_fs, q_fs, norms), vector_norm(y, norms.codomain), kept
 
     def value(cache):
         kept = [c for c in cache if c[3]]
@@ -263,7 +265,7 @@ def _rebalance(rep: Representation, z: MixedTensor, p: float, pp: float) -> Repr
             np.array([c[2] for c in cache]), np.ones(len(cache)), p)
 
     best = rep
-    cache = [parts(t) for t in rep.terms]
+    cache = [parts(p_pt.factors, q_pt.factors, y) for p_pt, q_pt, y in rep.terms]
     best_val = value(cache)
     for _ in range(3):
         improved = False
@@ -271,10 +273,13 @@ def _rebalance(rep: Representation, z: MixedTensor, p: float, pp: float) -> Repr
             for s in (0.5, 0.75, 1.5, 2.0):
                 p_pt, q_pt, y = best.terms[i]
                 factor = s ** (1.0 / n)
-                term = (p_pt.scale(factor), q_pt.scale(factor), y / s)
-                cand = cache[:i] + [parts(term)] + cache[i + 1:]
+                # the arithmetic of SegrePoint.scale(factor)
+                p_fs, q_fs = [factor * f for f in p_pt.factors], [factor * f for f in q_pt.factors]
+                y_s = y / s
+                cand = cache[:i] + [parts(p_fs, q_fs, y_s)] + cache[i + 1:]
                 val = value(cand)
                 if val < best_val * (1 - 1e-12):
+                    term = (SegrePoint(tuple(p_fs)), SegrePoint(tuple(q_fs)), y_s)
                     best = Representation(best.terms[:i] + (term,) + best.terms[i + 1:])
                     cache, best_val, improved = cand, val, True
         if not improved:

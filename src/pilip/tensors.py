@@ -28,12 +28,17 @@ __all__ = [
     "SegrePoint",
     "PairConfiguration",
     "eval_operator",
+    "eval_rows",
     "elementary_tensor",
+    "elementary_rows",
     "vector_norm",
+    "row_norms",
     "unit_vector",
     "dual_exponent",
     "dual_norming_vector",
+    "norming_rows",
     "project_to_ball",
+    "project_rows",
     "flatten",
 ]
 
@@ -300,12 +305,33 @@ def eval_operator(op: MultilinearOperator, x: SegrePoint) -> np.ndarray:
     return out
 
 
+def eval_rows(op: MultilinearOperator, factors: Sequence[np.ndarray]) -> np.ndarray:
+    """eval_operator at every point whose factors are the rows of the (R, d_k) arrays, as an
+    (R, m) array.  One gemv per row and slot, as the tensordot chain of eval_operator does: a
+    single gemm would sum in another order and round differently."""
+    if tuple(X.shape[1] for X in factors) != op.dims:
+        raise ShapeError(f"factor dims do not match operator dims {op.dims}")
+    out = (factors[0][:, None, :] @ op.kernel.array.reshape(op.dims[0], -1))[:, 0, :]
+    for X, d in zip(factors[1:], op.dims[1:]):
+        out = (X[:, None, :] @ out.reshape(len(X), d, out.shape[1] // d))[:, 0, :]
+    return out
+
+
 def elementary_tensor(x: SegrePoint) -> DenseTensor:
     """The rank-one tensor with entries prod_k x_k[i_k]."""
     out = np.array(1.0)
     for f in x.factors:
         out = np.multiply.outer(out, f)
     return DenseTensor.from_array(out.reshape(x.dims))
+
+
+def elementary_rows(factors: Sequence[np.ndarray]) -> np.ndarray:
+    """elementary_tensor(x).data of every point x whose factors are the rows of the (R, d_k)
+    arrays, as an (R, prod d_k) array with the same products."""
+    out = np.ones((len(factors[0]), 1))
+    for X in factors:
+        out = (out[:, :, None] * X[:, None, :]).reshape(len(X), out.shape[1] * X.shape[1])
+    return out
 
 
 def vector_norm(v: np.ndarray, r: float) -> float:
@@ -319,6 +345,15 @@ def vector_norm(v: np.ndarray, r: float) -> float:
     if r == 2.0:
         return float(np.linalg.norm(v))
     return float(np.max(np.abs(v)))
+
+
+def row_norms(X: np.ndarray, r: float) -> np.ndarray:
+    """vector_norm(x, r) of every row x of X, with the same arithmetic."""
+    if r == 1.0:
+        return np.sum(np.abs(X), axis=1)
+    if r == 2.0:
+        return np.sqrt((X[:, None, :] @ X[:, :, None])[:, 0, 0])  # BLAS dot, as np.linalg.norm
+    return np.max(np.abs(X), axis=1)
 
 
 def unit_vector(v: np.ndarray) -> np.ndarray:
@@ -358,6 +393,23 @@ def dual_norming_vector(g: np.ndarray, r: float) -> np.ndarray:
     return np.where(g >= 0, 1.0, -1.0)
 
 
+def norming_rows(X: np.ndarray, r: float) -> np.ndarray:
+    """dual_norming_vector(x, r) of every row x of X, with the same arithmetic."""
+    if r == 2.0:
+        nrm = row_norms(X, 2.0)
+        out = X / np.where(nrm == 0, 1.0, nrm)[:, None]
+    elif r == 1.0:
+        rows, i = np.arange(len(X)), np.argmax(np.abs(X), axis=1)
+        out = np.zeros_like(X)
+        out[rows, i] = np.where(X[rows, i] >= 0, 1.0, -1.0)
+    else:
+        out = np.where(X >= 0, 1.0, -1.0)
+    zero = ~np.any(X, axis=1)
+    out[zero] = 0.0
+    out[zero, 0] = 1.0
+    return out
+
+
 def project_to_ball(v: np.ndarray, r: float) -> np.ndarray:
     """Euclidean projection of v onto the unit l_r ball."""
     v = np.asarray(v, dtype=float).reshape(-1)
@@ -377,6 +429,29 @@ def project_to_ball(v: np.ndarray, r: float) -> np.ndarray:
     k = int(np.max(ks[mask]))
     tau = (cumsum[k - 1] - 1.0) / k
     return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
+
+
+def project_rows(X: np.ndarray, r: float) -> np.ndarray:
+    """project_to_ball(x, r) of every row x of X, with the same arithmetic.  A row holding a
+    NaN, or in l1 and l2 an infinity, comes back with a non-finite entry."""
+    r = _check_exponent(r)
+    if r == math.inf:
+        return np.clip(X, -1.0, 1.0)
+    if r == 2.0:
+        nrm = row_norms(X, 2.0)
+        return X / np.where(nrm <= 1.0, 1.0, nrm)[:, None]  # x / 1.0 is x
+    out = X.copy()
+    rows = np.flatnonzero(~(np.sum(np.abs(X), axis=1) <= 1.0))
+    if rows.size:
+        # l1 ball: soft-threshold each row outside it at the level set found by sorting
+        V = X[rows]
+        a = np.sort(np.abs(V), axis=1)[:, ::-1]
+        cumsum = np.cumsum(a, axis=1)
+        ks = np.arange(1, X.shape[1] + 1)
+        k = np.max(np.where(a > (cumsum - 1.0) / ks, ks, 0), axis=1)  # 0 only with NaN or inf
+        tau = (cumsum[np.arange(len(rows)), k - 1] - 1.0) / k
+        out[rows] = np.sign(V) * np.maximum(np.abs(V) - tau[:, None], 0.0)
+    return out
 
 
 def flatten(t: DenseTensor, split: tuple[Sequence[int], Sequence[int]]) -> np.ndarray:

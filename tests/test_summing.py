@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from pilip.formnorm import operator_norm
+from pilip.formnorm import operator_norm, slot_gradient
 from pilip.rng import stream
 from pilip.summing import (
     Budget,
+    PietschCertificate,
+    _violation_search,
     build_factorization,
     estimate_pi_lip,
     estimate_pi_lip_poly,
@@ -20,7 +22,12 @@ from pilip.tensors import (
     NormSpec,
     PairConfiguration,
     SegrePoint,
+    dual_exponent,
+    dual_norming_vector,
+    elementary_tensor,
     eval_operator,
+    project_to_ball,
+    vector_norm,
 )
 from pilip.verify import lambda_n, random_operator, random_pairs
 
@@ -212,6 +219,214 @@ def test_estimate_linear_map_recovers_hilbert_schmidt():
         est = estimate_pi_lip(op, 2.0, budget, seed=i, initial_pairs=list(basis.pairs))
         np.testing.assert_allclose(est.certified_lower, hs, rtol=1e-9)
         np.testing.assert_allclose(est.certified_upper, hs, rtol=1e-6)
+
+
+@pytest.mark.parametrize(
+    "norms,dims,m,expected",
+    [
+        (None, (2, 2), 2, [2.645348304368268, 2.7581849530849722]),
+        (NormSpec((1.0, math.inf), 1.0), (2, 2), 3, [6.700912154033279, 7.20529684690166]),
+    ],
+)
+def test_estimate_pi_lip_pinned_values(norms, dims, m, expected):
+    # both run a violation search (two rounds): its result feeds the second LP
+    op = random_operator(dims, m, stream(0, 40 if norms is None else 43), norms)
+    budget = Budget(restarts=8, max_pairs=10, max_dictionary=48, rounds=2)
+    rep = estimate_pi_lip(op, 2.0, budget, seed=0)
+    assert rep.detail["rounds"] == 2
+    assert repr([rep.certified_lower, rep.certified_upper]) == repr(expected)
+
+
+# --------------------------------------------------------------------------
+# lockstep violation search against the one-start loop, bit for bit
+# --------------------------------------------------------------------------
+
+
+class _ViolationObjective:
+    """The one-start objective that the lockstep search replaced: the oracle's ratio and
+    gradients."""
+
+    def __init__(self, op, cert, p):
+        self.op = op
+        self.p = p
+        keep = [j for j, w in enumerate(cert.weights) if w > 1e-15]
+        self.F = cert.form_matrix()[keep]
+        self.w = np.asarray(cert.weights)[keep]
+
+    def ratio(self, u, v):
+        lhs = vector_norm(
+            eval_operator(self.op, u) - eval_operator(self.op, v), self.op.norms.codomain
+        )
+        vals = self.F @ (elementary_tensor(u).data - elementary_tensor(v).data)
+        rhs = float(np.sum(self.w * np.abs(vals) ** self.p)) ** (1.0 / self.p)
+        if rhs <= 1e-300:
+            return math.inf if lhs > 1e-14 else 0.0
+        return lhs / rhs
+
+    def gradients(self, u, v):
+        op, p = self.op, self.p
+        kernel = op.kernel.array
+        diff = eval_operator(op, u) - eval_operator(op, v)
+        lhs = max(vector_norm(diff, op.norms.codomain), 1e-300)
+        ystar = dual_norming_vector(diff, dual_exponent(op.norms.codomain))
+        vals = self.F @ (elementary_tensor(u).data - elementary_tensor(v).data)
+        rhs_p = max(float(np.sum(self.w * np.abs(vals) ** p)), 1e-300)
+        coef = self.w * np.abs(vals) ** (p - 1.0) * np.sign(vals)
+        combined = (coef @ self.F).reshape(op.dims)[..., np.newaxis]
+        grads_u, grads_v = [], []
+        one = np.ones(1)
+        for k in range(op.n):
+            gu = slot_gradient(kernel, list(u.factors), ystar, k) / lhs
+            gv = -slot_gradient(kernel, list(v.factors), ystar, k) / lhs
+            du = slot_gradient(combined, list(u.factors), one, k)
+            dv = -slot_gradient(combined, list(v.factors), one, k)
+            grads_u.append(gu - du / rhs_p)
+            grads_v.append(gv - dv / rhs_p)
+        return grads_u, grads_v
+
+
+def _random_point(dims, norms, rng):
+    return SegrePoint(tuple(project_to_ball(rng.standard_normal(d), r)
+                            for d, r in zip(dims, norms.factors)))
+
+
+def _reference_violation_search(op, cert, p, seed, starts, iters=60):
+    """The search one start at a time, as it was before the lockstep batch: the oracle."""
+    if not cert.feasible or not cert.dictionary:
+        return []
+    norms = op.norms
+    objective = _ViolationObjective(op, cert, p)
+    results = []
+    for s_idx in range(starts):
+        rng = stream(seed, 5, s_idx)
+        u = _random_point(op.dims, norms, rng)
+        v = SegrePoint.zero(op.dims) if s_idx % 3 == 0 else _random_point(op.dims, norms, rng)
+        value = objective.ratio(u, v)
+        step = 0.25
+        for _ in range(iters):
+            if math.isinf(value):
+                break
+            grads_u, grads_v = objective.gradients(u, v)
+            gn = math.sqrt(
+                sum(float(np.dot(g, g)) for g in grads_u)
+                + sum(float(np.dot(g, g)) for g in grads_v)
+            )
+            if gn < 1e-14:
+                break
+            improved = False
+            while step > 1e-10:
+                cu = SegrePoint(tuple(
+                    project_to_ball(f + step * g / gn, r)
+                    for f, g, r in zip(u.factors, grads_u, norms.factors)
+                ))
+                cv = SegrePoint(tuple(
+                    project_to_ball(f + step * g / gn, r)
+                    for f, g, r in zip(v.factors, grads_v, norms.factors)
+                ))
+                cand = objective.ratio(cu, cv)
+                if cand > value:
+                    converged = math.isfinite(value) and cand <= value * (1 + 1e-10)
+                    u, v, value = cu, cv, cand
+                    improved = not converged
+                    step *= 1.5
+                    break
+                step *= 0.5
+            if not improved:
+                break
+        if value > 0:
+            results.append((u, v, value))
+    results.sort(key=lambda r: -min(r[2], 1e300))
+    return results
+
+
+def _assert_search_matches_reference(op, cert, p, seed, starts, iters):
+    got = _violation_search(op, cert, p, seed, starts, iters)
+    want = _reference_violation_search(op, cert, p, seed, starts, iters)
+    assert len(got) == len(want)
+    for (gu, gv, g_val), (wu, wv, w_val) in zip(got, want):
+        assert g_val == w_val, (g_val, w_val)
+        for a, b in zip(gu.factors + gv.factors, wu.factors + wv.factors):
+            assert np.array_equal(a, b)
+    return got
+
+
+def _certificate(forms, weights, p, dims):
+    pair = (SegrePoint(tuple(np.ones(d) for d in dims)), SegrePoint.zero(dims))
+    return PietschCertificate(tuple(forms), tuple(float(w) for w in weights), 1.0,
+                              PairConfiguration((pair,)), p)
+
+
+_EXPONENTS = (1.0, 2.0, math.inf)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_lockstep_violation_search_is_bitwise_the_one_start_loop(p, n):
+    rng = stream(81, n, int(2 * p))
+    case = 0
+    for mix in ("l1", "l2", "linf", "mixed"):
+        for codomain in _EXPONENTS:
+            factors = (tuple(rng.choice(_EXPONENTS, size=n)) if mix == "mixed"
+                       else {"l1": (1.0,), "l2": (2.0,), "linf": (math.inf,)}[mix] * n)
+            dims = tuple(int(d) for d in rng.integers(1, 4, size=n))  # unit slots included
+            m = 1 + case % 3
+            norms = NormSpec(factors, codomain)
+            op = MultilinearOperator.from_array(rng.standard_normal(dims + (m,)), norms)
+            # 12 forms reach numpy's pairwise summation; a weight below 1e-15 drops its form
+            count = (1, 3, 12)[case % 3]
+            forms = [MultilinearOperator.from_array(rng.standard_normal(dims + (1,)), norms)
+                     for _ in range(count)]
+            weights = rng.uniform(0.1, 1.0, size=count)
+            weights[0] = 1e-16 if count > 1 else weights[0]
+            weights /= np.sum(weights)
+            cert = _certificate(forms, weights, p, dims)
+            for iters in (1, 2, 60):
+                _assert_search_matches_reference(op, cert, p, case, 4, iters)
+            case += 1
+
+
+def test_lockstep_violation_search_edge_cases():
+    dims = (2, 3)
+    rng = stream(82)
+    norms = NormSpec((2.0, math.inf), 1.0)
+    op = MultilinearOperator.from_array(rng.standard_normal(dims + (2,)), norms)
+    # a form set that vanishes on every Delta: every start has an infinite ratio, all tied
+    zero = MultilinearOperator.from_array(np.zeros(dims + (1,)), norms)
+    found = _assert_search_matches_reference(op, _certificate([zero], [1.0], 2.0, dims), 2.0,
+                                             3, 7, 60)
+    assert [r[2] for r in found] == [math.inf] * 7
+    # no starts, and an infeasible certificate
+    phi = MultilinearOperator.from_array(rng.standard_normal(dims + (1,)), norms)
+    assert _assert_search_matches_reference(op, _certificate([phi], [1.0], 2.0, dims), 2.0,
+                                            3, 0, 60) == []
+    infeasible = PietschCertificate((phi,), (), math.inf, _certificate([phi], [1.0], 2.0, dims)
+                                    .pairset, 2.0)
+    assert _violation_search(op, infeasible, 2.0, 3, 7) == []
+    # stationary starts: a form that is its own dictionary at p = 1 has a constant ratio
+    # with a zero gradient (to rounding), so every start stops where it was drawn
+    cert = _certificate([phi], [1.0], 1.0, dims)
+    found = _assert_search_matches_reference(phi, cert, 1.0, 3, 7, 60)
+    drawn = []
+    for s_idx in range(7):
+        draw = stream(3, 5, s_idx)
+        drawn.append(_random_point(dims, norms, draw).factors)
+    assert len(found) == 7
+    assert all(any(all(np.array_equal(a, b) for a, b in zip(u.factors, x)) for x in drawn)
+               for u, _, _ in found)
+
+
+@pytest.mark.parametrize("factors", [(2.0, 2.0), (math.inf, 2.0), (math.inf, math.inf)])
+def test_violation_search_non_finite_candidate_raises(factors):
+    # forms of size 1e200 overflow |phi(Delta)|^2 and make every gradient NaN
+    dims = (2, 3)
+    norms = NormSpec(factors, 2.0)
+    op = MultilinearOperator.from_array(stream(83).standard_normal(dims + (2,)), norms)
+    huge = MultilinearOperator.from_array(1e200 * stream(84).standard_normal(dims + (1,)), norms)
+    cert = _certificate([huge], [1.0], 2.0, dims)
+    with np.errstate(all="ignore"):
+        for search in (_reference_violation_search, _violation_search):
+            with pytest.raises(ValueError, match="entries must be finite"):
+                search(op, cert, 2.0, 0, 4)
 
 
 # --------------------------------------------------------------------------

@@ -15,10 +15,15 @@ from pilip.tensors import (
     SegrePoint,
     ShapeError,
     dual_norming_vector,
+    elementary_rows,
     elementary_tensor,
     eval_operator,
+    eval_rows,
     flatten,
+    norming_rows,
+    project_rows,
     project_to_ball,
+    row_norms,
     vector_norm,
 )
 
@@ -194,3 +199,48 @@ def test_l1_projection_is_euclidean_projection():
     candidates /= np.abs(candidates).sum(axis=1, keepdims=True)
     best = candidates[np.argmin(np.linalg.norm(candidates - v, axis=1))]
     assert np.linalg.norm(proj - v) <= np.linalg.norm(best - v) + 1e-6
+
+
+def test_row_helpers_match_one_vector_versions():
+    rng = np.random.default_rng(3)
+    for d in (1, 2, 5, 12):
+        X = rng.standard_normal((9, d))
+        X[0] = 0.0                              # a zero row
+        X[1] = 0.02 * X[1]                      # inside every unit ball
+        X[2] = 0.5 * X[2] / np.sum(np.abs(X[2]))  # inside the l1 ball
+        X[3] = 3.0 * X[3]                       # outside every unit ball, clipped in l-inf
+        X[4] = np.round(X[4])                   # ties in |x|
+        X[5, 0] = -4.0                          # clipped in l-inf
+        for r in (1.0, 2.0, math.inf):
+            norms, norming, proj = row_norms(X, r), norming_rows(X, r), project_rows(X, r)
+            for i, x in enumerate(X):
+                assert norms[i] == vector_norm(x, r), (d, r, i)
+                assert np.array_equal(norming[i], dual_norming_vector(x, r)), (d, r, i)
+                assert np.array_equal(proj[i], project_to_ball(x, r)), (d, r, i)
+    outside = 3.0 * rng.standard_normal((4, 6))
+    assert np.all(np.sum(np.abs(outside), axis=1) > 1.0)
+    assert not np.array_equal(project_rows(outside, 1.0), outside)  # the soft threshold ran
+
+    for dims, m in (((3,), 2), ((2, 3), 1), ((2, 1, 3), 3), ((1, 1), 2)):
+        op = MultilinearOperator.from_array(rng.standard_normal(dims + (m,)))
+        factors = [rng.standard_normal((7, d)) for d in dims]
+        factors[0][1] = 0.0
+        values, tensors = eval_rows(op, factors), elementary_rows(factors)
+        assert values.shape == (7, m) and tensors.shape == (7, math.prod(dims))
+        for i in range(7):
+            x = SegrePoint(tuple(f[i] for f in factors))
+            assert np.array_equal(values[i], eval_operator(op, x))
+            assert np.array_equal(tensors[i], elementary_tensor(x).data)
+    with pytest.raises(ShapeError):
+        eval_rows(EYE_FORM, [np.ones((2, 2)), np.ones((2, 3))])
+
+
+def test_project_rows_keeps_non_finite_rows_non_finite():
+    X = np.array([[np.nan, 0.5], [np.inf, 0.1], [0.3, 0.2]])
+    for r in (1.0, 2.0, math.inf):
+        with np.errstate(invalid="ignore"):
+            out = project_rows(X, r)
+        assert not np.all(np.isfinite(out[0]))
+        assert np.array_equal(out[2], X[2])
+        if r != math.inf:  # clipping maps inf to 1
+            assert not np.all(np.isfinite(out[1]))
