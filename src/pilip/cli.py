@@ -65,7 +65,6 @@ def _budget_from(args: argparse.Namespace) -> Budget:
         restarts=args.budget_restarts,
         max_pairs=args.budget_pairs,
         max_dictionary=args.budget_dict,
-        bisect_steps=args.budget_bisect,
         rounds=args.budget_rounds,
     )
 
@@ -81,7 +80,6 @@ def _add_common(sub: argparse.ArgumentParser, with_input: bool = True) -> None:
     sub.add_argument("--budget-restarts", type=int, default=64)
     sub.add_argument("--budget-pairs", type=int, default=24)
     sub.add_argument("--budget-dict", type=int, default=48)
-    sub.add_argument("--budget-bisect", type=int, default=60)
     sub.add_argument("--budget-rounds", type=int, default=8)
 
 

@@ -133,16 +133,14 @@ def verify_sandwich(
         op, pairs[: budget.max_pairs], child_seed(seed, 13), budget.max_dictionary, "hs"
     )
 
-    cert2 = pietsch_upper_lp(op, pairset, dictionary, 2.0, ball="hs",
-                             bisect_steps=budget.bisect_steps)
+    cert2 = pietsch_upper_lp(op, pairset, dictionary, 2.0, ball="hs")
     lp_consistent = cert2.constant >= hs - 1e-7
     report["lp_constant_p2"] = cert2.constant
     report["lp_consistent"] = bool(lp_consistent)
     report["ratio"] = cert2.constant / hs
 
     if p != 2.0:
-        cert_p = pietsch_upper_lp(op, pairset, dictionary, p, ball="hs",
-                                  bisect_steps=budget.bisect_steps)
+        cert_p = pietsch_upper_lp(op, pairset, dictionary, p, ball="hs")
         bp = khintchine_constant(p).value
         report["lp_constant_p"] = cert_p.constant
         report["ratio_p"] = cert_p.constant / hs

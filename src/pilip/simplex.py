@@ -4,6 +4,11 @@ Problems here have at most a few hundred variables (dictionary weights plus
 feasibility slacks), so a dense tableau with Bland's rule is simple,
 deterministic, and immune to cycling.  Minimizes c.x subject to
 A_ub x <= b_ub, A_eq x = b_eq, x >= 0.
+
+At an optimum, ``duals`` holds one multiplier y_i >= 0 per row of A_ub: the
+phase-2 reduced cost of that row's slack column.  With A_ub rows only they
+solve the dual LP  max -b_ub.y  s.t.  A_ub^T y >= -c, y >= 0, so
+c.x = -b_ub.duals.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ class SimplexResult:
     status: str  # "optimal" | "infeasible" | "unbounded" | "iteration_limit"
     x: np.ndarray | None
     value: float
+    duals: np.ndarray | None = None  # one multiplier per A_ub row, at an optimum
 
     @property
     def ok(self) -> bool:
@@ -96,8 +102,7 @@ def solve_lp(
             rhs.append(float(b_eq[i]))
 
     if not rows:
-        value = 0.0
-        return SimplexResult("optimal", np.zeros(n), value)
+        return SimplexResult("optimal", np.zeros(n), 0.0, np.zeros(0))
 
     A = np.vstack(rows)
     b = np.asarray(rhs)
@@ -156,4 +161,5 @@ def solve_lp(
     for i in range(m):
         x[basis[i]] = T2[i, -1]
     x = np.maximum(x[:n], 0.0)
-    return SimplexResult("optimal", x, float(np.dot(c, x)))
+    duals = np.maximum(T2[m, n : n + n_slack], 0.0)
+    return SimplexResult("optimal", x, float(np.dot(c, x)), duals)

@@ -12,9 +12,10 @@ configuration denominator.  Three routes are implemented:
 * ``pietsch_upper_lp``: the exact optimum of the dictionary-restricted
   domination problem - the smallest c such that some probability mix w
   over unit-norm forms satisfies ||T(u)-T(v)||^p <= c^p sum_j w_j
-  |phi_j(Delta)|^p on every listed pair.  Solved by bisection on c^p with
-  an LP feasibility subproblem; the returned certificate constant is
-  recomputed from the final weights so the domination inequality holds by
+  |phi_j(Delta)|^p on every listed pair.  Solved as one LP, the best
+  weighted configuration against the dictionary (Pietsch duality); its row
+  multipliers are the optimal mixture w, and the returned certificate
+  constant is recomputed from w so the domination inequality holds by
   construction.
 * ``estimate_pi_lip``: alternates adversarial pair search against the
   current certificate with dictionary growth, and reports the best
@@ -84,7 +85,6 @@ class Budget:
     restarts: int = 64
     max_pairs: int = 24
     max_dictionary: int = 48
-    bisect_steps: int = 60
     rounds: int = 8
     adversarial_starts: int = 16
     ascent_iters: int = 2_000
@@ -243,54 +243,37 @@ def _normalize_dictionary(
     return out
 
 
-def _lp_feasible(S: np.ndarray, rhs: np.ndarray, tol: float) -> np.ndarray | None:
-    """Find w in the simplex with S w >= rhs, or None.
+def _pietsch_lp(
+    S: np.ndarray, t: np.ndarray
+) -> tuple[float, float, np.ndarray | None, np.ndarray | None, str | None]:
+    """The restricted Pietsch problem on the table S[i, j] = |phi_j(Delta_i)|^p
+    and the pair values t_i = ||T(u_i) - T(v_i)||^p, as one LP.
 
-    Phase-1 style: minimize the total shortfall xi subject to S w + xi >= rhs.
+    Solves  max sum_i mu_i  s.t.  sum_i mu_i s_ij / t_i <= 1, mu >= 0  over
+    the active pairs (t_i > 1e-15 max t).  Its value is the optimal c^p, the
+    best weighted configuration lambda = mu / t against the dictionary, and
+    its row multipliers, normalized, are an optimal mixture w.  Returns
+    (c^p, dual value, w, lambda, reason): c^p = max_i t_i / (S w)_i is
+    recomputed from w, so the domination inequality holds by construction;
+    c^p is 0 when t vanishes and inf, with a reason, when the dictionary
+    cannot dominate some pair.  A solver failure raises.
     """
-    k, J = S.shape
-    c = np.concatenate([np.zeros(J), np.ones(k)])
-    A_ub = np.hstack([-S, -np.eye(k)])
-    b_ub = -rhs
-    A_eq = np.concatenate([np.ones(J), np.zeros(k)])[None, :]
-    res = solve_lp(c, A_ub, b_ub, A_eq, np.array([1.0]))
-    if not res.ok or res.value > tol:
-        return None
-    w = np.maximum(res.x[:J], 0.0)
-    return w / np.sum(w)
-
-
-def _dual_configuration_value(S: np.ndarray, t: np.ndarray) -> tuple[float, np.ndarray]:
-    """max_lambda sum_i lambda_i t_i  s.t.  sum_i lambda_i s_ij <= 1, lambda >= 0.
-
-    By LP duality this equals the optimal c^p: the value of the best
-    weighted configuration against the same dictionary.
-    """
-    res = solve_lp(-t, A_ub=S.T, b_ub=np.ones(S.shape[1]))
+    t_scale = float(np.max(t, initial=0.0))
+    if t_scale == 0.0:
+        return 0.0, 0.0, None, None, None
+    if S.size == 0:
+        return math.inf, math.nan, None, None, "empty dictionary"
+    active = t > 1e-15 * t_scale
+    if np.any(active & (np.max(S, axis=1) <= 0.0)):
+        return math.inf, math.nan, None, None, "dictionary cannot dominate a pair (all-zero row)"
+    Sa, ta = S[active], t[active]
+    res = solve_lp(-np.ones(len(ta)), A_ub=(Sa / ta[:, None]).T, b_ub=np.ones(S.shape[1]))
     if not res.ok:
-        return math.nan, np.zeros(len(t))
-    return -res.value, res.x
-
-
-def _polish_weights(S: np.ndarray, t: np.ndarray) -> np.ndarray | None:
-    """One exact solve of max theta s.t. theta*t <= S w, w in the simplex.
-
-    The bisection's feasibility subproblems carry a shortfall tolerance; the
-    optimum of this LP satisfies the covering constraints exactly, so the
-    constant recomputed from its weights matches the dual value to machine
-    precision.
-    """
-    k, J = S.shape
-    c = np.zeros(J + 1)
-    c[-1] = -1.0
-    A_ub = np.hstack([-S, t[:, None]])
-    A_eq = np.concatenate([np.ones(J), [0.0]])[None, :]
-    res = solve_lp(c, A_ub, np.zeros(k), A_eq, np.array([1.0]))
-    if not res.ok or res.x is None:
-        return None
-    w = np.maximum(res.x[:J], 0.0)
-    total = float(np.sum(w))
-    return w / total if total > 0 else None
+        raise RuntimeError(f"Pietsch LP not solved: simplex status {res.status}")
+    w = res.duals / np.sum(res.duals)
+    lam = np.zeros(len(t))
+    lam[active] = res.x / ta
+    return float(np.max(ta / (Sa @ w))), -res.value, w, lam, None
 
 
 def pietsch_upper_lp(
@@ -300,113 +283,43 @@ def pietsch_upper_lp(
     p: float,
     *,
     ball: str = "op",
-    bisect_steps: int = 60,
 ) -> PietschCertificate:
     """Best domination constant for the given pairs over the given dictionary.
 
-    Bisection on c^p: at level gamma the LP asks for simplex weights w with
-    sum_j w_j s_ij >= t_i / gamma for every pair.  When some pair has
-    t_i > 0 but s_ij = 0 for every j the dictionary cannot dominate it and
-    the certificate is flagged infeasible (constant = inf).
+    One LP (``_pietsch_lp``): the best weighted configuration against the
+    dictionary, whose row multipliers are the optimal mixture w.  The
+    constant is recomputed from w; the LP value is kept as
+    detail["dual_constant"] and the configuration weights as
+    detail["dual_weights"].  When some pair has t_i > 0 but s_ij = 0 for
+    every j the dictionary cannot dominate it and the certificate is
+    flagged infeasible (constant = inf).
     """
     if p < 1 or math.isinf(p):
         raise ValueError("p must be finite and >= 1")
     forms = _normalize_dictionary(dictionary, ball)
-    deltas = pairset.deltas()
     t = np.array(
         [
             vector_norm(eval_operator(op, u) - eval_operator(op, v), op.norms.codomain) ** p
             for u, v in pairset.pairs
         ]
     )
-    t_scale = float(np.max(t, initial=0.0))
-    if t_scale == 0.0:
-        weights = (
-            tuple(float(x) for x in np.full(len(forms), 1.0 / len(forms))) if forms else ()
-        )
+    Dm = np.stack([d.reshape(-1) for d in pairset.deltas()])
+    F = np.stack([f.kernel.data for f in forms]) if forms else np.zeros((0, Dm.shape[1]))
+    c_p, dual_value, w, lam, reason = _pietsch_lp(np.abs(Dm @ F.T) ** p, t)
+    if reason is not None:
         return PietschCertificate(
-            tuple(forms), weights, 0.0, pairset, p, ball, detail={"dual_constant": 0.0}
+            tuple(forms), (), math.inf, pairset, p, ball, detail={"reason": reason}
         )
-    if not forms:
-        return PietschCertificate(
-            (), (), math.inf, pairset, p, ball, detail={"reason": "empty dictionary"}
-        )
-
-    F = np.stack([f.kernel.data for f in forms])
-    Dm = np.stack([d.reshape(-1) for d in deltas])
-    S = np.abs(Dm @ F.T) ** p
-    active = t > 1e-15 * t_scale
-    if np.any(active & (np.max(S, axis=1) <= 0.0)):
-        return PietschCertificate(
-            tuple(forms), (), math.inf, pairset, p, ball,
-            detail={"reason": "dictionary cannot dominate a pair (all-zero row)"},
-        )
-
-    Sa, ta = S[active], t[active]
-
-    def feasible_at(gamma: float) -> np.ndarray | None:
-        rhs = ta / gamma
-        return _lp_feasible(Sa, rhs, 1e-11 * float(np.max(rhs)))
-
-    lo = float(np.max(ta / np.max(Sa, axis=1)))
-    w_uniform = np.full(len(forms), 1.0 / len(forms))
-    cover = Sa @ w_uniform
-    if np.all(cover > 0):
-        hi, w_best = float(np.max(ta / cover)), w_uniform
-    else:
-        hi, w_best = lo, None
-        for _ in range(60):
-            w = feasible_at(hi)
-            if w is not None:
-                w_best = w
-                break
-            hi *= 2.0
-        if w_best is None:
-            return PietschCertificate(
-                tuple(forms), (), math.inf, pairset, p, ball,
-                detail={"reason": "no feasible mixture found"},
-            )
-
-    for _ in range(bisect_steps):
-        if hi - lo <= 1e-9 * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        w = feasible_at(mid)
-        if w is None:
-            lo = mid
-        else:
-            hi, w_best = mid, w
-
-    w_polish = _polish_weights(Sa, ta)
-    if w_polish is not None:
-        cover = Sa @ w_polish
-        if np.all(cover > 0):
-            c_p_polish = float(np.max(ta / cover))
-            cover_best = Sa @ w_best
-            c_p_best = (
-                float(np.max(ta / cover_best)) if np.all(cover_best > 0) else math.inf
-            )
-            if c_p_polish < c_p_best:
-                w_best = w_polish
-    cover = Sa @ w_best
-    c_p = float(np.max(ta / cover)) if np.all(cover > 0) else math.inf
-    dual_value, lam_active = _dual_configuration_value(Sa, ta)
-    lam = np.zeros(len(t))
-    lam[np.where(active)[0]] = lam_active
-    constant = c_p ** (1.0 / p) if math.isfinite(c_p) else math.inf
-    w_final = w_best / np.sum(w_best)
+    if w is None:  # t vanishes: any mixture dominates
+        w = np.full(len(forms), 1.0 / len(forms)) if forms else np.zeros(0)
     return PietschCertificate(
         tuple(forms),
-        tuple(float(x) for x in w_final),
-        constant,
+        tuple(float(x) for x in w),
+        c_p ** (1.0 / p),
         pairset,
         p,
         ball,
-        detail={
-            "dual_constant": dual_value ** (1.0 / p) if dual_value >= 0 else math.nan,
-            "dual_weights": lam,
-            "bisection_bracket": (lo ** (1.0 / p), hi ** (1.0 / p)),
-        },
+        detail={"dual_constant": dual_value ** (1.0 / p), "dual_weights": lam},
     )
 
 
@@ -669,9 +582,7 @@ def estimate_pi_lip(
     for rnd in range(budget.rounds):
         rounds_used = rnd + 1
         cfg = PairConfiguration(tuple(pairs))
-        cert = pietsch_upper_lp(
-            op, cfg, dictionary, p, ball=ball, bisect_steps=budget.bisect_steps
-        )
+        cert = pietsch_upper_lp(op, cfg, dictionary, p, ball=ball)
 
         lower_candidates = [cfg]
         lam = cert.detail.get("dual_weights")
@@ -917,7 +828,7 @@ def estimate_pi_lip_poly(
             for x, y in live_pairs
         ]
     )
-    upper = _bisect_lp_constant(t, S, p, budget.bisect_steps)
+    upper = _pietsch_lp(S, t)[0] ** (1.0 / p)
 
     # certified lower: best single-pair ratio against a certified poly-ball upper
     best_lower = 0.0
@@ -942,34 +853,3 @@ def estimate_pi_lip_poly(
         detail={"seed": seed, "pairs": len(live_pairs), "dictionary_size": len(forms), "p": p},
     )
 
-
-def _bisect_lp_constant(t: np.ndarray, S: np.ndarray, p: float, bisect_steps: int) -> float:
-    """The pietsch LP bisection on raw (t, S) tables; returns the constant c."""
-    t_scale = float(np.max(t, initial=0.0))
-    if t_scale == 0.0:
-        return 0.0
-    if S.size == 0:
-        return math.inf
-    active = t > 1e-15 * t_scale
-    if np.any(active & (np.max(S, axis=1) <= 0.0)):
-        return math.inf
-    Sa, ta = S[active], t[active]
-    lo = float(np.max(ta / np.max(Sa, axis=1)))
-    w = np.full(S.shape[1], 1.0 / S.shape[1])
-    cover = Sa @ w
-    if np.any(cover <= 0):
-        return math.inf
-    hi, w_best = float(np.max(ta / cover)), w
-    for _ in range(bisect_steps):
-        if hi - lo <= 1e-9 * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        rhs = ta / mid
-        w = _lp_feasible(Sa, rhs, 1e-11 * float(np.max(rhs)))
-        if w is None:
-            lo = mid
-        else:
-            hi, w_best = mid, w
-    cover = Sa @ w_best
-    c_p = float(np.max(ta / cover)) if np.all(cover > 0) else math.inf
-    return c_p ** (1.0 / p) if math.isfinite(c_p) else math.inf

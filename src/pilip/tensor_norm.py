@@ -23,7 +23,6 @@ from .bounds import BoundReport
 from .formnorm import (
     config_denominator,
     op_ball_uppers,
-    pair_triangle,
     rank_one_norm,
     weighted_power_sum,
 )
@@ -40,6 +39,7 @@ from .tensors import (
     elementary_rows,
     elementary_tensor,
     eval_operator,
+    row_norms,
     vector_norm,
 )
 
@@ -250,10 +250,14 @@ def _rebalance(rep: Representation, z: MixedTensor, p: float, pp: float) -> Repr
     n = len(z.dims)
 
     def parts(p_fs, q_fs, y):
-        E = elementary_rows([np.stack(fs) for fs in zip(p_fs, q_fs)])
+        stacks = [np.stack(fs) for fs in zip(p_fs, q_fs)]
+        E = elementary_rows(stacks)
         row = E[0] - E[1]
         kept = not np.max(np.abs(row)) <= 1e-300
-        return row, pair_triangle(p_fs, q_fs, norms), vector_norm(y, norms.codomain), kept
+        tri = np.ones(2)  # pair_triangle: the slot norms of p and of q, multiplied left to right
+        for X, r in zip(stacks, norms.factors):
+            tri = tri * row_norms(X, r)
+        return row, float(tri[0] + tri[1]), vector_norm(y, norms.codomain), kept
 
     def value(cache):
         kept = [c for c in cache if c[3]]
@@ -522,7 +526,7 @@ def check_delta_epsilon_bound(
     dictionary = initial_dictionary(
         op, list(cfg.pairs), child_seed(seed, 24), budget.max_dictionary, "op"
     )
-    cert = pietsch_upper_lp(op, cfg, dictionary, p, bisect_steps=budget.bisect_steps)
+    cert = pietsch_upper_lp(op, cfg, dictionary, p)
     bound = cert.constant * eps.certified_upper
     passed = lhs <= bound + tol
     return {

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from pilip.simplex import solve_lp
 
@@ -96,3 +97,55 @@ def test_simplex_matches_vertex_enumeration():
                     best = min(best, c @ v)
         assert np.isfinite(best) and res.ok
         np.testing.assert_allclose(res.value, best, atol=1e-8)
+
+
+def _bounded_lps(seed, count=30):
+    """Random feasible LPs with A_ub rows only, bounded by a row sum(x) <= 10;
+    about a third of the other rows have b < 0, so the flipped-row path runs."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        m, n = rng.integers(2, 7), rng.integers(2, 7)
+        A = rng.standard_normal((m, n))
+        x_feas = rng.uniform(0.1, 1.0, n)
+        b = A @ x_feas + rng.uniform(0.05, 0.5, m)
+        A = np.vstack([A, np.ones(n)])
+        b = np.append(b, 10.0)
+        yield rng.standard_normal(n), A, b
+
+
+def test_duals_solve_the_dual_lp():
+    flipped = 0
+    for c, A, b in _bounded_lps(2):
+        flipped += int(np.sum(b < 0))
+        res = solve_lp(c, A_ub=A, b_ub=b)
+        assert res.ok
+        y = res.duals
+        assert y.shape == (A.shape[0],)
+        assert np.all(y >= -1e-12)
+        scale = max(1.0, abs(res.value))
+        # strong duality, dual feasibility, complementary slackness
+        assert abs(res.value - (-b @ y)) <= 1e-9 * scale
+        reduced = c + A.T @ y
+        assert np.all(reduced >= -1e-9 * scale)
+        assert np.all(np.abs(y * (b - A @ res.x)) <= 1e-9 * scale)
+        assert np.all(np.abs(res.x * reduced) <= 1e-9 * scale)
+    assert flipped > 0
+
+
+def test_duals_empty_without_inequality_rows():
+    res = solve_lp(np.array([1.0, 2.0]), A_eq=np.array([[1.0, 1.0]]), b_eq=np.array([1.0]))
+    assert res.ok and res.duals.shape == (0,)
+    assert solve_lp(np.array([1.0])).duals.shape == (0,)
+    assert solve_lp(np.array([1.0]), A_ub=np.array([[1.0]]), b_ub=np.array([-1.0])).duals is None
+
+
+def test_duals_match_highs():
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    for c, A, b in _bounded_lps(3):
+        res = solve_lp(c, A_ub=A, b_ub=b)
+        ref = linprog(c, A_ub=A, b_ub=b, method="highs")
+        assert res.ok and ref.status == 0
+        scale = max(1.0, abs(ref.fun))
+        assert abs(res.value - ref.fun) <= 1e-9 * scale
+        # HiGHS reports d(value)/d(b_ub) <= 0; ours are its negation
+        np.testing.assert_allclose(res.duals, -ref.ineqlin.marginals, atol=1e-8 * scale)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from pilip.formnorm import operator_norm, slot_gradient
+from pilip import summing
 from pilip.rng import stream
+from pilip.simplex import SimplexResult, solve_lp
 from pilip.summing import (
     Budget,
     PietschCertificate,
@@ -16,6 +18,7 @@ from pilip.summing import (
     lower_bound_config,
     pietsch_upper_lp,
     restrict_operator,
+    symmetrize_kernel,
 )
 from pilip.tensors import (
     MultilinearOperator,
@@ -147,6 +150,94 @@ def test_lp_rejects_vector_valued_dictionary():
         pietsch_upper_lp(op, cfg, [random_operator((2, 2), 2, stream(7))], 2.0)
 
 
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda *args, **kwargs: SimplexResult("iteration_limit", None, math.nan),
+        lambda *args, **kwargs: SimplexResult("unbounded", None, math.nan),
+        lambda *args, **kwargs: solve_lp(*args, **kwargs, maxiter=1),
+    ],
+    ids=["iteration_limit", "unbounded", "maxiter=1"],
+)
+def test_solver_failure_is_never_infeasibility(monkeypatch, solve):
+    monkeypatch.setattr(summing, "solve_lp", solve)
+    rng = stream(4)
+    op = random_operator((2, 2), 2, rng)
+    cfg = random_pairs((2, 2), 5, rng)
+    dictionary = initial_dictionary(op, list(cfg.pairs), 11, 16, "op")
+    with pytest.raises(RuntimeError, match="Pietsch LP"):
+        pietsch_upper_lp(op, cfg, dictionary, 2.0)
+    with pytest.raises(RuntimeError, match="Pietsch LP"):
+        estimate_pi_lip_poly(lambda_n(2), 2.0, FAST, seed=7)
+
+
+class _LPSpy:
+    """Counts solve_lp calls and keeps every (S, t) table with its solution."""
+
+    def __init__(self, monkeypatch):
+        self.solves, self.tables = 0, []
+
+        def solve(*args, **kwargs):
+            self.solves += 1
+            return solve_lp(*args, **kwargs)
+
+        def pietsch_lp(S, t):
+            out = real_pietsch_lp(S, t)
+            self.tables.append((S, t, out))
+            return out
+
+        real_pietsch_lp = summing._pietsch_lp
+        monkeypatch.setattr(summing, "solve_lp", solve)
+        monkeypatch.setattr(summing, "_pietsch_lp", pietsch_lp)
+
+
+def _highs_c_p(S, t):
+    """min sum v  s.t.  S v >= t, v >= 0 on the active pairs: c^p, by HiGHS."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    active = t > 1e-15 * np.max(t)
+    Sa, ta = S[active], t[active]
+    res = linprog(np.ones(S.shape[1]), A_ub=-Sa / ta[:, None], b_ub=-np.ones(len(ta)),
+                  method="highs")
+    assert res.status == 0
+    return res.fun
+
+
+@pytest.mark.parametrize("norms,m,stream_id", [(None, 2, 40), (NormSpec((1.0, math.inf), 1.0), 3, 43)])
+def test_pietsch_lp_matches_highs_with_one_solve(monkeypatch, norms, m, stream_id):
+    # the instances of test_estimate_pi_lip_pinned_values: two rounds, two LPs
+    pytest.importorskip("scipy")
+    spy = _LPSpy(monkeypatch)
+    certs = []
+    real_upper = summing.pietsch_upper_lp
+
+    def upper(*args, **kwargs):
+        certs.append(real_upper(*args, **kwargs))
+        return certs[-1]
+
+    monkeypatch.setattr(summing, "pietsch_upper_lp", upper)
+    op = random_operator((2, 2), m, stream(0, stream_id), norms)
+    estimate_pi_lip(op, 2.0, Budget(restarts=8, max_pairs=10, max_dictionary=48, rounds=2), seed=0)
+    assert len(certs) == 2 and spy.solves == len(certs) == len(spy.tables)
+    for (S, t, (c_p, dual, w, lam, reason)), cert in zip(spy.tables, certs):
+        assert reason is None and cert.feasible
+        assert abs(c_p - _highs_c_p(S, t)) <= 1e-9 * c_p
+        assert abs(cert.constant - cert.detail["dual_constant"]) <= 1e-9 * cert.constant
+        assert cert.domination_margin(op) <= 1e-12 * cert.constant
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_poly_lp_matches_highs_with_one_solve(monkeypatch, seed):
+    pytest.importorskip("scipy")
+    spy = _LPSpy(monkeypatch)
+    kernel = symmetrize_kernel(stream(seed, 6).standard_normal((3, 3, 1)))
+    rep = estimate_pi_lip_poly(MultilinearOperator.from_array(kernel), 2.0, FAST, seed=seed)
+    assert spy.solves == len(spy.tables) == 1
+    S, t, (c_p, dual, w, lam, reason) = spy.tables[0]
+    assert reason is None and rep.certified_upper == c_p ** 0.5
+    assert abs(c_p - _highs_c_p(S, t)) <= 1e-9 * c_p
+    assert abs(c_p - dual) <= 1e-9 * c_p
+
+
 # --------------------------------------------------------------------------
 # estimate_pi_lip
 # --------------------------------------------------------------------------
@@ -224,8 +315,8 @@ def test_estimate_linear_map_recovers_hilbert_schmidt():
 @pytest.mark.parametrize(
     "norms,dims,m,expected",
     [
-        (None, (2, 2), 2, [2.645348304368268, 2.7581849530849722]),
-        (NormSpec((1.0, math.inf), 1.0), (2, 2), 3, [6.700912154033279, 7.20529684690166]),
+        (None, (2, 2), 2, [2.645348304368268, 2.7581849530849905]),
+        (NormSpec((1.0, math.inf), 1.0), (2, 2), 3, [6.700912154033279, 7.205296849927558]),
     ],
 )
 def test_estimate_pi_lip_pinned_values(norms, dims, m, expected):
