@@ -20,7 +20,7 @@ Two nonconvex suprema live here:
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -46,6 +46,7 @@ __all__ = [
     "config_denominator",
     "rank_one_form",
     "rank_one_norm",
+    "halving_trials",
     "hs_to_op_scale",
     "op_ball_uppers",
     "pair_triangle",
@@ -57,16 +58,26 @@ DEFAULT_RESTARTS = 64
 ASCENT_TOL = 1e-9
 ASCENT_MAX_ITERS = 10_000
 ENUMERATION_CAP = 4096
+_LINE_TRIALS = 4  # line-search trials per start in one round of a lockstep ascent
 
 
 def weighted_power_sum(values: np.ndarray, weights: np.ndarray, p: float) -> float:
-    """(sum_i a_i |t_i|^p)^(1/p), with max_i |t_i| at p = inf."""
+    """(sum_i a_i |t_i|^p)^(1/p), with max_i |t_i| at p = inf.
+
+    When the plain sum underflows to 0 or overflows to inf although max_i |t_i| = M is
+    finite and nonzero, the value is taken as M (sum_i a_i |t_i / M|^p)^(1/p) instead."""
     t = np.abs(np.asarray(values, dtype=float))
     if t.size == 0:
         return 0.0
     if math.isinf(p):
         return float(np.max(t))
-    return float(np.sum(np.asarray(weights) * t**p) ** (1.0 / p))
+    weights = np.asarray(weights)
+    out = float(np.sum(weights * t**p) ** (1.0 / p))
+    if out == 0.0 or math.isinf(out):
+        top = float(np.max(t))
+        if 0.0 < top < math.inf:
+            return top * float(np.sum(weights * (t / top) ** p) ** (1.0 / p))
+    return out
 
 
 def rank_one_form(vectors: Sequence[np.ndarray], norms: NormSpec) -> MultilinearOperator:
@@ -390,6 +401,35 @@ def _power_sums(s: np.ndarray, weights: np.ndarray, p: float) -> np.ndarray:
     return np.array([x ** (1.0 / p) for x in np.sum(weights * t**p, axis=1)])
 
 
+def halving_trials(step: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray, Callable]:
+    """One round of a halving line search for every row of `step`, with all its trials at once.
+
+    Row i tries the steps step[i] * 2^-j for j = 0..3 that lie above `floor`.  Returns
+    (rows, steps, pick): trial t moves row rows[t] by steps[t], the trials of a row in order of
+    j.  pick(gain) takes whether each trial gains and returns (took, chosen, next_step):
+    took[i] tells whether row i gained, chosen holds the index t of the first gaining trial of
+    each row that took, and next_step[i] is that trial's step times 1.5, or step[i] * 2^-4 when
+    no trial of row i gains.  These are the trials and the step of a loop that makes one trial
+    at a time and halves its step after each loss: halving is exact in binary floating point,
+    so step[i] * 2^-j is bit for bit the step after j losses.
+    """
+    tries = step[:, None] * 0.5 ** np.arange(_LINE_TRIALS)
+    rows, js = np.nonzero(tries > floor)
+    index = np.zeros(tries.shape, dtype=int)
+    index[rows, js] = np.arange(len(rows))
+
+    def pick(gain: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        hit = np.zeros(tries.shape, dtype=bool)
+        hit[rows, js] = gain
+        took = hit.any(axis=1)
+        first = np.argmax(hit, axis=1)  # the first gain of each row
+        next_step = np.where(took, tries[np.arange(len(step)), first] * 1.5,
+                             step * 0.5**_LINE_TRIALS)
+        return took, index[took, first[took]], next_step
+
+    return rows, tries[rows, js], pick
+
+
 def _rank_one_ascent(
     cfg: PairConfiguration, norms: NormSpec, p: float, starts: list[list[np.ndarray]],
     iters: int, tol: float,
@@ -399,35 +439,38 @@ def _rank_one_ascent(
     The normalization prod ||lam_k||_(r_k') is exact, so each returned value
     is a certified lower bound of the operator-ball denominator.  All starts
     ascend in lockstep, one (starts, d_k) array per slot: each round computes
-    a gradient for the starts that moved and makes one line-search trial for
-    every start still running.  A start keeps its own step size, its cap of
-    `iters` gradients and its stopping rules, and does the same floating-point
-    operations as a run on its own (docs/formats.md).  Returns the value of
-    each start and, per slot, its maximizer as row i of a (starts, d_k) array.
+    a gradient for the starts that moved and tries, for every start still
+    running, the next four halvings of its step at once (`halving_trials`);
+    the start takes its first trial that gains.  A start keeps its own step
+    size, its cap of `iters` gradients and its stopping rules, and does the
+    same floating-point operations as a run on its own that makes one trial
+    at a time (docs/formats.md).  Returns the value of each start and, per
+    slot, its maximizer as row i of a (starts, d_k) array.
     """
     weights = np.asarray(cfg.weights)
     duals = [dual_exponent(r) for r in norms.factors]
-    slots = range(len(cfg.dims))
+    n = len(cfg.dims)
+    slots = range(n)
     # one gemv per start and slot, as PU[k] @ lam: a gemm would round differently
     PU = [np.stack([u.factors[k] for u, _ in cfg.pairs]) for k in slots]
     PV = [np.stack([v.factors[k] for _, v in cfg.pairs]) for k in slots]
-
-    def evaluations(lams):
-        return ([(PU[k] @ X[:, :, None])[..., 0] for k, X in enumerate(lams)],
-                [(PV[k] @ X[:, :, None])[..., 0] for k, X in enumerate(lams)])
 
     def normalized(lams):
         return [X / np.maximum(row_norms(X, duals[k]), 1e-300)[:, None]
                 for k, X in enumerate(lams)]
 
-    def ratio(lams):
-        pu, pv = evaluations(lams)
-        raw = _power_sums(_prod(pu) - _prod(pv), weights, p)
+    def evaluate(lams):
+        """The ratio of every row, and what its gradient needs: the slot evaluations
+        PU[k] @ lam_k and PV[k] @ lam_k, their product difference s and its power sum."""
+        pu = [(PU[k] @ X[:, :, None])[..., 0] for k, X in enumerate(lams)]
+        pv = [(PV[k] @ X[:, :, None])[..., 0] for k, X in enumerate(lams)]
+        s = _prod(pu) - _prod(pv)
+        num = _power_sums(s, weights, p)
         scale = _prod([row_norms(X, duals[k]) for k, X in enumerate(lams)])
-        return np.divide(raw, scale, out=np.zeros_like(raw), where=scale != 0)
+        return pu + pv + [s, num], np.divide(num, scale, out=np.zeros_like(num), where=scale != 0)
 
     lams = normalized([np.stack([np.asarray(s[k], dtype=float) for s in starts]) for k in slots])
-    value = ratio(lams)
+    kept, value = evaluate(lams)  # the evaluations at each start's current point
     step = np.full(len(value), 0.5)
     left = np.full(len(value), iters)        # gradient evaluations left
     moved = np.ones(len(value), dtype=bool)  # needs a gradient at its new point
@@ -440,9 +483,8 @@ def _rank_one_ascent(
         due = due[left[due] > 0]
         left[due] -= 1
         X = [L[due] for L in lams]
-        pu, pv = evaluations(X)
-        s = _prod(pu) - _prod(pv)
-        num = _power_sums(s, weights, p)
+        here = [E[due] for E in kept]
+        pu, pv, s, num = here[:n], here[n:2 * n], here[-2], here[-1]
         # at p = inf, num == 0 makes the gradient 0, so that start stops on gn below
         if math.isinf(p):
             rows, i = np.arange(len(due)), np.argmax(np.abs(s), axis=1)
@@ -465,18 +507,19 @@ def _rank_one_ascent(
         running &= step > 1e-12
 
         trial = np.flatnonzero(running)
-        cand = normalized([L[trial] + step[trial, None] * G[trial] / gn[trial, None]
+        rows, steps, pick = halving_trials(step[trial], 1e-12)
+        at = trial[rows]
+        cand = normalized([L[at] + steps[:, None] * G[at] / gn[at, None]
                            for L, G in zip(lams, grads)])
-        cand_val = ratio(cand)
-        up = cand_val > value[trial]
-        better = trial[up]
-        for L, C in zip(lams, cand):
-            L[better] = C[up]
-        running[better[cand_val[up] <= value[better] * (1.0 + tol)]] = False
-        value[better] = cand_val[up]
-        step[better] *= 1.5
-        step[trial[~up]] *= 0.5
-        moved[trial] = up
+        cand_kept, cand_val = evaluate(cand)
+        took, chosen, step[trial] = pick(cand_val > value[at])
+        better = trial[took]
+        for L, C in zip(lams + kept, cand + cand_kept):
+            L[better] = C[chosen]
+        gained = cand_val[chosen]
+        running[better[gained <= value[better] * (1.0 + tol)]] = False
+        value[better] = gained
+        moved[trial] = took
     return value, lams
 
 

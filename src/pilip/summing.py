@@ -35,6 +35,7 @@ import numpy as np
 from .bounds import BoundReport
 from .formnorm import (
     config_denominator,
+    halving_trials,
     operator_norm,
     operator_norm_upper,
     rank_one_form,
@@ -195,7 +196,8 @@ def lower_bound_config(
     N = (sum_i a_i ||T(u_i)-T(v_i)||^p)^(1/p) is exact; D is bracketed by
     ``config_denominator``.  certified_lower = N / upper(D) is a true lower
     bound on the summing norm; the bracket's upper end N / lower(D) bounds
-    only this configuration's ratio, not the norm.
+    only this configuration's ratio, not the norm.  A denominator whose
+    upper end is 0 under a positive N is a numerical failure and raises.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
@@ -207,7 +209,9 @@ def lower_bound_config(
     den = denominator if denominator is not None else config_denominator(
         cfg, p, ball, op.norms, seed=seed, restarts=restarts
     )
-    certified = num / den.certified_upper if den.certified_upper > 0 else math.inf
+    if den.certified_upper <= 0:  # N > 0 forces D > 0
+        raise RuntimeError(f"numerical failure: denominator upper end 0 under numerator {num}")
+    certified = num / den.certified_upper
     heuristic = num / den.heuristic_lower if den.heuristic_lower > 0 else math.inf
     upper = num / den.certified_lower if den.certified_lower > 0 else math.inf
     return BoundReport(
@@ -352,10 +356,12 @@ def _violation_search(
     The ratio is invariant under joint scaling of all factors, so factors stay
     projected into their unit balls without loss of generality.  All starts
     ascend in lockstep, one (starts, d_k) array per slot of u and of v: each
-    round computes gradients for the starts that moved and makes one
-    line-search trial for every start still running.  A start keeps its own
-    step size, its cap of `iters` gradients and its stopping rules, and does
-    the same floating-point operations as a run on its own (docs/formats.md).
+    round computes gradients for the starts that moved and tries, for every
+    start still running, the next four halvings of its step at once
+    (`halving_trials`); the start takes its first trial that gains.  A start
+    keeps its own step size, its cap of `iters` gradients and its stopping
+    rules, and does the same floating-point operations as a run on its own
+    that makes one trial at a time (docs/formats.md).
     Form values are one gemv per start against the elementary-tensor
     difference; form gradients collapse into one synthetic kernel per start
     by linearity.
@@ -436,27 +442,26 @@ def _violation_search(
         trial = np.flatnonzero(running)
         if not trial.size:
             break
-        t_step, t_gn = step[trial, None], gn[trial, None]
-        cand_u = [project_rows(X[trial] + t_step * G[trial] / t_gn, r)
+        rows, steps, pick = halving_trials(step[trial], 1e-10)
+        at = trial[rows]
+        t_step, t_gn = steps[:, None], gn[at, None]
+        cand_u = [project_rows(X[at] + t_step * G[at] / t_gn, r)
                   for X, G, r in zip(U, GU, norms.factors)]
-        cand_v = [project_rows(X[trial] + t_step * G[trial] / t_gn, r)
+        cand_v = [project_rows(X[at] + t_step * G[at] / t_gn, r)
                   for X, G, r in zip(V, GV, norms.factors)]
         if not all(np.all(np.isfinite(C)) for C in cand_u + cand_v):
             raise ValueError("entries must be finite")  # the check SegrePoint makes
         c_diff, c_vals = evaluate(cand_u, cand_v)
         cand = ratio(c_diff, c_vals)
-        old = value[trial]
-        up = cand > old
-        better = trial[up]
+        took, chosen, step[trial] = pick(cand > value[at])
+        better = trial[took]
         for X, C in zip(U + V, cand_u + cand_v):
-            X[better] = C[up]
-        diff[better], vals[better] = c_diff[up], c_vals[up]
-        converged = np.isfinite(old[up]) & (cand[up] <= old[up] * (1 + 1e-10))
-        running[better[converged]] = False
-        value[better] = cand[up]
-        step[better] *= 1.5
-        step[trial[~up]] *= 0.5
-        moved[trial] = up
+            X[better] = C[chosen]
+        diff[better], vals[better] = c_diff[chosen], c_vals[chosen]
+        old, gained = value[better], cand[chosen]
+        running[better[np.isfinite(old) & (gained <= old * (1 + 1e-10))]] = False
+        value[better] = gained
+        moved[trial] = took
 
     results = [(SegrePoint(tuple(X[i].copy() for X in U)),
                 SegrePoint(tuple(X[i].copy() for X in V)), float(value[i]))

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import assert_covers_four_trial_rounds
+
 from pilip import formnorm
 from pilip.formnorm import (
     ASCENT_MAX_ITERS,
@@ -217,6 +219,70 @@ def test_denominator_rejects_bad_arguments():
         config_denominator(cfg, 2.0, "spectral")
 
 
+def test_weighted_power_sum_rescales_past_underflow_and_overflow():
+    weights = np.array([0.5, 2.0])
+    tiny, huge = np.array([1e-100, -2e-100]), np.array([3e100, 1e100])
+    assert formnorm.weighted_power_sum(tiny, weights, 4.0) == pytest.approx(
+        1e-100 * (0.5 + 2.0 * 16.0) ** 0.25, rel=1e-14)
+    assert formnorm.weighted_power_sum(huge, weights, 4.0) == pytest.approx(
+        1e100 * (0.5 * 81.0 + 2.0) ** 0.25, rel=1e-14)
+    # any other input keeps the bits of the plain formula
+    plain = np.array([0.3, -1.7])
+    assert formnorm.weighted_power_sum(plain, weights, 3.0) == float(
+        np.sum(weights * np.abs(plain) ** 3.0) ** (1.0 / 3.0))
+    assert formnorm.weighted_power_sum(np.zeros(2), weights, 4.0) == 0.0
+    assert formnorm.weighted_power_sum(tiny, np.zeros(2), 4.0) == 0.0
+
+
+def test_denominator_of_a_tiny_pair_does_not_underflow():
+    # p = 4 on factors of size 1e-60: |phi(Delta)|^4 is about 1e-480, below the doubles
+    u = SegrePoint((1e-60 * np.array([1.0, 2.0, 0.5]), 1e-60 * np.array([1.0, -1.0, 3.0])))
+    cfg = PairConfiguration(((u, SegrePoint.zero((3, 3))),))
+    rep = config_denominator(cfg, 4.0)
+    # one pair (u, 0) on l2 factors: D = sup |phi(u)| = ||u_1|| ||u_2||, about 7.6e-120
+    exact = float(np.linalg.norm(u.factors[0]) * np.linalg.norm(u.factors[1]))
+    assert 0.0 < rep.certified_lower <= exact * (1 + 1e-12)
+    assert exact * (1 - 1e-12) <= rep.certified_upper <= exact * (1 + 1e-12)
+
+
+def test_halving_trials_takes_the_first_gain():
+    floor = 1e-12
+    step = np.array([1.0, 0.5, 3e-12, 2.0, 1e-12])
+    rows, steps, pick = formnorm.halving_trials(step, floor)
+    # row 2 crosses the floor after its second trial; row 4 starts at the floor
+    assert rows.tolist() == [0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 3, 3, 3, 3]
+    assert steps.tolist() == [1.0, 0.5, 0.25, 0.125, 0.5, 0.25, 0.125, 0.0625,
+                              3e-12, 3e-12 * 0.5, 2.0, 1.0, 0.5, 0.25]
+    gain = np.array([False, False, False, False,  # no gain
+                     False, True, True, False,    # two gains: the first one wins
+                     False, True,                 # a gain just above the floor
+                     True, False, True, True])
+    took, chosen, next_step = pick(gain)
+    assert took.tolist() == [False, True, True, True, False]
+    assert chosen.tolist() == [5, 9, 10]
+    assert next_step.tolist() == [1.0 / 16, 0.25 * 1.5, 3e-12 * 0.5 * 1.5, 2.0 * 1.5,
+                                  1e-12 / 16]
+    # the steps of a loop that halves after each loss, one trial at a time
+    for i, s in enumerate(step):
+        j = 0
+        while s > floor and j < 4 and not gain[rows == i][j]:
+            s, j = s * 0.5, j + 1
+        assert next_step[i] == (s * 1.5 if took[i] else step[i] / 16)
+
+
+def test_halving_trials_single_row_and_all_under_the_floor():
+    rows, steps, pick = formnorm.halving_trials(np.array([0.25]), 1e-10)
+    assert rows.tolist() == [0] * 4 and steps.tolist() == [0.25, 0.125, 0.0625, 0.03125]
+    took, chosen, next_step = pick(np.array([False, False, False, True]))
+    assert took.tolist() == [True] and chosen.tolist() == [3]
+    assert next_step.tolist() == [0.03125 * 1.5]
+    rows, steps, pick = formnorm.halving_trials(np.array([1e-10, 5e-11]), 1e-10)
+    assert rows.size == 0 and steps.size == 0
+    took, chosen, next_step = pick(np.zeros(0, dtype=bool))
+    assert took.tolist() == [False, False] and chosen.size == 0
+    assert next_step.tolist() == [1e-10 / 16, 5e-11 / 16]
+
+
 def test_hs_to_op_scale_l1_counterexample_guard():
     # on an l1 factor the plain sqrt(prod/max) factor would be unsound:
     # phi = (1,1) has HS norm sqrt(2) but l1-operator norm 1
@@ -295,8 +361,9 @@ def _reference_value(lams, PU, PV, weights, p, duals):
     return formnorm.weighted_power_sum(su - sv, weights, p) / scale
 
 
-def _reference_ascent(cfg, norms, p, start, iters, tol):
-    """The ascent from one start, run on its own: the oracle for the batch."""
+def _reference_ascent(cfg, norms, p, start, iters, tol, halvings=None):
+    """The ascent from one start, run on its own, one line-search trial at a time: the oracle
+    for the batch.  Each line search appends to `halvings` ("gain" or "floor", its losses)."""
     k_pairs = len(cfg)
     weights = np.asarray(cfg.weights)
     duals = [dual_exponent(r) for r in norms.factors]
@@ -330,29 +397,34 @@ def _reference_ascent(cfg, norms, p, start, iters, tol):
         gn = math.sqrt(sum(float(np.dot(g, g)) for g in grads))
         if gn < 1e-14:
             break
-        improved = False
+        improved, losses = False, 0
         while step > 1e-12:
             cand = [lam + step * g / gn for lam, g in zip(lams, grads)]
             cand = [c / max(vector_norm(c, duals[k]), 1e-300) for k, c in enumerate(cand)]
             cand_val = _reference_value(cand, PU, PV, weights, p, duals)
             if cand_val > value:
                 lams, improved = cand, True
+                if halvings is not None:
+                    halvings.append(("gain", losses))
                 if cand_val <= value * (1.0 + tol):
                     return cand_val, lams
                 value = cand_val
                 step *= 1.5
                 break
             step *= 0.5
+            losses += 1
         if not improved:
+            if halvings is not None:
+                halvings.append(("floor", losses))
             break
     return value, lams
 
 
-def _assert_batch_matches_reference(cfg, norms, p, starts, iters):
-    values, lams = formnorm._rank_one_ascent(cfg, norms, p, starts, iters, ASCENT_TOL)
+def _assert_batch_matches_reference(cfg, norms, p, starts, iters, tol=ASCENT_TOL, halvings=None):
+    values, lams = formnorm._rank_one_ascent(cfg, norms, p, starts, iters, tol)
     assert len(values) == len(starts)
     for i, start in enumerate(starts):
-        ref_value, ref_lams = _reference_ascent(cfg, norms, p, start, iters, ASCENT_TOL)
+        ref_value, ref_lams = _reference_ascent(cfg, norms, p, start, iters, tol, halvings)
         assert values[i] == ref_value, (i, values[i], ref_value)
         for k, ref in enumerate(ref_lams):
             assert np.array_equal(lams[k][i], ref), (i, k)
@@ -364,6 +436,7 @@ _NORM_MIXES = [(1.0,), (2.0,), (math.inf,), "mixed"]
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0, math.inf])
 def test_lockstep_ascent_is_bitwise_the_one_start_loop(p):
     rng = stream(77, int(p) if math.isfinite(p) else 99)
+    halvings = []
     for n in (1, 2, 3):
         for mix in _NORM_MIXES:
             factors = (tuple(rng.choice([1.0, 2.0, math.inf], size=n)) if mix == "mixed"
@@ -383,7 +456,10 @@ def test_lockstep_ascent_is_bitwise_the_one_start_loop(p):
             starts.append([np.zeros(d) for d in dims])
             starts.append([dual_norming_vector(f, r) for f, r in zip(pairs[0][0].factors, factors)])
             for iters in (1, 2, ASCENT_MAX_ITERS):
-                _assert_batch_matches_reference(cfg, norms, p, starts, iters)
+                _assert_batch_matches_reference(cfg, norms, p, starts, iters, halvings=halvings)
+            # without the stop on a small gain, every start ends where no step above the floor gains
+            _assert_batch_matches_reference(cfg, norms, p, starts, 300, 0.0, halvings)
+    assert_covers_four_trial_rounds(halvings)
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])

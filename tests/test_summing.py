@@ -3,6 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from conftest import assert_covers_four_trial_rounds
+
+from pilip.bounds import BoundReport
 from pilip.formnorm import operator_norm, slot_gradient
 from pilip import summing
 from pilip.rng import stream
@@ -74,6 +77,27 @@ def test_lower_requires_matching_dims():
     eye = MultilinearOperator.from_array(np.eye(2)[:, :, None])
     with pytest.raises(Exception):
         lower_bound_config(eye, cfg, 2.0)
+
+
+def test_lower_of_a_huge_operator_is_finite():
+    # T2 times 1e90 at p = 4: ||T(u) - T(v)||^4 is about 1e360, above the doubles
+    t2 = random_operator((3, 3), 2, stream(0, 1))
+    cfg = random_pairs((3, 3), 4, stream(0, 2))
+    huge = MultilinearOperator.from_array(t2.kernel.array * 1e90, t2.norms)
+    rep = lower_bound_config(huge, cfg, 4.0)
+    assert math.isfinite(rep.certified_lower)
+    # N is 1-homogeneous in T and D does not depend on T
+    ref = lower_bound_config(t2, cfg, 4.0)
+    assert rep.certified_lower == pytest.approx(1e90 * ref.certified_lower, rel=1e-12)
+    assert rep.certified_upper == pytest.approx(1e90 * ref.certified_upper, rel=1e-12)
+
+
+def test_lower_raises_on_a_zero_denominator_upper(monkeypatch):
+    monkeypatch.setattr(summing, "config_denominator",
+                        lambda *args, **kwargs: BoundReport(0.0, 0.0, 0.0, method="broken"))
+    cfg = random_pairs((2, 2), 3, stream(0))
+    with pytest.raises(RuntimeError, match="numerical failure"):
+        lower_bound_config(random_operator((2, 2), 2, stream(1)), cfg, 2.0)
 
 
 # --------------------------------------------------------------------------
@@ -381,8 +405,10 @@ def _random_point(dims, norms, rng):
                             for d, r in zip(dims, norms.factors)))
 
 
-def _reference_violation_search(op, cert, p, seed, starts, iters=60):
-    """The search one start at a time, as it was before the lockstep batch: the oracle."""
+def _reference_violation_search(op, cert, p, seed, starts, iters=60, halvings=None):
+    """The search one start at a time and one line-search trial at a time, as it was before
+    the lockstep batch: the oracle.  Each line search appends to `halvings` ("gain" or
+    "floor", its losses)."""
     if not cert.feasible or not cert.dictionary:
         return []
     norms = op.norms
@@ -404,7 +430,7 @@ def _reference_violation_search(op, cert, p, seed, starts, iters=60):
             )
             if gn < 1e-14:
                 break
-            improved = False
+            improved, losses = False, 0
             while step > 1e-10:
                 cu = SegrePoint(tuple(
                     project_to_ball(f + step * g / gn, r)
@@ -420,8 +446,14 @@ def _reference_violation_search(op, cert, p, seed, starts, iters=60):
                     u, v, value = cu, cv, cand
                     improved = not converged
                     step *= 1.5
+                    if halvings is not None:
+                        halvings.append(("gain", losses))
                     break
                 step *= 0.5
+                losses += 1
+            else:
+                if halvings is not None:
+                    halvings.append(("floor", losses))
             if not improved:
                 break
         if value > 0:
@@ -430,9 +462,9 @@ def _reference_violation_search(op, cert, p, seed, starts, iters=60):
     return results
 
 
-def _assert_search_matches_reference(op, cert, p, seed, starts, iters):
+def _assert_search_matches_reference(op, cert, p, seed, starts, iters, halvings=None):
     got = _violation_search(op, cert, p, seed, starts, iters)
-    want = _reference_violation_search(op, cert, p, seed, starts, iters)
+    want = _reference_violation_search(op, cert, p, seed, starts, iters, halvings)
     assert len(got) == len(want)
     for (gu, gv, g_val), (wu, wv, w_val) in zip(got, want):
         assert g_val == w_val, (g_val, w_val)
@@ -455,6 +487,7 @@ _EXPONENTS = (1.0, 2.0, math.inf)
 def test_lockstep_violation_search_is_bitwise_the_one_start_loop(p, n):
     rng = stream(81, n, int(2 * p))
     case = 0
+    halvings = []
     for mix in ("l1", "l2", "linf", "mixed"):
         for codomain in _EXPONENTS:
             factors = (tuple(rng.choice(_EXPONENTS, size=n)) if mix == "mixed"
@@ -472,8 +505,9 @@ def test_lockstep_violation_search_is_bitwise_the_one_start_loop(p, n):
             weights /= np.sum(weights)
             cert = _certificate(forms, weights, p, dims)
             for iters in (1, 2, 60):
-                _assert_search_matches_reference(op, cert, p, case, 4, iters)
+                _assert_search_matches_reference(op, cert, p, case, 4, iters, halvings)
             case += 1
+    assert_covers_four_trial_rounds(halvings)
 
 
 def test_lockstep_violation_search_edge_cases():
