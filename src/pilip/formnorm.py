@@ -330,9 +330,7 @@ def _hs_upper(deltas: np.ndarray, weights: np.ndarray, p: float) -> float:
         return float(np.max(np.linalg.norm(deltas, axis=1)))
     w2 = weights ** (1.0 / p)
     sigma = float(np.linalg.svd(deltas * w2[:, None], compute_uv=False)[0])
-    if p == 2.0:
-        return sigma
-    if p > 2.0:
+    if p >= 2.0:
         return sigma
     return float(len(weights) ** (1.0 / p - 0.5)) * sigma
 

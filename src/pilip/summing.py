@@ -271,12 +271,16 @@ def _pietsch_lp(
     if np.any(active & (np.max(S, axis=1) <= 0.0)):
         return math.inf, math.nan, None, None, "dictionary cannot dominate a pair (all-zero row)"
     Sa, ta = S[active], t[active]
-    res = solve_lp(-np.ones(len(ta)), A_ub=(Sa / ta[:, None]).T, b_ub=np.ones(S.shape[1]))
+    # each pair's column scaled to a largest entry of 1 (nu_i = r_i mu_i): the
+    # entries span many decades and the simplex tolerances are absolute
+    A = (Sa / ta[:, None]).T
+    r = np.max(A, axis=0)
+    res = solve_lp(-1.0 / r, A_ub=A / r, b_ub=np.ones(S.shape[1]))
     if not res.ok:
         raise RuntimeError(f"Pietsch LP not solved: simplex status {res.status}")
     w = res.duals / np.sum(res.duals)
     lam = np.zeros(len(t))
-    lam[active] = res.x / ta
+    lam[active] = res.x / (r * ta)
     return float(np.max(ta / (Sa @ w))), -res.value, w, lam, None
 
 

@@ -249,6 +249,20 @@ def test_pietsch_lp_matches_highs_with_one_solve(monkeypatch, norms, m, stream_i
         assert cert.domination_margin(op) <= 1e-12 * cert.constant
 
 
+@pytest.mark.parametrize("norms,m,stream_id", [(None, 2, 40), (NormSpec((1.0, math.inf), 1.0), 3, 43)])
+def test_pinned_pietsch_constants_match_highs_to_1e_12(monkeypatch, norms, m, stream_id):
+    # every LP of the pinned instances: the constant recomputed from the
+    # multipliers is the LP optimum, not a tolerance above it
+    pytest.importorskip("scipy")
+    spy = _LPSpy(monkeypatch)
+    op = random_operator((2, 2), m, stream(0, stream_id), norms)
+    estimate_pi_lip(op, 2.0, Budget(restarts=8, max_pairs=10, max_dictionary=48, rounds=2), seed=0)
+    assert len(spy.tables) == 2
+    for S, t, (c_p, dual, w, lam, reason) in spy.tables:
+        highs = _highs_c_p(S, t) ** 0.5
+        assert abs(c_p ** 0.5 - highs) <= 1e-12 * highs
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_poly_lp_matches_highs_with_one_solve(monkeypatch, seed):
     pytest.importorskip("scipy")
@@ -339,8 +353,8 @@ def test_estimate_linear_map_recovers_hilbert_schmidt():
 @pytest.mark.parametrize(
     "norms,dims,m,expected",
     [
-        (None, (2, 2), 2, [2.645348304368268, 2.7581849530849905]),
-        (NormSpec((1.0, math.inf), 1.0), (2, 2), 3, [6.700912154033279, 7.205296849927558]),
+        (None, (2, 2), 2, [2.645348304368268, 2.7581849530849714]),
+        (NormSpec((1.0, math.inf), 1.0), (2, 2), 3, [6.700912154033279, 7.205296846901654]),
     ],
 )
 def test_estimate_pi_lip_pinned_values(norms, dims, m, expected):

@@ -35,3 +35,24 @@ def test_traced_property_names_are_verify_properties():
     from pilip.verify import PROPERTIES
 
     assert TRACER.PROPERTY_NAMES == [name for name, _, _ in PROPERTIES]
+
+
+def test_simplex_observer_reads_the_pietsch_lp_call(monkeypatch):
+    # a renamed keyword of solve_lp would read as zero cells, not as an error
+    import numpy as np
+
+    from pilip import summing
+
+    seen = []
+    real_solve = summing.solve_lp
+
+    def solve(*args, **kwargs):
+        seen.append((args, kwargs, real_solve(*args, **kwargs)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(summing, "solve_lp", solve)
+    S = np.array([[1.0, 0.5, 0.0], [0.2, 1.0, 0.3]])
+    assert summing._pietsch_lp(S, np.array([1.0, 0.5]))[4] is None
+    assert len(seen) == 1
+    obs = TRACER._simplex_obs(*seen[0])
+    assert obs["status"] == "optimal" and obs["cells"] > 0
