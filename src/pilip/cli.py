@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass
 
@@ -60,13 +61,20 @@ class RunConfig:
         }
 
 
-def _budget_from(args: argparse.Namespace) -> Budget:
-    return Budget(
-        restarts=args.budget_restarts,
-        max_pairs=args.budget_pairs,
-        max_dictionary=args.budget_dict,
-        rounds=args.budget_rounds,
-    )
+def _config(args: argparse.Namespace) -> RunConfig:
+    """The run configuration of a subcommand; an invalid budget or tolerance is an input error."""
+    try:
+        budget = Budget(restarts=args.budget_restarts, max_pairs=args.budget_pairs,
+                        max_dictionary=args.budget_dict, rounds=args.budget_rounds)
+        return RunConfig(args.seed, budget, args.tol, getattr(args, "input", None), args.json_out)
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from None
+
+
+def _finite_p(args: argparse.Namespace) -> float:
+    if not 1.0 <= args.p < math.inf:
+        raise SchemaError(f"--p must be finite and >= 1, got {args.p}")
+    return args.p
 
 
 def _add_common(sub: argparse.ArgumentParser, with_input: bool = True) -> None:
@@ -113,7 +121,7 @@ def _report(command: str, config: RunConfig, result: dict) -> dict:
 
 
 def _cmd_norm(args: argparse.Namespace) -> int:
-    cfg = RunConfig(args.seed, _budget_from(args), args.tol, args.input, args.json_out)
+    cfg = _config(args)
     op = _load_operator(args.input)
     rep = operator_norm(op, seed=args.seed, restarts=cfg.budget.restarts)
     out = rep.to_dict()
@@ -123,15 +131,15 @@ def _cmd_norm(args: argparse.Namespace) -> int:
 
 
 def _cmd_summing(args: argparse.Namespace) -> int:
-    cfg = RunConfig(args.seed, _budget_from(args), args.tol, args.input, args.json_out)
+    cfg = _config(args)
     op = _load_operator(args.input)
-    rep = estimate_pi_lip(op, args.p, cfg.budget, seed=args.seed, ball=args.ball)
+    rep = estimate_pi_lip(op, _finite_p(args), cfg.budget, seed=args.seed, ball=args.ball)
     _emit(_report("summing", cfg, to_jsonable(rep)), args.json_out)
     return 0
 
 
 def _cmd_hs(args: argparse.Namespace) -> int:
-    cfg = RunConfig(args.seed, _budget_from(args), args.tol, args.input, args.json_out)
+    cfg = _config(args)
     op = _load_operator(args.input)
     try:
         value = hs_norm(op)
@@ -139,7 +147,7 @@ def _cmd_hs(args: argparse.Namespace) -> int:
         raise SchemaError(str(exc)) from None
     result: dict = {"hs_norm": value}
     if args.sandwich:
-        result["sandwich"] = verify_sandwich(op, args.p, cfg.budget, seed=args.seed)
+        result["sandwich"] = verify_sandwich(op, _finite_p(args), cfg.budget, seed=args.seed)
     _emit(_report("hs", cfg, result), args.json_out)
     if args.sandwich and not result["sandwich"]["passed"]:
         return 1
@@ -147,7 +155,9 @@ def _cmd_hs(args: argparse.Namespace) -> int:
 
 
 def _cmd_dnorm(args: argparse.Namespace) -> int:
-    cfg = RunConfig(args.seed, _budget_from(args), args.tol, args.input, args.json_out)
+    cfg = _config(args)
+    if not 1.0 < args.p <= math.inf:
+        raise SchemaError(f"--p must lie in (1, inf], got {args.p}")
     z = mixed_from_json(_load_json(args.input))
     upper = dp_upper(z, args.p, budget=cfg.budget, seed=args.seed,
                      residual_tol=args.tol if args.tol else 1e-8)
@@ -163,7 +173,7 @@ def _cmd_dnorm(args: argparse.Namespace) -> int:
 
 
 def _cmd_restrict(args: argparse.Namespace) -> int:
-    cfg = RunConfig(args.seed, _budget_from(args), args.tol, args.input, args.json_out)
+    cfg = _config(args)
     op = _load_operator(args.input)
     try:
         vector = np.asarray([float(x) for x in args.vector.split(",")])
@@ -176,10 +186,10 @@ def _cmd_restrict(args: argparse.Namespace) -> int:
 
 
 def _cmd_poly(args: argparse.Namespace) -> int:
-    cfg = RunConfig(args.seed, _budget_from(args), args.tol, args.input, args.json_out)
+    cfg = _config(args)
     op = _load_operator(args.input)
     try:
-        rep = estimate_pi_lip_poly(op, args.p, cfg.budget, seed=args.seed)
+        rep = estimate_pi_lip_poly(op, _finite_p(args), cfg.budget, seed=args.seed)
     except ValueError as exc:
         raise SchemaError(str(exc)) from None
     _emit(_report("poly", cfg, to_jsonable(rep)), args.json_out)
@@ -187,7 +197,7 @@ def _cmd_poly(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    cfg = RunConfig(args.seed, _budget_from(args), args.tol, None, args.json_out)
+    cfg = _config(args)
     suite = run_all(seed=args.seed, trials=args.trials)
     report = _report("verify", cfg, suite)
     _emit(report, args.json_out)

@@ -48,6 +48,7 @@ __all__ = [
     "rank_one_norm",
     "halving_trials",
     "hs_to_op_scale",
+    "lockstep_ascent",
     "op_ball_uppers",
     "pair_triangle",
     "slot_gradient",
@@ -344,41 +345,29 @@ def _hs_value(G: np.ndarray, deltas: np.ndarray, weights: np.ndarray, p: float) 
 
 
 def _hs_ascent(
-    deltas: np.ndarray, weights: np.ndarray, p: float, rng: np.random.Generator,
-    iters: int, tol: float,
-) -> float:
-    """Projected gradient ascent on the Frobenius sphere; any iterate is feasible."""
-    G = rng.standard_normal(deltas.shape[1])
-    G /= np.linalg.norm(G)
-    value = _hs_value(G, deltas, weights, p)
-    step = 1.0
-    for _ in range(iters):
-        s = deltas @ G
-        if math.isinf(p):
-            i = int(np.argmax(np.abs(s)))
-            grad = np.sign(s[i]) * deltas[i]
-        else:
-            mag = np.abs(s) ** (p - 1.0) * np.sign(s)
-            grad = (weights * mag) @ deltas
-        grad = grad - np.dot(grad, G) * G
-        gn = np.linalg.norm(grad)
-        if gn < 1e-15:
-            break
-        improved = False
-        while step > 1e-12:
-            cand = G + step * grad / gn
-            cand /= np.linalg.norm(cand)
-            cand_val = _hs_value(cand, deltas, weights, p)
-            if cand_val > value:
-                G, improved = cand, True
-                if cand_val <= value * (1.0 + tol):
-                    return cand_val
-                value = cand_val
-                step *= 1.5
-                break
-            step *= 0.5
-        if not improved:
-            break
+    deltas: np.ndarray, weights: np.ndarray, p: float, draws: np.ndarray, iters: int, tol: float,
+) -> np.ndarray:
+    """Projected gradient ascent on the Frobenius sphere from each row of `draws` (scaled to
+    unit norm first), for finite p; every iterate is feasible.  Returns the value of each."""
+    G = draws / row_norms(draws, 2.0)[:, None]
+
+    def values(X):
+        return np.array([_hs_value(x, deltas, weights, p) for x in X])
+
+    def gradient(points, _, __):
+        X = points[0]
+        s = (deltas @ X[:, :, None])[..., 0]
+        g = ((weights * (np.abs(s) ** (p - 1.0) * np.sign(s)))[:, None, :] @ deltas)[:, 0, :]
+        g = g - (g[:, None, :] @ X[:, :, None])[:, 0] * X  # tangent to the sphere
+        gn = row_norms(g, 2.0)
+        return [g], gn, gn < 1e-15
+
+    def trial(moved):
+        C = moved[0] / row_norms(moved[0], 2.0)[:, None]
+        return [C], [], values(C)
+
+    value = values(G)
+    lockstep_ascent([G], [], value, gradient, trial, step=1.0, floor=1e-12, iters=iters, tol=tol)
     return value
 
 
@@ -428,6 +417,62 @@ def halving_trials(step: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarr
     return rows, tries[rows, js], pick
 
 
+def lockstep_ascent(
+    points: list[np.ndarray], state: list[np.ndarray], value: np.ndarray,
+    gradient: Callable, trial: Callable, *, step: float, floor: float, iters: int, tol: float,
+) -> None:
+    """Halving line-search ascent from every start at once; row i of every array is start i.
+
+    `points` holds the iterates (one array per block), `state` what the objective keeps at each
+    current point and `value` its value there; all three are updated in place.
+    gradient(point_rows, state_rows, value_rows) returns the gradient blocks, their joint l2
+    norm and a mask of the starts that stop there.  trial(moved_rows) maps the moved rows
+    x + s g/|g| back onto the feasible set and returns them with their state and values.
+
+    Each round computes a gradient for the starts that moved (at most `iters` per start) and
+    tries, for every start still running, the next four halvings of its step at once
+    (`halving_trials`); the start takes its first trial that gains.  A start stops on an
+    infinite value, on its gradient mask, when its step falls to `floor` or when its gain is
+    within a factor 1 + tol.  Each start does the same floating-point operations as a run on
+    its own that makes one trial at a time (docs/formats.md).
+    """
+    step = np.full(len(value), step)
+    left = np.full(len(value), iters)        # gradient evaluations left
+    moved = np.ones(len(value), dtype=bool)  # needs a gradient at its new point
+    running = np.ones(len(value), dtype=bool)
+    grads = [np.zeros_like(X) for X in points]
+    gn = np.ones(len(value))
+    while running.any():
+        due = np.flatnonzero(running & moved)
+        done = (left[due] == 0) | np.isinf(value[due])
+        running[due[done]] = False
+        due = due[~done]
+        if due.size:
+            left[due] -= 1
+            g, gn[due], stop = gradient([X[due] for X in points], [E[due] for E in state],
+                                        value[due])
+            for G, g_k in zip(grads, g):
+                G[due] = g_k
+            running[due[stop]] = False
+        running &= step > floor
+
+        live = np.flatnonzero(running)
+        if not live.size:
+            break
+        rows, steps, pick = halving_trials(step[live], floor)
+        at = live[rows]
+        cand, cand_state, cand_val = trial([X[at] + steps[:, None] * G[at] / gn[at, None]
+                                            for X, G in zip(points, grads)])
+        took, chosen, step[live] = pick(cand_val > value[at])
+        better = live[took]
+        for X, C in zip(points + state, cand + cand_state):
+            X[better] = C[chosen]
+        gained = cand_val[chosen]
+        running[better[gained <= value[better] * (1.0 + tol)]] = False
+        value[better] = gained
+        moved[live] = took
+
+
 def _rank_one_ascent(
     cfg: PairConfiguration, norms: NormSpec, p: float, starts: list[list[np.ndarray]],
     iters: int, tol: float,
@@ -436,14 +481,9 @@ def _rank_one_ascent(
 
     The normalization prod ||lam_k||_(r_k') is exact, so each returned value
     is a certified lower bound of the operator-ball denominator.  All starts
-    ascend in lockstep, one (starts, d_k) array per slot: each round computes
-    a gradient for the starts that moved and tries, for every start still
-    running, the next four halvings of its step at once (`halving_trials`);
-    the start takes its first trial that gains.  A start keeps its own step
-    size, its cap of `iters` gradients and its stopping rules, and does the
-    same floating-point operations as a run on its own that makes one trial
-    at a time (docs/formats.md).  Returns the value of each start and, per
-    slot, its maximizer as row i of a (starts, d_k) array.
+    ascend together (`lockstep_ascent`, one (starts, d_k) array per slot).
+    Returns the value of each start and, per slot, its maximizer as row i of
+    a (starts, d_k) array.
     """
     weights = np.asarray(cfg.weights)
     duals = [dual_exponent(r) for r in norms.factors]
@@ -467,57 +507,35 @@ def _rank_one_ascent(
         scale = _prod([row_norms(X, duals[k]) for k, X in enumerate(lams)])
         return pu + pv + [s, num], np.divide(num, scale, out=np.zeros_like(num), where=scale != 0)
 
-    lams = normalized([np.stack([np.asarray(s[k], dtype=float) for s in starts]) for k in slots])
-    kept, value = evaluate(lams)  # the evaluations at each start's current point
-    step = np.full(len(value), 0.5)
-    left = np.full(len(value), iters)        # gradient evaluations left
-    moved = np.ones(len(value), dtype=bool)  # needs a gradient at its new point
-    running = np.ones(len(value), dtype=bool)
-    grads = [np.zeros_like(X) for X in lams]
-    gn = np.ones(len(value))
-    while running.any():
-        due = np.flatnonzero(running & moved)
-        running[due[left[due] == 0]] = False
-        due = due[left[due] > 0]
-        left[due] -= 1
-        X = [L[due] for L in lams]
-        here = [E[due] for E in kept]
-        pu, pv, s, num = here[:n], here[n:2 * n], here[-2], here[-1]
+    def gradient(X, kept, value):
+        pu, pv, s, num = kept[:n], kept[n:2 * n], kept[-2], kept[-1]
         # at p = inf, num == 0 makes the gradient 0, so that start stops on gn below
         if math.isinf(p):
-            rows, i = np.arange(len(due)), np.argmax(np.abs(s), axis=1)
+            rows, i = np.arange(len(s)), np.argmax(np.abs(s), axis=1)
             coef = np.zeros_like(s)
             coef[rows, i] = np.sign(s[rows, i])
         else:
             damp = np.array([float(x) ** (1.0 - p) if x else 0.0 for x in num])
             coef = weights * np.abs(s) ** (p - 1.0) * np.sign(s) * damp[:, None]
-        sq = 0.0
+        grads, sq = [], 0.0
         for k in slots:
             cu = coef * _prod(pu[:k] + pu[k + 1:])
             cv = coef * _prod(pv[:k] + pv[k + 1:])
             g_num = (cu[:, None, :] @ PU[k])[:, 0, :] - (cv[:, None, :] @ PV[k])[:, 0, :]
             # subtract the normalization's log-gradient (norming functional)
-            g = g_num - value[due, None] * norming_rows(X[k], norms.factors[k])
-            grads[k][due] = g
-            sq = sq + (g[:, None, :] @ g[:, :, None])[:, 0, 0]
-        gn[due] = np.sqrt(sq)
-        running[due[(num == 0) | (gn[due] < 1e-14)]] = False
-        running &= step > 1e-12
+            grads.append(g_num - value[:, None] * norming_rows(X[k], norms.factors[k]))
+            sq = sq + (grads[k][:, None, :] @ grads[k][:, :, None])[:, 0, 0]
+        gn = np.sqrt(sq)
+        return grads, gn, (num == 0) | (gn < 1e-14)
 
-        trial = np.flatnonzero(running)
-        rows, steps, pick = halving_trials(step[trial], 1e-12)
-        at = trial[rows]
-        cand = normalized([L[at] + steps[:, None] * G[at] / gn[at, None]
-                           for L, G in zip(lams, grads)])
-        cand_kept, cand_val = evaluate(cand)
-        took, chosen, step[trial] = pick(cand_val > value[at])
-        better = trial[took]
-        for L, C in zip(lams + kept, cand + cand_kept):
-            L[better] = C[chosen]
-        gained = cand_val[chosen]
-        running[better[gained <= value[better] * (1.0 + tol)]] = False
-        value[better] = gained
-        moved[trial] = took
+    def trial(moved):
+        cand = normalized(moved)
+        return cand, *evaluate(cand)
+
+    lams = normalized([np.stack([np.asarray(s[k], dtype=float) for s in starts]) for k in slots])
+    kept, value = evaluate(lams)
+    lockstep_ascent(lams, kept, value, gradient, trial, step=0.5, floor=1e-12, iters=iters,
+                    tol=tol)
     return value, lams
 
 
@@ -592,8 +610,9 @@ def config_denominator(
         _, _, vt = np.linalg.svd(deltas * w2[:, None], full_matrices=False)
         for cand in [vt[0]] + [d for d in deltas]:
             lower = max(lower, _hs_value(cand, deltas, weights, p))
-        for i in range(restarts):
-            lower = max(lower, _hs_ascent(deltas, weights, p, stream(seed, 1, i), max_iters, tol))
+        draws = np.array([stream(seed, 1, i).standard_normal(deltas.shape[1])
+                          for i in range(restarts)]).reshape(restarts, deltas.shape[1])
+        lower = max([lower, *map(float, _hs_ascent(deltas, weights, p, draws, max_iters, tol))])
         return BoundReport(lower, lower, max(hs_up, lower), method="hs-ascent", detail=detail)
 
     # operator ball

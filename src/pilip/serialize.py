@@ -49,7 +49,6 @@ __all__ = [
     "certificate_to_json",
     "certificate_from_json",
     "save_json",
-    "load_json_file",
 ]
 
 
@@ -302,8 +301,3 @@ def save_json(obj: Any, path: str) -> None:
     text = dumps_canonical(to_jsonable(obj)) + "\n"
     with open(path, "w") as fh:
         fh.write(text)
-
-
-def load_json_file(path: str) -> Any:
-    with open(path) as fh:
-        return json.load(fh)

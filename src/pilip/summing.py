@@ -26,6 +26,7 @@ configuration denominator.  Three routes are implemented:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from itertools import permutations
 from typing import Any, Sequence
@@ -35,7 +36,7 @@ import numpy as np
 from .bounds import BoundReport
 from .formnorm import (
     config_denominator,
-    halving_trials,
+    lockstep_ascent,
     operator_norm,
     operator_norm_upper,
     rank_one_form,
@@ -81,7 +82,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Budget:
-    """Caps for the iterative search; all fields must be positive."""
+    """Caps for the iterative search; all fields must be positive integers."""
 
     restarts: int = 64
     max_pairs: int = 24
@@ -92,8 +93,8 @@ class Budget:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if int(value) < 1:
-                raise ValueError(f"budget field {name} must be positive, got {value}")
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"budget field {name} must be a positive integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -359,16 +360,10 @@ def _violation_search(
 
     The ratio is invariant under joint scaling of all factors, so factors stay
     projected into their unit balls without loss of generality.  All starts
-    ascend in lockstep, one (starts, d_k) array per slot of u and of v: each
-    round computes gradients for the starts that moved and tries, for every
-    start still running, the next four halvings of its step at once
-    (`halving_trials`); the start takes its first trial that gains.  A start
-    keeps its own step size, its cap of `iters` gradients and its stopping
-    rules, and does the same floating-point operations as a run on its own
-    that makes one trial at a time (docs/formats.md).
-    Form values are one gemv per start against the elementary-tensor
-    difference; form gradients collapse into one synthetic kernel per start
-    by linearity.
+    ascend together (`lockstep_ascent`, one (starts, d_k) array per slot of u
+    and of v).  Form values are one gemv per start against the
+    elementary-tensor difference; form gradients collapse into one synthetic
+    kernel per start by linearity.
     """
     if not cert.feasible or not cert.dictionary or starts < 1:
         return []
@@ -392,8 +387,10 @@ def _violation_search(
         return np.divide(lhs, rhs, out=np.where(lhs > 1e-14, math.inf, 0.0),
                          where=~(rhs <= 1e-300))
 
-    def gradients(X_u, X_v, diff, vals):
-        """Gradients of log(lhs) - (1/p) log sum_j w_j |phi_j(Delta)|^p, and their norms."""
+    def gradient(X, kept, _):
+        """Gradients of log(lhs) - (1/p) log sum_j w_j |phi_j(Delta)|^p, and their norm."""
+        X_u, X_v = X[:n], X[n:]
+        diff, vals = kept
         lhs = np.maximum(row_norms(diff, norms.codomain), 1e-300)[:, None]
         ystar = norming_rows(diff, s_dual)
         rhs_p = np.maximum(form_sums(vals), 1e-300)[:, None]
@@ -411,7 +408,15 @@ def _violation_search(
         for g_u, g_v in zip(grads_u, grads_v):
             sq_u = sq_u + (g_u[:, None, :] @ g_u[:, :, None])[:, 0, 0]
             sq_v = sq_v + (g_v[:, None, :] @ g_v[:, :, None])[:, 0, 0]
-        return grads_u, grads_v, np.sqrt(sq_u + sq_v)
+        gn = np.sqrt(sq_u + sq_v)
+        return grads_u + grads_v, gn, gn < 1e-14
+
+    def trial(moved):
+        cand = [project_rows(X, r) for X, r in zip(moved, norms.factors * 2)]
+        if not all(np.all(np.isfinite(C)) for C in cand):
+            raise ValueError("entries must be finite")  # the check SegrePoint makes
+        c_diff, c_vals = evaluate(cand[:n], cand[n:])
+        return cand, [c_diff, c_vals], ratio(c_diff, c_vals)
 
     drawn_u, drawn_v = [], []
     for s_idx in range(starts):
@@ -419,56 +424,13 @@ def _violation_search(
         drawn_u.append(_random_factors(op.dims, norms, rng))
         drawn_v.append([np.zeros(d) for d in op.dims] if s_idx % 3 == 0
                        else _random_factors(op.dims, norms, rng))
-    U = [np.stack([x[k] for x in drawn_u]) for k in range(n)]
-    V = [np.stack([x[k] for x in drawn_v]) for k in range(n)]
-    diff, vals = evaluate(U, V)  # at each start's current point
-    value = ratio(diff, vals)
-    step = np.full(starts, 0.25)
-    left = np.full(starts, iters)          # gradient evaluations left
-    moved = np.ones(starts, dtype=bool)    # needs a gradient at its new point
-    running = np.ones(starts, dtype=bool)
-    GU, GV = [np.zeros_like(X) for X in U], [np.zeros_like(X) for X in V]
-    gn = np.ones(starts)
-    while running.any():
-        due = np.flatnonzero(running & moved)
-        done = (left[due] == 0) | np.isinf(value[due])
-        running[due[done]] = False
-        due = due[~done]
-        left[due] -= 1
-        if due.size:
-            g_u, g_v, gn[due] = gradients([X[due] for X in U], [X[due] for X in V],
-                                          diff[due], vals[due])
-            for G, g in zip(GU + GV, g_u + g_v):
-                G[due] = g
-            running[due[gn[due] < 1e-14]] = False
-        running &= step > 1e-10
-
-        trial = np.flatnonzero(running)
-        if not trial.size:
-            break
-        rows, steps, pick = halving_trials(step[trial], 1e-10)
-        at = trial[rows]
-        t_step, t_gn = steps[:, None], gn[at, None]
-        cand_u = [project_rows(X[at] + t_step * G[at] / t_gn, r)
-                  for X, G, r in zip(U, GU, norms.factors)]
-        cand_v = [project_rows(X[at] + t_step * G[at] / t_gn, r)
-                  for X, G, r in zip(V, GV, norms.factors)]
-        if not all(np.all(np.isfinite(C)) for C in cand_u + cand_v):
-            raise ValueError("entries must be finite")  # the check SegrePoint makes
-        c_diff, c_vals = evaluate(cand_u, cand_v)
-        cand = ratio(c_diff, c_vals)
-        took, chosen, step[trial] = pick(cand > value[at])
-        better = trial[took]
-        for X, C in zip(U + V, cand_u + cand_v):
-            X[better] = C[chosen]
-        diff[better], vals[better] = c_diff[chosen], c_vals[chosen]
-        old, gained = value[better], cand[chosen]
-        running[better[np.isfinite(old) & (gained <= old * (1 + 1e-10))]] = False
-        value[better] = gained
-        moved[trial] = took
-
-    results = [(SegrePoint(tuple(X[i].copy() for X in U)),
-                SegrePoint(tuple(X[i].copy() for X in V)), float(value[i]))
+    UV = [np.stack([x[k] for x in drawn]) for drawn in (drawn_u, drawn_v) for k in range(n)]
+    kept = list(evaluate(UV[:n], UV[n:]))
+    value = ratio(*kept)
+    lockstep_ascent(UV, kept, value, gradient, trial, step=0.25, floor=1e-10, iters=iters,
+                    tol=1e-10)
+    results = [(SegrePoint(tuple(X[i].copy() for X in UV[:n])),
+                SegrePoint(tuple(X[i].copy() for X in UV[n:])), float(value[i]))
                for i in range(starts) if value[i] > 0]
     results.sort(key=lambda r: -min(r[2], 1e300))
     return results

@@ -180,16 +180,6 @@ class MultilinearOperator:
     def is_form(self) -> bool:
         return self.m == 1
 
-    def form_kernel(self) -> np.ndarray:
-        """Kernel of a scalar form as a (d1, ..., dn) array."""
-        if not self.is_form():
-            raise ShapeError("operator is not scalar-valued")
-        return self.kernel.array[..., 0]
-
-    def pair_with(self, delta: np.ndarray) -> float:
-        """Frobenius pairing of a scalar form's kernel with a tensor delta."""
-        return float(np.dot(self.form_kernel().reshape(-1), np.asarray(delta).reshape(-1)))
-
 
 @dataclass(frozen=True)
 class SegrePoint:

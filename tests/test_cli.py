@@ -127,6 +127,28 @@ def test_verify_exit_zero_and_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_bad_tolerance_rejected(lambda2_path):
-    with pytest.raises(ValueError):
-        cli_main(["norm", lambda2_path, "--tol", "7"])
+def test_bad_tolerance_rejected(lambda2_path, capsys):
+    assert cli_main(["norm", lambda2_path, "--tol", "7"]) == 2
+    assert capsys.readouterr().err.startswith("error: tolerance must lie in (0, 1)")
+
+
+@pytest.mark.parametrize("argv", [
+    "summing --p 0.5",
+    "summing --p inf",
+    "summing --p nan",
+    "summing --tol 2",
+    "summing --budget-rounds 0",
+    "poly --p inf",
+    "hs --sandwich --p nan",
+    "dnorm --p 1",
+    "dnorm --p nan",
+])
+def test_invalid_values_exit_2(argv, lambda2_path, tmp_path, capsys):
+    command, *flags = argv.split()
+    path = lambda2_path
+    if command == "dnorm":
+        path = str(tmp_path / "mixed.json")
+        save_json(mixed_to_json(random_mixed((2, 2), 2, stream(0))), path)
+    assert cli_main([command, path] + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err

@@ -477,6 +477,105 @@ def test_lockstep_ascent_stationary_start_stops_at_once(p):
 
 
 # --------------------------------------------------------------------------
+# lockstep HS-ball ascent against the one-start loop, bit for bit
+# --------------------------------------------------------------------------
+
+
+def _reference_hs_ascent(deltas, weights, p, rng, iters, tol, halvings=None):
+    """Projected gradient ascent on the Frobenius sphere from one start, run on its own, one
+    line-search trial at a time: the oracle for the batch.  Each line search appends to
+    `halvings` ("gain" or "floor", its losses)."""
+    G = rng.standard_normal(deltas.shape[1])
+    G /= np.linalg.norm(G)
+    value = formnorm._hs_value(G, deltas, weights, p)
+    step = 1.0
+    for _ in range(iters):
+        s = deltas @ G
+        mag = np.abs(s) ** (p - 1.0) * np.sign(s)
+        grad = (weights * mag) @ deltas
+        grad = grad - np.dot(grad, G) * G
+        gn = np.linalg.norm(grad)
+        if gn < 1e-15:
+            break
+        improved, losses = False, 0
+        while step > 1e-12:
+            cand = G + step * grad / gn
+            cand /= np.linalg.norm(cand)
+            cand_val = formnorm._hs_value(cand, deltas, weights, p)
+            if cand_val > value:
+                G, improved = cand, True
+                if halvings is not None:
+                    halvings.append(("gain", losses))
+                if cand_val <= value * (1.0 + tol):
+                    return cand_val
+                value = cand_val
+                step *= 1.5
+                break
+            step *= 0.5
+            losses += 1
+        if not improved:
+            if halvings is not None:
+                halvings.append(("floor", losses))
+            break
+    return value
+
+
+def test_lockstep_hs_ascent_is_bitwise_the_one_start_loop():
+    rng = stream(81)
+    halvings = []
+    for case, p in enumerate((1.0, 1.25, 1.5, 3.0, 4.0)):
+        for count in (1, 3, 12):  # 12 pairs reach numpy's pairwise summation
+            for dim in range(1, 10):
+                deltas = rng.standard_normal((count, dim))
+                weights = rng.uniform(0.2, 2.0, size=count)
+                draws = np.array([stream(case, dim, i).standard_normal(dim) for i in range(5)])
+                for iters, tol in ((1, ASCENT_TOL), (2, ASCENT_TOL), (ASCENT_MAX_ITERS, ASCENT_TOL),
+                                   (ASCENT_MAX_ITERS, 0.0)):
+                    values = formnorm._hs_ascent(deltas, weights, p, draws, iters, tol)
+                    want = [_reference_hs_ascent(deltas, weights, p, stream(case, dim, i), iters,
+                                                 tol, halvings) for i in range(5)]
+                    assert list(values) == want, (p, count, dim, iters, tol)
+    assert_covers_four_trial_rounds(halvings)
+
+
+def _never(*_):
+    raise AssertionError("called")
+
+
+def test_lockstep_ascent_without_starts_or_gradients_leaves_the_points():
+    empty = np.zeros((0, 2))
+    value = np.zeros(0)
+    formnorm.lockstep_ascent([empty], [], value, _never, _never, step=1.0, floor=1e-12,
+                             iters=10, tol=0.0)
+    assert empty.shape == (0, 2) and value.shape == (0,)
+    X, value = np.array([[0.5], [2.0]]), np.array([1.0, 3.0])
+    formnorm.lockstep_ascent([X], [], value, _never, _never, step=1.0, floor=1e-12, iters=0,
+                             tol=0.0)
+    assert X.tolist() == [[0.5], [2.0]] and value.tolist() == [1.0, 3.0]
+
+
+def test_lockstep_ascent_infinite_value_stops_without_a_gradient():
+    # maximize 2 - (x - 1)^2 from x = 0, next to a start whose value is infinite
+    seen = []
+
+    def gradient(points, state, value):
+        seen.append(points[0].copy())
+        g = -2.0 * (points[0] - 1.0)
+        gn = np.abs(g[:, 0])
+        return [g], gn, gn < 1e-14
+
+    def trial(moved):
+        return moved, [], 2.0 - (moved[0][:, 0] - 1.0) ** 2
+
+    X, value = np.array([[5.0], [0.0]]), np.array([math.inf, 1.0])
+    formnorm.lockstep_ascent([X], [], value, gradient, trial, step=0.5, floor=1e-12, iters=50,
+                             tol=0.0)
+    assert seen and all(len(rows) == 1 for rows in seen)
+    assert X[0, 0] == 5.0 and value[0] == math.inf
+    assert abs(X[1, 0] - 1.0) < 1e-6 and 2.0 - 1e-12 < value[1] <= 2.0
+
+
+# --------------------------------------------------------------------------
 # lockstep alternating maximization against the one-start loop, bit for bit
 # --------------------------------------------------------------------------
 

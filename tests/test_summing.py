@@ -752,3 +752,8 @@ def test_poly_rejects_asymmetric_kernel():
 def test_budget_rejects_nonpositive():
     with pytest.raises(ValueError):
         Budget(restarts=0)
+    for field in ("restarts", "rounds", "ascent_iters"):
+        for value in (1.5, 2.0, "3", None):
+            with pytest.raises(ValueError, match=f"budget field {field} must be a positive integer"):
+                Budget(**{field: value})
+    assert Budget(rounds=np.int64(2)).rounds == 2

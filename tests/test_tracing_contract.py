@@ -56,3 +56,28 @@ def test_simplex_observer_reads_the_pietsch_lp_call(monkeypatch):
     assert len(seen) == 1
     obs = TRACER._simplex_obs(*seen[0])
     assert obs["status"] == "optimal" and obs["cells"] > 0
+
+
+def test_installed_tracer_records_the_ascent_spans():
+    # a refactor that calls the line-search driver around a traced name would leave
+    # the name resolvable but its span count and self time at 0
+    from pilip import formnorm, summing
+    from pilip.rng import stream
+    from pilip.verify import random_operator, random_pairs
+
+    real = (formnorm.config_denominator, summing._violation_search)
+    tracer = TRACER.Tracer()
+    tracer.install()
+    try:
+        formnorm.config_denominator(random_pairs((2, 2), 3, stream(0, 90)), 2.0, "op",
+                                    seed=0, restarts=4)
+        calls = tracer.drain()[0]
+        assert calls.get("formnorm.rank_one_ascent") == 1
+        budget = summing.Budget(restarts=8, max_pairs=10, max_dictionary=24, rounds=2)
+        rep = summing.estimate_pi_lip(random_operator((2, 2), 2, stream(0, 91)), 3.0, budget,
+                                      seed=0)
+        assert rep.detail["rounds"] == 2  # the first round was not tight
+        assert tracer.drain()[0].get("summing.violation_search", 0) >= 1
+    finally:
+        tracer.uninstall()
+    assert (formnorm.config_denominator, summing._violation_search) == real
