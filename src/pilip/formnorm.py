@@ -19,6 +19,7 @@ Two nonconvex suprema live here:
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Callable, Sequence
 
@@ -71,13 +72,14 @@ def weighted_power_sum(values: np.ndarray, weights: np.ndarray, p: float) -> flo
     if t.size == 0:
         return 0.0
     if math.isinf(p):
-        return float(np.max(t))
+        return float(t.max())
     weights = np.asarray(weights)
-    out = float(np.sum(weights * t**p) ** (1.0 / p))
+    with np.errstate(over="ignore", under="ignore"):  # the fallback below takes those inputs
+        out = float((weights * t**p).sum() ** (1.0 / p))
     if out == 0.0 or math.isinf(out):
-        top = float(np.max(t))
+        top = float(t.max())
         if 0.0 < top < math.inf:
-            return top * float(np.sum(weights * (t / top) ** p) ** (1.0 / p))
+            return top * float((weights * (t / top) ** p).sum() ** (1.0 / p))
     return out
 
 
@@ -371,21 +373,39 @@ def _hs_ascent(
     return value
 
 
-def _prod(factors: list[np.ndarray]) -> np.ndarray | float:
-    """Left-to-right elementwise product from 1, as math.prod and np.prod take it."""
-    out = 1.0
+def _prod(factors) -> np.ndarray | float:
+    """Left-to-right elementwise product, as math.prod and np.prod take it (1.0 when empty)."""
+    factors = iter(factors)
+    out = next(factors, 1.0)
     for f in factors:
         out = out * f
     return out
 
 
-def _power_sums(s: np.ndarray, weights: np.ndarray, p: float) -> np.ndarray:
-    """weighted_power_sum of every row of s.  The root stays one scalar power
-    per row: numpy's array power rounds differently from its scalar power."""
+def _roots(x: np.ndarray, e: float) -> list[float]:
+    """x_i ** e, one libm pow per entry as a scalar power takes it: numpy's array power rounds
+    differently."""
+    return list(map(math.pow, x.tolist(), itertools.repeat(e)))
+
+
+def _power_sums(
+    s: np.ndarray, weights: np.ndarray, p: float,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """weighted_power_sum of every row of s.  As there, a row whose plain sum is 0 or inf is
+    taken as M (sum_i a_i |s_i / M|^p)^(1/p) with M = max_i |s_i|; the second result holds M
+    for those rows and 1.0 for the others, or is None when no row was rescaled."""
     t = np.abs(s)
     if math.isinf(p):
-        return np.max(t, axis=1)
-    return np.array([x ** (1.0 / p) for x in np.sum(weights * t**p, axis=1)])
+        return t.max(axis=1), None
+    with np.errstate(over="ignore", under="ignore"):
+        out = _roots((weights * t**p).sum(axis=1), 1.0 / p)
+    if 0.0 not in out and math.inf not in out:
+        return np.array(out), None
+    out, top = np.array(out), t.max(axis=1)
+    bad = ((out == 0.0) | (out == math.inf)) & (top > 0.0) & (top < math.inf)
+    scale = np.where(bad, top, 1.0)
+    out[bad] = top[bad] * _roots((weights * (t[bad] / top[bad, None]) ** p).sum(axis=1), 1.0 / p)
+    return out, scale
 
 
 def halving_trials(step: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray, Callable]:
@@ -473,6 +493,18 @@ def lockstep_ascent(
         moved[live] = took
 
 
+def _by_norm(f: Callable, X: np.ndarray, exps: tuple) -> np.ndarray:
+    """f(rows, r) for the rows of an (R, m, d) slot stack, as an (R, m, -1) array, where
+    exps = (r, [(r', mask), ...]) gives every slot the exponent r unless an (m, 1) mask picks
+    a later r' for it: one call per distinct exponent on all the rows."""
+    R, m, d = X.shape
+    rows = X.reshape(R * m, d)
+    out = f(rows, exps[0]).reshape(R, m, -1)
+    for r, mask in exps[1]:
+        out = np.where(mask, f(rows, r).reshape(R, m, -1), out)
+    return out
+
+
 def _rank_one_ascent(
     cfg: PairConfiguration, norms: NormSpec, p: float, starts: list[list[np.ndarray]],
     iters: int, tol: float,
@@ -481,50 +513,93 @@ def _rank_one_ascent(
 
     The normalization prod ||lam_k||_(r_k') is exact, so each returned value
     is a certified lower bound of the operator-ball denominator.  All starts
-    ascend together (`lockstep_ascent`, one (starts, d_k) array per slot).
-    Returns the value of each start and, per slot, its maximizer as row i of
-    a (starts, d_k) array.
+    ascend together (`lockstep_ascent`).  The slots of one dimension form a
+    group, stored as one (starts, n_g d) array, so that a step costs one numpy
+    call per group where it cost one per slot, with the same floating-point
+    operations (docs/formats.md).  Returns the value of each start and, per
+    slot, its maximizer as row i of a (starts, d_k) array.
     """
     weights = np.asarray(cfg.weights)
-    duals = [dual_exponent(r) for r in norms.factors]
-    n = len(cfg.dims)
-    slots = range(n)
-    # one gemv per start and slot, as PU[k] @ lam: a gemm would round differently
-    PU = [np.stack([u.factors[k] for u, _ in cfg.pairs]) for k in slots]
-    PV = [np.stack([v.factors[k] for _, v in cfg.pairs]) for k in slots]
+    dims, n, P = cfg.dims, len(cfg.dims), len(cfg)
 
-    def normalized(lams):
-        return [X / np.maximum(row_norms(X, duals[k]), 1e-300)[:, None]
-                for k, X in enumerate(lams)]
+    def exponents(exps):  # a group's exponents in the form _by_norm takes
+        return exps[0], [(r, np.array([e == r for e in exps])[:, None])
+                         for r in dict.fromkeys(exps) if r != exps[0]]
 
-    def evaluate(lams):
-        """The ratio of every row, and what its gradient needs: the slot evaluations
-        PU[k] @ lam_k and PV[k] @ lam_k, their product difference s and its power sum."""
-        pu = [(PU[k] @ X[:, :, None])[..., 0] for k, X in enumerate(lams)]
-        pv = [(PV[k] @ X[:, :, None])[..., 0] for k, X in enumerate(lams)]
-        s = _prod(pu) - _prod(pv)
-        num = _power_sums(s, weights, p)
-        scale = _prod([row_norms(X, duals[k]) for k, X in enumerate(lams)])
-        return pu + pv + [s, num], np.divide(num, scale, out=np.zeros_like(num), where=scale != 0)
+    # the slots of each dimension: (slots, d, their PU and PV as (n_g, P, d) stacks, their
+    # factor norms and dual norms)
+    groups = []
+    for d in dict.fromkeys(dims):
+        slots = [k for k in range(n) if dims[k] == d]
+        groups.append((slots, d, np.array([[u.factors[k] for u, _ in cfg.pairs] for k in slots]),
+                       np.array([[v.factors[k] for _, v in cfg.pairs] for k in slots]),
+                       exponents([norms.factors[k] for k in slots]),
+                       exponents([dual_exponent(norms.factors[k]) for k in slots])))
+    # slot k is entry i of group g, loc[k] = (g, i); the pu and pv that a start keeps hold
+    # the groups one after the other, with slot k at entry pos[k]
+    loc = {k: (g, i) for g, (slots, *_) in enumerate(groups) for i, k in enumerate(slots)}
+    loc = [loc[k] for k in range(n)]
+    joined = [k for slots, *_ in groups for k in slots]
+    pos = {k: j for j, k in enumerate(joined)}
+    # row m: the entry of the m-th other slot of the slot at each entry
+    others = np.array([[pos[m] for m in range(n) if m != k] for k in joined], dtype=int)
+    others = others.reshape(n, n - 1).T
 
-    def gradient(X, kept, value):
-        pu, pv, s, num = kept[:n], kept[n:2 * n], kept[-2], kept[-1]
+    def normalized(Ls):
+        out = []
+        for (_, d, _, _, _, duals), L in zip(groups, Ls):
+            X = L.reshape(len(L), -1, d)
+            out.append((X / np.maximum(_by_norm(row_norms, X, duals), 1e-300)).reshape(L.shape))
+        return out
+
+    def evaluate(Ls):
+        """The ratio of every row, and what its gradient needs, packed in one array: the slot
+        evaluations PU[k] @ lam_k and PV[k] @ lam_k (one gemv per start and slot), their
+        product difference s and its power sum; a row rescaled by M keeps s / M and the
+        power sum / M, which give the same gradient."""
+        R, pu, pv, dual_norms = len(Ls[0]), [], [], []
+        for (_, d, PU, PV, _, duals), L in zip(groups, Ls):
+            X = L.reshape(R, -1, d)
+            pu.append((PU @ X[..., None])[..., 0])
+            pv.append((PV @ X[..., None])[..., 0])
+            dual_norms.append(_by_norm(row_norms, X, duals)[..., 0])
+        # products left to right over the slots
+        s = _prod(pu[g][:, i] for g, i in loc) - _prod(pv[g][:, i] for g, i in loc)
+        num, rescale = _power_sums(s, weights, p)
+        scale = _prod(dual_norms[g][:, i] for g, i in loc)
+        value = np.divide(num, scale, out=np.zeros_like(num), where=scale != 0)
+        if rescale is not None:
+            s, num = s / rescale[:, None], num / rescale
+        kept = np.concatenate([X.reshape(R, -1) for X in pu + pv] + [s, num[:, None]], axis=1)
+        return [kept], value
+
+    def gradient(Ls, kept, value):
+        kept, R = kept[0], len(value)
+        pu, pv = kept[:, :n * P].reshape(R, n, P), kept[:, n * P:2 * n * P].reshape(R, n, P)
+        s, num = kept[:, 2 * n * P:-1], kept[:, -1]
         # at p = inf, num == 0 makes the gradient 0, so that start stops on gn below
         if math.isinf(p):
-            rows, i = np.arange(len(s)), np.argmax(np.abs(s), axis=1)
+            rows, i = np.arange(R), np.argmax(np.abs(s), axis=1)
             coef = np.zeros_like(s)
             coef[rows, i] = np.sign(s[rows, i])
         else:
-            damp = np.array([float(x) ** (1.0 - p) if x else 0.0 for x in num])
+            damp = np.array([x ** (1.0 - p) if x else 0.0 for x in num.tolist()])
             coef = weights * np.abs(s) ** (p - 1.0) * np.sign(s) * damp[:, None]
-        grads, sq = [], 0.0
-        for k in slots:
-            cu = coef * _prod(pu[:k] + pu[k + 1:])
-            cv = coef * _prod(pv[:k] + pv[k + 1:])
-            g_num = (cu[:, None, :] @ PU[k])[:, 0, :] - (cv[:, None, :] @ PV[k])[:, 0, :]
+        # each slot's coefficients times the other slots' evaluations, left to right
+        cu = coef[:, None, :] * _prod(pu[:, j] for j in others)
+        cv = coef[:, None, :] * _prod(pv[:, j] for j in others)
+        grads, dots, a = [], [], 0
+        for (slots, d, PU, PV, exps, _), L in zip(groups, Ls):
+            b = a + len(slots)
+            G = (cu[:, a:b, None, :] @ PU)[..., 0, :] - (cv[:, a:b, None, :] @ PV)[..., 0, :]
             # subtract the normalization's log-gradient (norming functional)
-            grads.append(g_num - value[:, None] * norming_rows(X[k], norms.factors[k]))
-            sq = sq + (grads[k][:, None, :] @ grads[k][:, :, None])[:, 0, 0]
+            G = G - value[:, None, None] * _by_norm(norming_rows, L.reshape(R, -1, d), exps)
+            grads.append(G.reshape(L.shape))
+            dots.append((G[..., None, :] @ G[..., :, None])[..., 0, 0])
+            a = b
+        sq = 0.0
+        for g, i in loc:  # left to right over the slots: np.sum adds three in another order
+            sq = sq + dots[g][:, i]
         gn = np.sqrt(sq)
         return grads, gn, (num == 0) | (gn < 1e-14)
 
@@ -532,11 +607,13 @@ def _rank_one_ascent(
         cand = normalized(moved)
         return cand, *evaluate(cand)
 
-    lams = normalized([np.stack([np.asarray(s[k], dtype=float) for s in starts]) for k in slots])
-    kept, value = evaluate(lams)
-    lockstep_ascent(lams, kept, value, gradient, trial, step=0.5, floor=1e-12, iters=iters,
+    Ls = normalized([np.array([[np.asarray(start[k], dtype=float) for k in slots]
+                               for start in starts]).reshape(len(starts), len(slots) * d)
+                     for slots, d, *_ in groups])
+    kept, value = evaluate(Ls)
+    lockstep_ascent(Ls, kept, value, gradient, trial, step=0.5, floor=1e-12, iters=iters,
                     tol=tol)
-    return value, lams
+    return value, [Ls[g][:, i * dims[k]:(i + 1) * dims[k]] for k, (g, i) in enumerate(loc)]
 
 
 def pair_triangle(u: Sequence[np.ndarray], v: Sequence[np.ndarray], norms: NormSpec) -> float:

@@ -22,6 +22,7 @@ import numpy as np
 from .bounds import BoundReport
 from .formnorm import (
     config_denominator,
+    hs_to_op_scale,
     op_ball_uppers,
     rank_one_norm,
     weighted_power_sum,
@@ -238,57 +239,88 @@ def _perturbed(rep: Representation, rng: np.random.Generator, scale: float) -> l
     return pairs
 
 
+def _triangle_wins(tri: float, kappa: float, row_l2: np.ndarray, pp: float) -> bool:
+    """Whether the triangle upper `tri` of unit-weight pairs lies below their "kappa-hs" upper,
+    so that min(op_ball_uppers(...).values()) returns `tri` itself and the SVD can be skipped.
+
+    `row_l2` holds the l2 norms of the pairs' difference rows and kappa is hs_to_op_scale.
+    The HS upper's sigma_max is at least every row norm, and at p' < 2 it is multiplied by
+    K^(1/p' - 1/2) for K rows; the factor 1 - 1e-9 covers the rounding of both sides."""
+    bound = float(row_l2.max())
+    if pp < 2.0:
+        bound *= len(row_l2) ** (1.0 / pp - 0.5)
+    return tri < kappa * bound * (1.0 - 1e-9)
+
+
 def _rebalance(rep: Representation, z: MixedTensor, p: float, pp: float) -> Representation:
     """Per-term scale sweeps: move mass between a pair and its y (tensor fixed).
 
     A representation's value is the certified search-free op-ball upper of its
     pairs times the p-sum of its y norms.  Each term's difference row, triangle
     value, y norm and keep flag (the PairConfiguration drop rule) are computed
-    once; a candidate recomputes only the term it rescales, from its factor
-    arrays, and SegrePoints are built only for an accepted candidate."""
+    once; a candidate recomputes only the term it rescales, from its factors
+    stacked as (2, d_k) arrays (p's factor over q's), once per scale while the
+    term is unchanged, and SegrePoints are built only for the terms that
+    changed.  The SVD of the HS upper runs only when the triangle upper does
+    not win outright (`_triangle_wins`)."""
     norms = z.norms
     n = len(z.dims)
+    kappa = hs_to_op_scale(z.dims, norms)
 
-    def parts(p_fs, q_fs, y):
-        stacks = [np.stack(fs) for fs in zip(p_fs, q_fs)]
+    def parts(stacks, y):
         E = elementary_rows(stacks)
         row = E[0] - E[1]
-        kept = not np.max(np.abs(row)) <= 1e-300
         tri = np.ones(2)  # pair_triangle: the slot norms of p and of q, multiplied left to right
         for X, r in zip(stacks, norms.factors):
             tri = tri * row_norms(X, r)
-        return row, float(tri[0] + tri[1]), vector_norm(y, norms.codomain), kept
+        return (row, float(tri[0] + tri[1]), vector_norm(y, norms.codomain),
+                not np.max(np.abs(row)) <= 1e-300, math.sqrt(row @ row))
+
+    ones = np.ones(len(rep.terms))
 
     def value(cache):
-        kept = [c for c in cache if c[3]]
-        if not kept:
-            raise ValueError("configuration is empty after dropping degenerate pairs")
-        uppers = op_ball_uppers(np.stack([c[0] for c in kept]), [c[1] for c in kept],
-                                np.ones(len(kept)), z.dims, norms, pp)
-        return min(uppers.values()) * weighted_power_sum(
-            np.array([c[2] for c in cache]), np.ones(len(cache)), p)
+        rows, tri, y_norms, kept, row_l2 = cache
+        if not kept.all():
+            rows, tri, row_l2 = rows[kept], tri[kept], row_l2[kept]
+            if not len(rows):
+                raise ValueError("configuration is empty after dropping degenerate pairs")
+        den = weighted_power_sum(tri, ones[:len(tri)], pp)
+        if not _triangle_wins(den, kappa, row_l2, pp):
+            den = min(op_ball_uppers(rows, tri, ones[:len(tri)], z.dims, norms, pp).values())
+        return den * weighted_power_sum(y_norms, ones, p)
 
-    best = rep
-    cache = [parts(p_pt.factors, q_pt.factors, y) for p_pt, q_pt, y in rep.terms]
+    stacks = [[np.stack(fs) for fs in zip(p_pt.factors, q_pt.factors)]
+              for p_pt, q_pt, _ in rep.terms]
+    ys = [y for _, _, y in rep.terms]
+    cache = [np.array(c) for c in zip(*(parts(st, y) for st, y in zip(stacks, ys)))]
     best_val = value(cache)
+    changed = set()
+    tried = [{} for _ in ys]  # per term, scale -> its candidate from the term's current factors
     for _ in range(3):
         improved = False
-        for i in range(len(best.terms)):
+        for i in range(len(ys)):
             for s in (0.5, 0.75, 1.5, 2.0):
-                p_pt, q_pt, y = best.terms[i]
-                factor = s ** (1.0 / n)
-                # the arithmetic of SegrePoint.scale(factor)
-                p_fs, q_fs = [factor * f for f in p_pt.factors], [factor * f for f in q_pt.factors]
-                y_s = y / s
-                cand = cache[:i] + [parts(p_fs, q_fs, y_s)] + cache[i + 1:]
+                if s not in tried[i]:
+                    factor = s ** (1.0 / n)
+                    st, y_s = [factor * X for X in stacks[i]], ys[i] / s  # as SegrePoint.scale
+                    tried[i][s] = st, y_s, parts(st, y_s)
+                st, y_s, term = tried[i][s]
+                cand = [c.copy() for c in cache]
+                for c, v in zip(cand, term):
+                    c[i] = v
                 val = value(cand)
                 if val < best_val * (1 - 1e-12):
-                    term = (SegrePoint(tuple(p_fs)), SegrePoint(tuple(q_fs)), y_s)
-                    best = Representation(best.terms[:i] + (term,) + best.terms[i + 1:])
+                    stacks[i], ys[i], tried[i] = st, y_s, {}
                     cache, best_val, improved = cand, val, True
+                    changed.add(i)
         if not improved:
             break
-    return best
+    if not changed:
+        return rep
+    return Representation(tuple(
+        (SegrePoint(tuple(X[0] for X in st)), SegrePoint(tuple(X[1] for X in st)), y)
+        if i in changed else term
+        for i, (term, st, y) in enumerate(zip(rep.terms, stacks, ys))))
 
 
 def dp_upper(

@@ -394,9 +394,10 @@ def norming_rows(X: np.ndarray, r: float) -> np.ndarray:
         out[rows, i] = np.where(X[rows, i] >= 0, 1.0, -1.0)
     else:
         out = np.where(X >= 0, 1.0, -1.0)
-    zero = ~np.any(X, axis=1)
-    out[zero] = 0.0
-    out[zero, 0] = 1.0
+    zero = ~X.any(axis=1)
+    if zero.any():
+        out[zero] = 0.0
+        out[zero, 0] = 1.0
     return out
 
 

@@ -245,6 +245,20 @@ def test_denominator_of_a_tiny_pair_does_not_underflow():
     assert exact * (1 - 1e-12) <= rep.certified_upper <= exact * (1 + 1e-12)
 
 
+def test_rank_one_ascent_of_a_tiny_pair_does_not_underflow():
+    # p = 4 on factors of size 1e-60: the plain power sum of every rank-one value underflows
+    u = SegrePoint((1e-60 * np.array([1.0, 2.0, 0.5]), 1e-60 * np.array([1.0, -1.0, 3.0])))
+    cfg = PairConfiguration(((u, SegrePoint.zero((3, 3))),))
+    rng = stream(15)
+    starts = [[dual_norming_vector(f, 2.0) for f in u.factors]]
+    starts += [[rng.standard_normal(3), rng.standard_normal(3)] for _ in range(4)]
+    values, _ = formnorm._rank_one_ascent(cfg, NormSpec.all_l2(2), 4.0, starts,
+                                          ASCENT_MAX_ITERS, ASCENT_TOL)
+    # D of (u, 0) on l2 factors is ||u_1|| ||u_2||
+    exact = float(np.linalg.norm(u.factors[0]) * np.linalg.norm(u.factors[1]))
+    assert 0.0 < values.max() and abs(values.max() - exact) <= 1e-12 * exact
+
+
 def test_halving_trials_takes_the_first_gain():
     floor = 1e-12
     step = np.array([1.0, 0.5, 3e-12, 2.0, 1e-12])
@@ -460,6 +474,25 @@ def test_lockstep_ascent_is_bitwise_the_one_start_loop(p):
             # without the stop on a small gain, every start ends where no step above the floor gains
             _assert_batch_matches_reference(cfg, norms, p, starts, 300, 0.0, halvings)
     assert_covers_four_trial_rounds(halvings)
+    # slots of unequal dimension, down to 1 and past 3: l1 and linf slots shorter than the
+    # longest one, several slots of one dimension with different norms, and starts with one
+    # all-zero slot
+    inf = math.inf
+    for dims, factors in [((1, 3), (2.0, 1.0)), ((3, 1, 2), (inf, 2.0, 1.0)),
+                          ((3, 2), (2.0, 1.0)), ((2, 3, 3), (inf, 1.0, 2.0)),
+                          ((5, 2), (2.0, inf)), ((2, 5, 2), (1.0, inf, 2.0)),
+                          ((4, 9, 1), (1.0, 2.0, inf))]:
+        count = int(rng.choice([1, 3]))
+        pairs = tuple((SegrePoint(tuple(rng.standard_normal(d) for d in dims)),
+                       SegrePoint(tuple(rng.standard_normal(d) for d in dims)))
+                      for _ in range(count))
+        cfg = PairConfiguration(pairs, tuple(rng.uniform(0.2, 2.0, size=count)))
+        norms = NormSpec(factors, 2.0)
+        starts = [[rng.standard_normal(d) for d in dims] for _ in range(3)]
+        starts += [[np.zeros(d) if j == k else rng.standard_normal(d) for j, d in enumerate(dims)]
+                   for k in range(len(dims))]
+        for iters in (1, 2, ASCENT_MAX_ITERS):
+            _assert_batch_matches_reference(cfg, norms, p, starts, iters)
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import warnings
@@ -5,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from pilip import tensor_norm
 from pilip.rng import stream
 from pilip.summing import Budget
 from pilip.tensor_norm import (
@@ -19,7 +21,12 @@ from pilip.tensor_norm import (
     dp_upper,
     epsilon_norm_diff,
 )
-from pilip.formnorm import config_denominator, op_ball_uppers
+from pilip.formnorm import (
+    config_denominator,
+    hs_to_op_scale,
+    op_ball_uppers,
+    weighted_power_sum,
+)
 from pilip.tensors import (
     DegeneratePairWarning,
     MultilinearOperator,
@@ -278,12 +285,20 @@ def _uneven_representation(dims, m, rng):
 EXPONENTS = (1.0, 2.0, math.inf)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-@pytest.mark.parametrize("codomain", EXPONENTS)
-@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, math.inf])
-def test_incremental_rebalance_is_bitwise_the_whole_rebuild(n, codomain, p):
+def _compare_rebalance_with_rebuild(n, codomain, p, monkeypatch):
+    """Assert _rebalance bitwise equal to the whole rebuild on uneven representations over
+    every factor-norm combination; returns how many moved and how many candidates skipped
+    the SVD (True) or needed it (False)."""
     dims = (3, 2, 2)[:n]
-    moved = 0
+    moved, paths = 0, collections.Counter()
+    wins = tensor_norm._triangle_wins
+
+    def counted(*args):
+        out = wins(*args)
+        paths[out] += 1
+        return out
+
+    monkeypatch.setattr(tensor_norm, "_triangle_wins", counted)
     for c, factors in enumerate(itertools.product(EXPONENTS, repeat=n)):
         if n == 3 and c % 4:  # a third of the 27 combinations keeps the test short
             continue
@@ -299,7 +314,49 @@ def test_incremental_rebalance_is_bitwise_the_whole_rebuild(n, codomain, p):
                                                             wp.factors + wq.factors))
             assert np.array_equal(gy, wy)
         moved += got is not rep
+    return moved, paths
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("codomain", EXPONENTS)
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, math.inf])
+def test_incremental_rebalance_is_bitwise_the_whole_rebuild(n, codomain, p, monkeypatch):
+    moved, paths = _compare_rebalance_with_rebuild(n, codomain, p, monkeypatch)
     assert moved > 0  # the sweeps accepted candidates, so the comparison is not vacuous
+    assert sum(paths.values()) > 0
+
+
+@pytest.mark.parametrize("n,codomain,p", [(1, 2.0, 1.5), (2, math.inf, 2.0)])
+def test_incremental_rebalance_compares_both_paths(n, codomain, p, monkeypatch):
+    # at n = 3 the triangle upper always wins; these cases also reach the SVD
+    _, paths = _compare_rebalance_with_rebuild(n, codomain, p, monkeypatch)
+    assert paths[True] > 0 and paths[False] > 0, paths
+
+
+def test_triangle_wins_only_where_the_min_is_the_triangle():
+    rng = stream(92)
+    paths = collections.Counter()
+    for pp in (1.0, 1.5, 2.0, 3.0):
+        for trial in range(150):
+            dims = ((2, 3), (3, 3), (2, 2, 2))[trial % 3]
+            norms = NormSpec(tuple(rng.choice([1.0, 2.0, math.inf], size=len(dims))), 2.0)
+            count = int(rng.integers(1, 7))
+            rows = rng.standard_normal((count, math.prod(dims)))
+            rows *= np.exp(rng.standard_normal((count, 1)))
+            row_l2 = np.array([np.linalg.norm(r) for r in rows])
+            kappa = hs_to_op_scale(dims, norms)
+            tri = row_l2 * rng.uniform(0.1, 3.0, size=count)
+            if trial % 2:  # move the triangle sum next to the skip threshold
+                bound = float(np.max(row_l2)) * (count ** (1.0 / pp - 0.5) if pp < 2 else 1.0)
+                tri *= kappa * bound * rng.uniform(0.999, 1.001) / weighted_power_sum(
+                    tri, np.ones(count), pp)
+            tri_sum = weighted_power_sum(tri, np.ones(count), pp)
+            wins = tensor_norm._triangle_wins(tri_sum, kappa, row_l2, pp)
+            paths[wins] += 1
+            if wins:
+                uppers = op_ball_uppers(rows, tri, np.ones(count), dims, norms, pp)
+                assert min(uppers.values()) == tri_sum, (pp, uppers, tri_sum)
+    assert paths[True] > 0 and paths[False] > 0, paths
 
 
 def test_rebalance_of_all_degenerate_pairs_raises():
