@@ -8,7 +8,6 @@ from .bounds import BoundReport
 from .formnorm import (
     config_denominator,
     operator_norm,
-    operator_norm_upper,
     rank_one_form,
 )
 from .hilbert_schmidt import (
@@ -90,7 +89,6 @@ __all__ = [
     "khintchine_constant",
     "lower_bound_config",
     "operator_norm",
-    "operator_norm_upper",
     "pietsch_upper_lp",
     "rank_one_form",
     "restrict_operator",

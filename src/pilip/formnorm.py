@@ -34,16 +34,17 @@ from .tensors import (
     SegrePoint,
     dual_exponent,
     dual_norming_vector,
+    elementary_tensor,
     eval_operator,
     eval_rows,
     norming_rows,
+    pair_factors,
     row_norms,
     vector_norm,
 )
 
 __all__ = [
     "operator_norm",
-    "operator_norm_upper",
     "config_denominator",
     "rank_one_form",
     "rank_one_norm",
@@ -90,10 +91,7 @@ def rank_one_form(vectors: Sequence[np.ndarray], norms: NormSpec) -> Multilinear
     the dual norms of the vectors, which makes rank-one forms the one family
     whose normalization needs no search.
     """
-    out = np.array(1.0)
-    for v in vectors:
-        out = np.multiply.outer(out, np.asarray(v, dtype=float))
-    kernel = out[..., np.newaxis]
+    kernel = elementary_tensor(SegrePoint.of(*vectors)).array[..., np.newaxis]
     return MultilinearOperator.from_array(kernel, NormSpec(norms.factors, 2.0))
 
 
@@ -178,12 +176,12 @@ def _alternating_max(
     return best, factors
 
 
-def _extreme_sets(op: MultilinearOperator, cap: int) -> list[list[np.ndarray]] | None:
+def _extreme_sets(op: MultilinearOperator) -> list[list[np.ndarray]] | None:
     """Per-factor extreme points with one global sign fixed per factor.
 
     Flipping the sign of any single factor only flips the sign of T(x), so
     the enumeration may pin one sign per slot.  Returns None when a factor
-    has an l2 ball of dimension >= 2 or the tuple count exceeds `cap`.
+    has an l2 ball of dimension >= 2 or the tuple count exceeds ENUMERATION_CAP.
     """
     sets: list[list[np.ndarray]] = []
     total = 1
@@ -200,22 +198,22 @@ def _extreme_sets(op: MultilinearOperator, cap: int) -> list[list[np.ndarray]] |
         else:
             return None
         total *= len(pts)
-        if total > cap:
+        if total > ENUMERATION_CAP:
             return None
         sets.append(pts)
     return sets
 
 
-def _enumeration_max(op: MultilinearOperator, cap: int) -> tuple[float, SegrePoint] | None:
-    sets = _extreme_sets(op, cap)
+def _enumeration_max(op: MultilinearOperator) -> tuple[float, SegrePoint] | None:
+    """The largest ||T(x)|| over the extreme tuples and its first maximizer, with every tuple
+    evaluated in one `eval_rows` call."""
+    sets = _extreme_sets(op)
     if sets is None:
         return None
-    best, arg = -1.0, None
-    for combo in _product(sets):
-        value = vector_norm(eval_operator(op, SegrePoint(tuple(combo))), op.norms.codomain)
-        if value > best:
-            best, arg = value, SegrePoint(tuple(combo))
-    return best, arg
+    combos = list(itertools.product(*sets))
+    values = row_norms(eval_rows(op, [np.array(X) for X in zip(*combos)]), op.norms.codomain)
+    i = int(np.argmax(values))  # the first maximum
+    return float(values[i]), SegrePoint(combos[i])
 
 
 def _svd_argmax(op: MultilinearOperator) -> tuple[float, SegrePoint] | None:
@@ -227,26 +225,6 @@ def _svd_argmax(op: MultilinearOperator) -> tuple[float, SegrePoint] | None:
         u, s, vt = np.linalg.svd(kernel)
         return float(s[0]), SegrePoint((u[:, 0],))
     return None
-
-
-def operator_norm_upper(
-    op: MultilinearOperator, enumeration_cap: int = ENUMERATION_CAP
-) -> tuple[float, str]:
-    """Certified upper bound on ||T|| and the method that produced it.
-
-    Exact when the factor balls enumerate (l1/linf, small dims) or the SVD
-    applies; otherwise the scaled-HS relaxation ("relaxed").
-    """
-    kernel = op.kernel.array
-    if not np.any(kernel):
-        return 0.0, "zero"
-    enum = _enumeration_max(op, enumeration_cap)
-    if enum is not None:
-        return enum[0], "enumeration"
-    svd = _svd_argmax(op)
-    if svd is not None:
-        return svd[0], "svd"
-    return _relaxed_upper(op), "relaxed"
 
 
 def _relaxed_upper(op: MultilinearOperator) -> float:
@@ -263,7 +241,6 @@ def operator_norm(
     *,
     seed: int = 0,
     restarts: int = DEFAULT_RESTARTS,
-    enumeration_cap: int = ENUMERATION_CAP,
 ) -> BoundReport:
     """Bracket ||T|| = sup over the factor unit balls of ||T(x)||_Y.
 
@@ -271,13 +248,14 @@ def operator_norm(
     bracket has zero width on the enumeration and SVD paths, where that
     point attains the supremum); otherwise the lower end comes from
     multi-start alternating maximization and the upper end from the
-    scaled-HS relaxation, tagged "relaxed".
+    scaled-HS relaxation, tagged "relaxed".  With restarts = 0 no search
+    runs, and certified_upper is the certified upper alone.
     """
     kernel = op.kernel.array
     if not np.any(kernel):
         return BoundReport(0.0, 0.0, 0.0, method="zero")
 
-    enum = _enumeration_max(op, enumeration_cap)
+    enum = _enumeration_max(op)
     if enum is not None:
         value, argmax = enum
         return BoundReport(
@@ -307,15 +285,6 @@ def operator_norm(
         best, best, max(upper, best), method="relaxed",
         detail={"argmax": argmax, "seed": seed, "restarts": restarts},
     )
-
-
-def _product(sets: list[list[np.ndarray]]):
-    if not sets:
-        yield []
-        return
-    for head in sets[0]:
-        for tail in _product(sets[1:]):
-            yield [head] + tail
 
 
 # ---------------------------------------------------------------------------
@@ -528,11 +497,11 @@ def _rank_one_ascent(
 
     # the slots of each dimension: (slots, d, their PU and PV as (n_g, P, d) stacks, their
     # factor norms and dual norms)
-    groups = []
+    groups, F = [], pair_factors(cfg.pairs)
     for d in dict.fromkeys(dims):
         slots = [k for k in range(n) if dims[k] == d]
-        groups.append((slots, d, np.array([[u.factors[k] for u, _ in cfg.pairs] for k in slots]),
-                       np.array([[v.factors[k] for _, v in cfg.pairs] for k in slots]),
+        groups.append((slots, d, np.array([F[k][:P] for k in slots]),
+                       np.array([F[k][P:] for k in slots]),
                        exponents([norms.factors[k] for k in slots]),
                        exponents([dual_exponent(norms.factors[k]) for k in slots])))
     # slot k is entry i of group g, loc[k] = (g, i); the pu and pv that a start keeps hold
@@ -616,11 +585,13 @@ def _rank_one_ascent(
     return value, [Ls[g][:, i * dims[k]:(i + 1) * dims[k]] for k, (g, i) in enumerate(loc)]
 
 
-def pair_triangle(u: Sequence[np.ndarray], v: Sequence[np.ndarray], norms: NormSpec) -> float:
-    """prod||u_k|| + prod||v_k|| for the factors u_k, v_k of two Segre points u and v, which
-    bounds |phi(u) - phi(v)| for every phi with ||phi||_op <= 1."""
-    return (math.prod(vector_norm(f, r) for f, r in zip(u, norms.factors))
-            + math.prod(vector_norm(f, r) for f, r in zip(v, norms.factors)))
+def pair_triangle(factors: Sequence[np.ndarray], norms: NormSpec) -> np.ndarray:
+    """prod_k ||u_k|| + prod_k ||v_k|| of every pair of Segre points (u, v), which bounds
+    |phi(u) - phi(v)| for every phi with ||phi||_op <= 1.  factors[k] stacks the k-th factors
+    of the K points u over those of the K points v (`pair_factors`), a (2K, d_k) array; the
+    slot norms multiply left to right.  Returns K values."""
+    t = _prod(row_norms(X, r) for X, r in zip(factors, norms.factors))
+    return t[:len(t) // 2] + t[len(t) // 2:]
 
 
 def op_ball_uppers(
@@ -643,7 +614,6 @@ def config_denominator(
     seed: int = 0,
     restarts: int = DEFAULT_RESTARTS,
     max_iters: int = ASCENT_MAX_ITERS,
-    tol: float = ASCENT_TOL,
     extra_rank_one_starts: Sequence[Sequence[np.ndarray]] | None = None,
     extra_kernels: Sequence[np.ndarray] | None = None,
 ) -> BoundReport:
@@ -669,8 +639,7 @@ def config_denominator(
         raise ValueError("norm spec does not match configuration dims")
 
     weights = np.asarray(cfg.weights)
-    delta_list = cfg.deltas()
-    deltas = np.stack([d.reshape(-1) for d in delta_list])
+    deltas = cfg.rows
     detail: dict = {"seed": seed, "restarts": restarts, "ball": ball, "p": p}
 
     if math.prod(cfg.dims) == 1:
@@ -689,14 +658,15 @@ def config_denominator(
             lower = max(lower, _hs_value(cand, deltas, weights, p))
         draws = np.array([stream(seed, 1, i).standard_normal(deltas.shape[1])
                           for i in range(restarts)]).reshape(restarts, deltas.shape[1])
-        lower = max([lower, *map(float, _hs_ascent(deltas, weights, p, draws, max_iters, tol))])
+        ends = _hs_ascent(deltas, weights, p, draws, max_iters, ASCENT_TOL)
+        lower = max([lower, *map(float, ends)])
         return BoundReport(lower, lower, max(hs_up, lower), method="hs-ascent", detail=detail)
 
     # operator ball
-    triangle = [pair_triangle(u.factors, v.factors, norms) for u, v in cfg.pairs]
+    triangle = pair_triangle(pair_factors(cfg.pairs), norms)
     uppers = op_ball_uppers(deltas, triangle, weights, cfg.dims, norms, p)
     if len(cfg) == 1 and len(cfg.dims) == 2 and norms.factors == (2.0, 2.0):
-        nuc = float(np.sum(np.linalg.svd(delta_list[0], compute_uv=False)))
+        nuc = float(np.sum(np.linalg.svd(deltas[0].reshape(cfg.dims), compute_uv=False)))
         a0 = 1.0 if math.isinf(p) else float(weights[0] ** (1.0 / p))
         uppers["nuclear"] = a0 * nuc
     method_up = min(uppers, key=uppers.get)
@@ -713,7 +683,7 @@ def config_denominator(
     for i in range(len(starts), max(restarts, len(starts))):
         rng = stream(seed, 2, i)
         starts.append([rng.standard_normal(d) for d in cfg.dims])
-    values, lams = _rank_one_ascent(cfg, norms, p, starts, max_iters, tol)
+    values, lams = _rank_one_ascent(cfg, norms, p, starts, max_iters, ASCENT_TOL)
     best = int(np.argmax(values))  # the first maximum
     if values[best] > certified:
         certified, best_lams = float(values[best]), [L[best] for L in lams]
@@ -727,8 +697,8 @@ def config_denominator(
     _, _, vt = np.linalg.svd(deltas * w2[:, None], full_matrices=False)
     kernels = [vt[0]] + [np.asarray(k, dtype=float).reshape(-1) for k in (extra_kernels or [])]
     if len(cfg.dims) == 2 and norms.factors == (2.0, 2.0):
-        for d_mat in delta_list[:4]:
-            du, _, dvt = np.linalg.svd(d_mat, full_matrices=False)
+        for row in deltas[:4]:
+            du, _, dvt = np.linalg.svd(row.reshape(cfg.dims), full_matrices=False)
             kernels.append((du @ dvt).reshape(-1))
     for G_flat in kernels:
         nrm = np.linalg.norm(G_flat)

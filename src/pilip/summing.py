@@ -38,7 +38,6 @@ from .formnorm import (
     config_denominator,
     lockstep_ascent,
     operator_norm,
-    operator_norm_upper,
     rank_one_form,
     rank_one_norm,
     slot_gradient,
@@ -52,13 +51,16 @@ from .tensors import (
     PairConfiguration,
     SegrePoint,
     ShapeError,
+    degenerate_rows,
     dual_exponent,
     dual_norming_vector,
     elementary_rows,
-    elementary_tensor,
-    eval_operator,
+    eval_differences,
     eval_rows,
     norming_rows,
+    pair_factors,
+    pair_rows,
+    point_rows,
     project_rows,
     project_to_ball,
     row_norms,
@@ -78,6 +80,10 @@ __all__ = [
     "symmetrize_kernel",
     "estimate_pi_lip_poly",
 ]
+
+GAUSSIAN_FORMS = 32  # random forms in an initial dictionary
+COLLAPSE_TOL = 1e-9  # distances at or below it count as collapsed in a factorization
+SYMMETRY_TOL = 1e-12  # relative asymmetry a polynomial's kernel may have
 
 
 @dataclass(frozen=True)
@@ -130,24 +136,26 @@ class PietschCertificate:
         """Stacked form kernels: row j pairs with a vectorized tensor."""
         return np.stack([f.kernel.data for f in self.dictionary])
 
-    def embed(self, x: SegrePoint) -> np.ndarray:
-        """j_p(x) = (w_j^(1/p) phi_j(x))_j, a point of l_p^len(dictionary)."""
+    def embed_rows(self, factors: Sequence[np.ndarray]) -> np.ndarray:
+        """j_p(x) = (w_j^(1/p) phi_j(x))_j, a point of l_p^len(dictionary), of every point x
+        whose factors are the rows of the (R, d_k) arrays, as an (R, len(dictionary)) array:
+        one gemv per row, as `form_matrix() @ x` takes it."""
         if not self.dictionary:
-            return np.zeros(0)
-        vals = self.form_matrix() @ elementary_tensor(x).data
+            return np.zeros((len(factors[0]), 0))
+        vals = (self.form_matrix() @ elementary_rows(factors)[:, :, None])[..., 0]
         return np.asarray(self.weights) ** (1.0 / self.p) * vals
 
-    def embedded_distance(self, u: SegrePoint, v: SegrePoint) -> float:
-        diff = self.embed(u) - self.embed(v)
-        return float(np.sum(np.abs(diff) ** self.p) ** (1.0 / self.p))
+    def embedded_distances(self, pairs: Sequence[tuple[SegrePoint, SegrePoint]]) -> list[float]:
+        """||j_p(u) - j_p(v)||_p of every pair (u, v), each root a scalar power."""
+        emb = self.embed_rows(pair_factors(pairs))
+        sums = np.sum(np.abs(emb[:len(pairs)] - emb[len(pairs):]) ** self.p, axis=1)
+        return [x ** (1.0 / self.p) for x in sums.tolist()]
 
     def domination_margin(self, op: MultilinearOperator) -> float:
         """max over the pairset of lhs - constant * rhs (<= ~0 when valid)."""
-        worst = -math.inf
-        for u, v in self.pairset.pairs:
-            lhs = vector_norm(eval_operator(op, u) - eval_operator(op, v), op.norms.codomain)
-            worst = max(worst, lhs - self.constant * self.embedded_distance(u, v))
-        return worst
+        pairs = self.pairset.pairs
+        lhs = row_norms(eval_differences(op, pairs), op.norms.codomain).tolist()
+        return max(a - self.constant * b for a, b in zip(lhs, self.embedded_distances(pairs)))
 
 
 @dataclass(frozen=True)
@@ -175,11 +183,8 @@ class FactorizationBundle:
 
 
 def _numerator(op: MultilinearOperator, cfg: PairConfiguration, p: float) -> float:
-    diffs = [
-        vector_norm(eval_operator(op, u) - eval_operator(op, v), op.norms.codomain)
-        for u, v in cfg.pairs
-    ]
-    return weighted_power_sum(np.asarray(diffs), np.asarray(cfg.weights), p)
+    diffs = row_norms(eval_differences(op, cfg.pairs), op.norms.codomain)
+    return weighted_power_sum(diffs, np.asarray(cfg.weights), p)
 
 
 def lower_bound_config(
@@ -230,7 +235,7 @@ def lower_bound_config(
 def _certified_form_scale(form: MultilinearOperator, ball: str) -> float:
     if ball == "hs":
         return form.kernel.frobenius()
-    return operator_norm_upper(form)[0]
+    return operator_norm(form, restarts=0).certified_upper
 
 
 def _normalize_dictionary(
@@ -306,13 +311,9 @@ def pietsch_upper_lp(
     if p < 1 or math.isinf(p):
         raise ValueError("p must be finite and >= 1")
     forms = _normalize_dictionary(dictionary, ball)
-    t = np.array(
-        [
-            vector_norm(eval_operator(op, u) - eval_operator(op, v), op.norms.codomain) ** p
-            for u, v in pairset.pairs
-        ]
-    )
-    Dm = np.stack([d.reshape(-1) for d in pairset.deltas()])
+    diffs = row_norms(eval_differences(op, pairset.pairs), op.norms.codomain)
+    t = np.array([x ** p for x in diffs.tolist()])  # a scalar power each
+    Dm = pairset.rows
     F = np.stack([f.kernel.data for f in forms]) if forms else np.zeros((0, Dm.shape[1]))
     c_p, dual_value, w, lam, reason = _pietsch_lp(np.abs(Dm @ F.T) ** p, t)
     if reason is not None:
@@ -393,7 +394,12 @@ def _violation_search(
         diff, vals = kept
         lhs = np.maximum(row_norms(diff, norms.codomain), 1e-300)[:, None]
         ystar = norming_rows(diff, s_dual)
-        rhs_p = np.maximum(form_sums(vals), 1e-300)[:, None]
+        sums = form_sums(vals)
+        # a start whose form sum vanishes (u (x) ... = v (x) ..., say) has the ratio 0: its
+        # gradient, divided by the 1e-300 clamps, would overflow, so it is taken as 0 and the
+        # start stops on gn
+        idle = sums == 0
+        rhs_p = np.maximum(sums, 1e-300)[:, None]
         coef = w * np.abs(vals) ** (p - 1.0) * np.sign(vals)
         combined = (coef[:, None, :] @ F)[:, 0, :].reshape((len(vals),) + op.dims + (1,))
         grads_u, grads_v = [], []
@@ -402,8 +408,8 @@ def _violation_search(
             gv = -slot_gradient(kernel, X_v, ystar, k) / lhs
             du = slot_gradient(combined, X_u, one, k)
             dv = -slot_gradient(combined, X_v, one, k)
-            grads_u.append(gu - du / rhs_p)
-            grads_v.append(gv - dv / rhs_p)
+            grads_u.append(np.where(idle[:, None], 0.0, gu - du / rhs_p))
+            grads_v.append(np.where(idle[:, None], 0.0, gv - dv / rhs_p))
         sq_u = sq_v = 0.0  # sum(u terms) + sum(v terms), as in the one-start loop
         for g_u, g_v in zip(grads_u, grads_v):
             sq_u = sq_u + (g_u[:, None, :] @ g_u[:, :, None])[:, 0, 0]
@@ -450,10 +456,9 @@ def initial_dictionary(
     seed: int,
     max_dictionary: int,
     ball: str,
-    n_gaussian: int = 32,
 ) -> list[MultilinearOperator]:
-    """Rank-one forms norming the pair factors, random Gaussian forms, and
-    (for scalar-valued T) the normalized operator itself."""
+    """Rank-one forms norming the pair factors, up to GAUSSIAN_FORMS random
+    Gaussian forms, and (for scalar-valued T) the normalized operator itself."""
     norms = op.norms
     forms: list[MultilinearOperator] = []
     if op.is_form():
@@ -469,7 +474,7 @@ def initial_dictionary(
             if len(forms) >= max_dictionary:
                 return forms
     rng = stream(seed, 6)
-    for _ in range(n_gaussian):
+    for _ in range(GAUSSIAN_FORMS):
         if len(forms) >= max_dictionary:
             break
         kernel = rng.standard_normal(op.dims + (1,))
@@ -586,12 +591,10 @@ def estimate_pi_lip(
         found = _violation_search(
             op, cert, p, child_seed(seed, 3, rnd), budget.adversarial_starts
         )
-        for u, v, _ in found[:4]:
-            if len(pairs) >= budget.max_pairs:
-                break
-            delta = elementary_tensor(u).array - elementary_tensor(v).array
-            if np.max(np.abs(delta)) > 1e-300:
-                pairs.append((u, v))
+        found = [(u, v) for u, v, _ in found[:4]]
+        if found:
+            fresh = [pr for pr, d in zip(found, degenerate_rows(pair_rows(found))) if not d]
+            pairs += fresh[:max(0, budget.max_pairs - len(pairs))]
 
         den = config_denominator(
             PairConfiguration(tuple(pairs)), p, ball, op.norms,
@@ -645,32 +648,34 @@ def build_factorization(
     cert: PietschCertificate,
     samples: Sequence[SegrePoint],
     op: MultilinearOperator,
-    *,
-    collapse_tol: float = 1e-9,
 ) -> FactorizationBundle:
     """Realize T = h o j_p on samples, with h Lipschitz on the certified pairs.
 
     Raises ValueError on an infeasible certificate.  Sample pairs that j_p
     collapses while T separates them are reported as quotient violations
     rather than raising; they mark pairs to re-solve the certificate with.
+    Distances at or below COLLAPSE_TOL (times the largest value entry when
+    that exceeds 1) count as collapsed.
     """
     if not cert.feasible:
         raise ValueError("cannot factorize through an infeasible certificate")
     samples = tuple(samples)
-    images = tuple(cert.embed(x) for x in samples)
-    values = tuple(eval_operator(op, x) for x in samples)
+    images, values = (), ()
+    if samples:
+        stacked = point_rows(samples)
+        images, values = tuple(cert.embed_rows(stacked)), tuple(eval_rows(op, stacked))
 
     lip = 0.0
-    for u, v in cert.pairset.pairs:
-        d_img = cert.embedded_distance(u, v)
-        d_val = vector_norm(eval_operator(op, u) - eval_operator(op, v), op.norms.codomain)
+    pairs = cert.pairset.pairs
+    d_vals = row_norms(eval_differences(op, pairs), op.norms.codomain).tolist()
+    for d_img, d_val in zip(cert.embedded_distances(pairs), d_vals):
         if d_img > 1e-300:
             lip = max(lip, d_val / d_img)
-        elif d_val > collapse_tol:
+        elif d_val > COLLAPSE_TOL:
             lip = math.inf
 
     scale = max((float(np.max(np.abs(v))) for v in values), default=0.0)
-    tol = collapse_tol * max(1.0, scale)
+    tol = COLLAPSE_TOL * max(1.0, scale)
     violations = []
     for i in range(len(samples)):
         for j in range(i + 1, len(samples)):
@@ -719,10 +724,6 @@ def symmetrize_kernel(kernel: np.ndarray) -> np.ndarray:
     return acc / count
 
 
-def _poly_value(op: MultilinearOperator, x: np.ndarray) -> np.ndarray:
-    return eval_operator(op, SegrePoint((x,) * op.n))
-
-
 def _diag_power_form(lam: np.ndarray, n: int, norms: NormSpec) -> MultilinearOperator:
     """q(x) = <lam, x>^n scaled to exact polynomial norm 1 = ||lam||_(r')^n."""
     form = rank_one_form([lam] * n, norms)
@@ -738,14 +739,13 @@ def estimate_pi_lip_poly(
     budget: Budget | None = None,
     *,
     seed: int = 0,
-    symmetry_tol: float = 1e-12,
 ) -> BoundReport:
     """Summing-norm bracket for the homogeneous polynomial x -> T(x, ..., x).
 
     Same pipeline as ``estimate_pi_lip`` restricted to diagonal Segre
     points, with the denominator ball switched to polynomials normalized on
     the single unit ball.  Requires a permutation-symmetric kernel (within
-    `symmetry_tol` relative).
+    SYMMETRY_TOL relative).
     """
     budget = budget or Budget()
     n, d = op.n, op.dims[0]
@@ -753,7 +753,7 @@ def estimate_pi_lip_poly(
         raise ValueError("polynomial estimation needs identical factor spaces")
     kernel = op.kernel.array
     scale = max(float(np.max(np.abs(kernel))), 1e-300)
-    if float(np.max(np.abs(kernel - symmetrize_kernel(kernel)))) > symmetry_tol * scale:
+    if float(np.max(np.abs(kernel - symmetrize_kernel(kernel)))) > SYMMETRY_TOL * scale:
         raise ValueError("kernel is not symmetric under factor permutations")
     if not np.any(kernel):
         return BoundReport(0.0, 0.0, 0.0, method="zero")
@@ -770,7 +770,7 @@ def estimate_pi_lip_poly(
 
     forms: list[MultilinearOperator] = []
     if op.is_form():
-        up = operator_norm_upper(op)[0]  # operator norm majorizes the poly norm
+        up = operator_norm(op, restarts=0).certified_upper  # majorizes the poly norm
         if up > 0:
             forms.append(MultilinearOperator.from_array(kernel / up, op.norms))
     for e in np.eye(d):
@@ -783,22 +783,16 @@ def estimate_pi_lip_poly(
         forms.append(_diag_power_form(gauss.standard_normal(d), n, op.norms))
     forms = _dedup_forms(forms, budget.max_dictionary)
 
-    live_pairs, t_rows = [], []
-    for x, y in diag_pairs:
-        ex = elementary_tensor(SegrePoint((x,) * n)).array
-        ey = elementary_tensor(SegrePoint((y,) * n)).array
-        if np.max(np.abs(ex - ey)) <= 1e-300:
-            continue
-        diff = _poly_value(op, x) - _poly_value(op, y)
-        live_pairs.append((x, y))
-        t_rows.append(vector_norm(diff, op.norms.codomain) ** p)
-    t = np.array(t_rows)
-    S = np.array(
-        [
-            [abs(float(_poly_value(f, x)[0]) - float(_poly_value(f, y)[0])) ** p for f in forms]
-            for x, y in live_pairs
-        ]
-    )
+    # the pairs' diagonal points, x's over y's, leaving out the degenerate pairs
+    xy = np.array([x for x, _ in diag_pairs] + [y for _, y in diag_pairs]).reshape(-1, d)
+    E = elementary_rows([xy] * n)
+    live = ~degenerate_rows(E[:len(diag_pairs)] - E[len(diag_pairs):])
+    live_pairs = [pr for pr, k in zip(diag_pairs, live) if k]
+    L, at = len(live_pairs), [xy[np.concatenate([live, live])]] * n
+    values = eval_rows(op, at)
+    t = np.array([x ** p for x in row_norms(values[:L] - values[L:], op.norms.codomain).tolist()])
+    vals = [eval_rows(f, at)[:, 0].tolist() for f in forms]  # each form at every point
+    S = np.array([[abs(v[i] - v[L + i]) ** p for v in vals] for i in range(L)])
     upper = _pietsch_lp(S, t)[0] ** (1.0 / p)
 
     # certified lower: best single-pair ratio against a certified poly-ball upper

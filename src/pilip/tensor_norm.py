@@ -24,6 +24,7 @@ from .formnorm import (
     config_denominator,
     hs_to_op_scale,
     op_ball_uppers,
+    pair_triangle,
     rank_one_norm,
     weighted_power_sum,
 )
@@ -35,12 +36,13 @@ from .tensors import (
     NormSpec,
     PairConfiguration,
     SegrePoint,
+    degenerate_rows,
     dual_exponent,
     dual_norming_vector,
     elementary_rows,
     elementary_tensor,
-    eval_operator,
-    row_norms,
+    eval_differences,
+    pair_rows,
     vector_norm,
 )
 
@@ -104,9 +106,11 @@ class Representation:
 
     def reconstruct(self, dims: tuple[int, ...], m: int) -> np.ndarray:
         out = np.zeros(dims + (m,))
-        for p_pt, q_pt, y in self.terms:
-            delta = elementary_tensor(p_pt).array - elementary_tensor(q_pt).array
-            out += np.multiply.outer(delta, np.asarray(y, dtype=float))
+        if not self.terms:
+            return out
+        rows = pair_rows([(p_pt, q_pt) for p_pt, q_pt, _ in self.terms])
+        for row, (_, _, y) in zip(rows, self.terms):  # term by term, as the sum is defined
+            out += np.multiply.outer(row.reshape(dims), np.asarray(y, dtype=float))
         return out
 
     def residual(self, z: MixedTensor) -> float:
@@ -165,14 +169,7 @@ def _elementary_factors(w: np.ndarray, tol: float = 1e-10) -> list[np.ndarray] |
 
 def _solve_ys(pairs: list[tuple[SegrePoint, SegrePoint]], Z: np.ndarray) -> np.ndarray:
     """Least-squares y-block for fixed pairs: minimizes the reconstruction error."""
-    W = np.stack(
-        [
-            (elementary_tensor(u).array - elementary_tensor(v).array).reshape(-1)
-            for u, v in pairs
-        ],
-        axis=1,
-    )
-    Y, *_ = np.linalg.lstsq(W, Z, rcond=None)
+    Y, *_ = np.linalg.lstsq(pair_rows(pairs).T, Z, rcond=None)
     return Y
 
 
@@ -269,12 +266,9 @@ def _rebalance(rep: Representation, z: MixedTensor, p: float, pp: float) -> Repr
 
     def parts(stacks, y):
         E = elementary_rows(stacks)
-        row = E[0] - E[1]
-        tri = np.ones(2)  # pair_triangle: the slot norms of p and of q, multiplied left to right
-        for X, r in zip(stacks, norms.factors):
-            tri = tri * row_norms(X, r)
-        return (row, float(tri[0] + tri[1]), vector_norm(y, norms.codomain),
-                not np.max(np.abs(row)) <= 1e-300, math.sqrt(row @ row))
+        rows = E[:1] - E[1:]
+        return (rows[0], float(pair_triangle(stacks, norms)[0]), vector_norm(y, norms.codomain),
+                not degenerate_rows(rows)[0], math.sqrt(rows[0] @ rows[0]))
 
     ones = np.ones(len(rep.terms))
 
@@ -444,11 +438,8 @@ def _rank_one_witnesses(z: MixedTensor, seed: int, count: int = 12) -> list[Dual
 
     def add(vecs: list[np.ndarray], ystar: np.ndarray) -> None:
         lam = [dual_norming_vector(c, dual_exponent(r)) for c, r in zip(vecs, norms.factors)]
-        kernel = np.array(1.0)
-        for lv in lam:
-            kernel = np.multiply.outer(kernel, lv)
-        kernel = np.multiply.outer(kernel, ystar)
-        w_op = MultilinearOperator.from_array(kernel.reshape(dims + (m,)), norms)
+        kernel = elementary_tensor(SegrePoint((*lam, ystar))).array
+        w_op = MultilinearOperator.from_array(kernel, norms)
         pi_up = rank_one_norm(lam, norms) * vector_norm(ystar, s_dual)
         if pi_up > 0:
             witnesses.append(DualWitness(w_op, pi_up, certified=True))
@@ -551,8 +542,7 @@ def check_delta_epsilon_bound(
     """Finitary check: Delta_p of the mapped differences is at most
     (LP constant on cfg) x (epsilon certified upper), within tol."""
     budget = budget or Budget()
-    ys = [eval_operator(op, u) - eval_operator(op, v) for u, v in cfg.pairs]
-    lhs = delta_p_norm(ys, p, op.norms.codomain)
+    lhs = delta_p_norm(eval_differences(op, cfg.pairs), p, op.norms.codomain)
     eps = epsilon_norm_diff(cfg, p, op.norms, seed=child_seed(seed, 23),
                             restarts=max(8, budget.restarts // 8))
     dictionary = initial_dictionary(

@@ -29,8 +29,13 @@ __all__ = [
     "PairConfiguration",
     "eval_operator",
     "eval_rows",
+    "eval_differences",
     "elementary_tensor",
     "elementary_rows",
+    "point_rows",
+    "pair_factors",
+    "pair_rows",
+    "degenerate_rows",
     "vector_norm",
     "row_norms",
     "unit_vector",
@@ -217,13 +222,16 @@ class SegrePoint:
 class PairConfiguration:
     """Weighted pairs (u_i, v_i) of Segre points.
 
-    Weights default to 1.  Pairs whose elementary tensors coincide contribute
-    nothing to any summing estimate and are dropped at construction with a
-    `DegeneratePairWarning`.
+    Weights default to 1.  `rows` holds the flattened elementary-tensor
+    differences u_i (x) ... - v_i (x) ... of the kept pairs, one read-only row
+    per pair (`pair_rows`).  Pairs whose elementary tensors coincide
+    (`degenerate_rows`) contribute nothing to any summing estimate and are
+    dropped at construction, each with a `DegeneratePairWarning`.
     """
 
     pairs: tuple[tuple[SegrePoint, SegrePoint], ...]
     weights: tuple[float, ...] = field(default=())
+    rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pairs = tuple(self.pairs)
@@ -238,22 +246,23 @@ class PairConfiguration:
         for u, v in pairs:
             if u.dims != dims or v.dims != dims:
                 raise ShapeError("all pairs must share the factor dimensions")
-        kept_pairs, kept_weights = [], []
-        for (u, v), w in zip(pairs, weights):
-            delta = elementary_tensor(u).array - elementary_tensor(v).array
-            if np.max(np.abs(delta)) <= 1e-300:
-                warnings.warn(
-                    "dropping degenerate pair (equal elementary tensors)",
-                    DegeneratePairWarning,
-                    stacklevel=2,
-                )
-                continue
-            kept_pairs.append((u, v))
-            kept_weights.append(w)
-        if not kept_pairs:
+        rows = pair_rows(pairs)
+        drop = degenerate_rows(rows)
+        for _ in range(int(drop.sum())):
+            warnings.warn(
+                "dropping degenerate pair (equal elementary tensors)",
+                DegeneratePairWarning,
+                stacklevel=2,
+            )
+        if drop.all():
             raise ValueError("configuration is empty after dropping degenerate pairs")
-        object.__setattr__(self, "pairs", tuple(kept_pairs))
-        object.__setattr__(self, "weights", tuple(kept_weights))
+        pairs = tuple(pr for pr, d in zip(pairs, drop) if not d)
+        weights = tuple(w for w, d in zip(weights, drop) if not d)
+        rows = rows[~drop]
+        rows.flags.writeable = False
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "rows", rows)
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -261,12 +270,6 @@ class PairConfiguration:
     @property
     def dims(self) -> tuple[int, ...]:
         return self.pairs[0][0].dims
-
-    def deltas(self) -> list[np.ndarray]:
-        """Elementary-tensor differences u_i (x) ... - v_i (x) ... as arrays."""
-        return [
-            elementary_tensor(u).array - elementary_tensor(v).array for u, v in self.pairs
-        ]
 
     def with_pairs(self, extra: Iterable[tuple[SegrePoint, SegrePoint]]) -> "PairConfiguration":
         extra = tuple(extra)
@@ -285,43 +288,70 @@ def eval_operator(op: MultilinearOperator, x: SegrePoint) -> np.ndarray:
     """Evaluate T(x1, ..., xn): contract the kernel against the factors.
 
     Linear in each slot; equals the pairing of the kernel with the
-    elementary tensor of x.
+    elementary tensor of x.  The one-row case of `eval_rows`.
     """
-    if x.dims != op.dims:
-        raise ShapeError(f"factor dims {x.dims} do not match operator dims {op.dims}")
-    out = op.kernel.array
-    for f in x.factors:
-        out = np.tensordot(f, out, axes=(0, 0))
-    return out
+    return eval_rows(op, [f[None] for f in x.factors])[0]
 
 
 def eval_rows(op: MultilinearOperator, factors: Sequence[np.ndarray]) -> np.ndarray:
-    """eval_operator at every point whose factors are the rows of the (R, d_k) arrays, as an
-    (R, m) array.  One gemv per row and slot, as the tensordot chain of eval_operator does: a
-    single gemm would sum in another order and round differently."""
-    if tuple(X.shape[1] for X in factors) != op.dims:
-        raise ShapeError(f"factor dims do not match operator dims {op.dims}")
+    """T at every point whose factors are the rows of the (R, d_k) arrays, as an (R, m) array.
+    One gemv per row and slot, so each row has the bits of a one-row call: a single gemm
+    would sum in another order and round differently."""
+    dims = tuple(X.shape[1] for X in factors)
+    if dims != op.dims:
+        raise ShapeError(f"factor dims {dims} do not match operator dims {op.dims}")
     out = (factors[0][:, None, :] @ op.kernel.array.reshape(op.dims[0], -1))[:, 0, :]
     for X, d in zip(factors[1:], op.dims[1:]):
         out = (X[:, None, :] @ out.reshape(len(X), d, out.shape[1] // d))[:, 0, :]
     return out
 
 
+def eval_differences(
+    op: MultilinearOperator, pairs: Sequence[tuple[SegrePoint, SegrePoint]]
+) -> np.ndarray:
+    """T(u_i) - T(v_i) of every pair, as a (K, m) array (`eval_rows` on the stacked points)."""
+    values = eval_rows(op, pair_factors(pairs))
+    return values[:len(pairs)] - values[len(pairs):]
+
+
 def elementary_tensor(x: SegrePoint) -> DenseTensor:
-    """The rank-one tensor with entries prod_k x_k[i_k]."""
-    out = np.array(1.0)
-    for f in x.factors:
-        out = np.multiply.outer(out, f)
-    return DenseTensor.from_array(out.reshape(x.dims))
+    """The rank-one tensor with entries prod_k x_k[i_k]: the one-row case of
+    `elementary_rows`."""
+    return DenseTensor(x.dims, elementary_rows([f[None] for f in x.factors])[0])
 
 
 def elementary_rows(factors: Sequence[np.ndarray]) -> np.ndarray:
-    """elementary_tensor(x).data of every point x whose factors are the rows of the (R, d_k)
-    arrays, as an (R, prod d_k) array with the same products."""
+    """The flattened elementary tensor of every point whose factors are the rows of the
+    (R, d_k) arrays, as an (R, prod d_k) array; the products are taken left to right."""
     out = np.ones((len(factors[0]), 1))
     for X in factors:
         out = (out[:, :, None] * X[:, None, :]).reshape(len(X), out.shape[1] * X.shape[1])
     return out
+
+
+def point_rows(points: Sequence[SegrePoint]) -> list[np.ndarray]:
+    """The factors of the points stacked slot by slot: one (R, d_k) array per slot, row i
+    from point i.  The layout `eval_rows` and `elementary_rows` take."""
+    return [np.array([x.factors[k] for x in points]) for k in range(len(points[0].factors))]
+
+
+def pair_factors(pairs: Sequence[tuple[SegrePoint, SegrePoint]]) -> list[np.ndarray]:
+    """`point_rows` of the K points u_i followed by the K points v_i: one (2K, d_k) array per
+    slot, the u's over the v's."""
+    return point_rows([u for u, _ in pairs] + [v for _, v in pairs])
+
+
+def pair_rows(pairs: Sequence[tuple[SegrePoint, SegrePoint]]) -> np.ndarray:
+    """The flattened elementary-tensor difference u_i (x) ... - v_i (x) ... of every pair, as
+    a (K, prod d_k) array."""
+    E = elementary_rows(pair_factors(pairs))
+    return E[:len(pairs)] - E[len(pairs):]
+
+
+def degenerate_rows(rows: np.ndarray) -> np.ndarray:
+    """The drop rule for pairs: whether each difference row has max |entry| <= 1e-300, that
+    is, whether the pair's two elementary tensors coincide."""
+    return np.max(np.abs(rows), axis=1) <= 1e-300
 
 
 def vector_norm(v: np.ndarray, r: float) -> float:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -9,10 +10,11 @@ from pilip import formnorm
 from pilip.formnorm import (
     ASCENT_MAX_ITERS,
     ASCENT_TOL,
+    ENUMERATION_CAP,
     config_denominator,
     hs_to_op_scale,
     operator_norm,
-    operator_norm_upper,
+    pair_triangle,
     rank_one_form,
     rank_one_norm,
 )
@@ -24,6 +26,7 @@ from pilip.tensors import (
     dual_exponent,
     dual_norming_vector,
     eval_operator,
+    pair_factors,
     vector_norm,
 )
 from pilip.verify import lambda_n, random_pairs
@@ -143,7 +146,7 @@ def _grid_denominator_1d(cfg, p, n_grid=7200):
     """Brute-force sup over the unit l2 ball of forms in R^2 (n = 1)."""
     thetas = np.linspace(0.0, 2 * np.pi, n_grid, endpoint=False)
     phis = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
-    deltas = np.stack([d.reshape(-1) for d in cfg.deltas()])
+    deltas = cfg.rows
     vals = np.abs(phis @ deltas.T) ** p @ np.asarray(cfg.weights)
     return float(np.max(vals) ** (1.0 / p))
 
@@ -187,7 +190,7 @@ def test_denominator_nuclear_single_pair_is_exact_l2():
     v = SegrePoint(tuple(rng.standard_normal(2) for _ in range(2)))
     cfg = PairConfiguration(((u, v),))
     rep = config_denominator(cfg, 2.0, "op", seed=2)
-    delta = cfg.deltas()[0]
+    delta = cfg.rows[0].reshape(cfg.dims)
     nuclear = float(np.sum(np.linalg.svd(delta, compute_uv=False)))
     assert rep.certified_upper <= nuclear + 1e-12
     # the spectral-ball sup of <G, delta> is achieved; ascent should get close
@@ -206,7 +209,7 @@ def test_denominator_p_inf_uses_max():
     rng = stream(12)
     cfg = random_pairs((2, 2), 3, rng)
     rep = config_denominator(cfg, math.inf, "hs")
-    expected = max(np.linalg.norm(d) for d in cfg.deltas())
+    expected = max(np.linalg.norm(d) for d in cfg.rows)
     np.testing.assert_allclose(rep.certified_upper, expected, rtol=1e-12)
 
 
@@ -303,7 +306,7 @@ def test_hs_to_op_scale_l1_counterexample_guard():
     spec1 = NormSpec((1.0,), 2.0)
     assert hs_to_op_scale((2,), spec1) >= math.sqrt(2.0) - 1e-12
     form = MultilinearOperator.from_array(np.ones((2, 1)), spec1)
-    up, _ = operator_norm_upper(form)
+    up = operator_norm(form, restarts=0).certified_upper
     hs = form.kernel.frobenius()
     assert hs <= hs_to_op_scale((2,), spec1) * up + 1e-12
 
@@ -333,7 +336,7 @@ def test_denominator_brackets_grid_oracle_all_exponents(ball, r, p):
         for _ in range(3)
     )
     cfg = PairConfiguration(pairs)
-    deltas = np.stack([d.reshape(-1) for d in cfg.deltas()])
+    deltas = cfg.rows
     r_dual = 2.0 if ball == "hs" else {1.0: math.inf, 2.0: 2.0, math.inf: 1.0}[r]
     vals = np.abs(_grid_ball_2d(r_dual) @ deltas.T)
     if math.isinf(p):
@@ -703,7 +706,7 @@ def test_operator_norm_without_restarts_has_zero_lower_end():
     op = MultilinearOperator.from_array(stream(80).standard_normal((2, 2, 2, 2)))
     rep = operator_norm(op, restarts=0)
     assert rep.certified_lower == 0.0 and rep.detail["argmax"] is None
-    assert rep.certified_upper == operator_norm_upper(op)[0] > 0
+    assert rep.certified_upper == formnorm._relaxed_upper(op) > 0
 
 
 def test_operator_norm_pinned_values():
@@ -717,3 +720,90 @@ def test_operator_norm_pinned_values():
     rep = operator_norm(op, seed=0, restarts=8)
     assert repr([rep.certified_lower, rep.certified_upper]) == repr(
         [3.6644274890840927, 4.237541798334501])
+
+
+# --------------------------------------------------------------------------
+# batched extreme-point enumeration and the stacked triangle bound
+# --------------------------------------------------------------------------
+
+
+def _serial_enumeration_max(op):
+    """The enumeration one tuple at a time, keeping the first strictly larger value: the
+    oracle of the batched enumeration."""
+    sets = formnorm._extreme_sets(op)
+    if sets is None:
+        return None
+    best, arg = -1.0, None
+    for combo in itertools.product(*sets):
+        value = vector_norm(eval_operator(op, SegrePoint(combo)), op.norms.codomain)
+        if value > best:
+            best, arg = value, SegrePoint(combo)
+    return best, arg
+
+
+def _assert_enumeration_matches_serial(op):
+    got, want = formnorm._enumeration_max(op), _serial_enumeration_max(op)
+    assert want is not None
+    assert got[0] == want[0]
+    assert all(np.array_equal(a, b) for a, b in zip(got[1].factors, want[1].factors))
+    return got
+
+
+def test_batched_enumeration_is_bitwise_the_serial_loop():
+    inf = math.inf
+    # ties: every extreme tuple of lambda_n(3) and of the sign-symmetric l1 kernel has the
+    # same value, and two tuples of the l-inf identity tie; the first maximizer is kept
+    assert _assert_enumeration_matches_serial(lambda_n(3))[0] == 1.0
+    flips = MultilinearOperator.from_array(np.array([[1.0, -1.0], [-1.0, 1.0]])[:, :, None],
+                                           NormSpec((1.0, 1.0), 2.0))
+    _, arg = _assert_enumeration_matches_serial(flips)
+    assert [f.tolist() for f in arg.factors] == [[1.0, 0.0], [1.0, 0.0]]
+    eye = MultilinearOperator.from_array(np.eye(2)[:, :, None], NormSpec((inf, inf), 2.0))
+    value, arg = _assert_enumeration_matches_serial(eye)
+    assert value == 2.0 and [f.tolist() for f in arg.factors] == [[1.0, -1.0], [1.0, -1.0]]
+    rng = stream(83)
+    for case in range(40):
+        n = 1 + case % 3
+        factors = tuple(rng.choice([1.0, inf], size=n))
+        dims = tuple(int(d) for d in rng.integers(1, 5, size=n))
+        m = int(rng.integers(1, 4))
+        kernel = rng.standard_normal(dims + (m,))
+        if case % 4 == 0:
+            kernel = np.round(kernel)  # integer entries: ties between tuples
+        norms = NormSpec(factors, (1.0, 2.0, inf)[case % 3])
+        _assert_enumeration_matches_serial(MultilinearOperator.from_array(kernel, norms))
+
+
+def test_enumeration_cap_boundary():
+    assert ENUMERATION_CAP == 4096
+    rng = stream(84)
+    l1 = NormSpec((1.0, 1.0), 2.0)
+    at_cap = MultilinearOperator.from_array(rng.standard_normal((16, 256, 1)), l1)
+    linf_at_cap = MultilinearOperator.from_array(rng.standard_normal((13, 2)),
+                                                 NormSpec((math.inf,), 1.0))
+    over_cap = MultilinearOperator.from_array(rng.standard_normal((17, 241, 1)), l1)
+    for op in (at_cap, linf_at_cap):  # 16 * 256 = 2^12 = 4096 tuples
+        _assert_enumeration_matches_serial(op)
+        assert operator_norm(op, restarts=0).method == "enumeration"
+    assert formnorm._extreme_sets(over_cap) is None  # 17 * 241 = 4097 tuples
+    assert formnorm._enumeration_max(over_cap) is None
+    assert operator_norm(over_cap, restarts=0).method == "relaxed"
+
+
+@pytest.mark.parametrize("k", [1, 3, 12])
+def test_stacked_pair_triangle_is_the_product_of_slot_norms(k):
+    rng = stream(85, k)
+    inf = math.inf
+    for dims in ((1,), (3,), (2, 3), (1, 4, 2), (3, 1, 2, 2)):
+        for factors in ((1.0,), (2.0,), (inf,), None):
+            factors = (tuple(rng.choice([1.0, 2.0, inf], size=len(dims))) if factors is None
+                       else factors * len(dims))
+            norms = NormSpec(factors, 2.0)
+            pairs = [(SegrePoint(tuple(rng.standard_normal(d) for d in dims)),
+                      SegrePoint.zero(dims) if i % 3 == 0
+                      else SegrePoint(tuple(rng.standard_normal(d) for d in dims)))
+                     for i in range(k)]
+            want = [math.prod(vector_norm(f, r) for f, r in zip(u.factors, factors))
+                    + math.prod(vector_norm(f, r) for f, r in zip(v.factors, factors))
+                    for u, v in pairs]
+            assert pair_triangle(pair_factors(pairs), norms).tolist() == want

@@ -382,12 +382,15 @@ class _ViolationObjective:
         self.F = cert.form_matrix()[keep]
         self.w = np.asarray(cert.weights)[keep]
 
+    def form_sum(self, u, v):
+        vals = self.F @ (elementary_tensor(u).data - elementary_tensor(v).data)
+        return float(np.sum(self.w * np.abs(vals) ** self.p))
+
     def ratio(self, u, v):
         lhs = vector_norm(
             eval_operator(self.op, u) - eval_operator(self.op, v), self.op.norms.codomain
         )
-        vals = self.F @ (elementary_tensor(u).data - elementary_tensor(v).data)
-        rhs = float(np.sum(self.w * np.abs(vals) ** self.p)) ** (1.0 / self.p)
+        rhs = self.form_sum(u, v) ** (1.0 / self.p)
         if rhs <= 1e-300:
             return math.inf if lhs > 1e-14 else 0.0
         return lhs / rhs
@@ -436,6 +439,8 @@ def _reference_violation_search(op, cert, p, seed, starts, iters=60, halvings=No
         step = 0.25
         for _ in range(iters):
             if math.isinf(value):
+                break
+            if objective.form_sum(u, v) == 0:  # u (x) ... = v (x) ...: the ratio stays 0/0
                 break
             grads_u, grads_v = objective.gradients(u, v)
             gn = math.sqrt(

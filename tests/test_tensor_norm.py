@@ -237,7 +237,7 @@ def _rep_value_reference(rep, p, pp, norms):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegeneratePairWarning)
         cfg = rep.pair_configuration()
-    deltas = np.stack([d.reshape(-1) for d in cfg.deltas()])
+    deltas = cfg.rows
     triangle = [math.prod(u.factor_norms(norms)) + math.prod(v.factor_norms(norms))
                 for u, v in cfg.pairs]
     den = min(op_ball_uppers(deltas, triangle, np.asarray(cfg.weights), cfg.dims, norms, pp).values())

@@ -14,9 +14,11 @@ from pilip.tensors import (
     PairConfiguration,
     SegrePoint,
     ShapeError,
+    degenerate_rows,
     dual_norming_vector,
     elementary_rows,
     elementary_tensor,
+    eval_differences,
     eval_operator,
     eval_rows,
     flatten,
@@ -244,3 +246,90 @@ def test_project_rows_keeps_non_finite_rows_non_finite():
         assert np.array_equal(out[2], X[2])
         if r != math.inf:  # clipping maps inf to 1
             assert not np.all(np.isfinite(out[1]))
+
+
+# --------------------------------------------------------------------------
+# the one-point helpers and the pair layout against per-point references
+# --------------------------------------------------------------------------
+
+
+def _outer_chain(x):
+    """elementary_tensor(x).data as a chain of outer products, one point at a time."""
+    out = np.array(1.0)
+    for f in x.factors:
+        out = np.multiply.outer(out, f)
+    return out.reshape(-1)
+
+
+def _tensordot_chain(op, x):
+    """eval_operator(op, x) as a chain of tensordots, one point at a time."""
+    out = op.kernel.array
+    for f in x.factors:
+        out = np.tensordot(f, out, axes=(0, 0))
+    return out
+
+
+def _random_pairs(rng, dims, k):
+    pairs = []
+    for i in range(k):
+        u = SegrePoint(tuple(rng.standard_normal(d) for d in dims))
+        v = SegrePoint.zero(dims) if i % 3 == 0 else SegrePoint(
+            tuple(rng.standard_normal(d) for d in dims))
+        pairs.append((u, v))
+    return pairs
+
+
+def test_one_point_helpers_are_bitwise_the_per_point_loops():
+    rng = np.random.default_rng(21)
+    for case in range(600):
+        n = 1 + case % 4
+        dims = tuple(int(d) for d in rng.integers(1, 9, size=n))
+        op = MultilinearOperator.from_array(rng.standard_normal(dims + (int(rng.integers(1, 7)),)))
+        x = SegrePoint(tuple(rng.standard_normal(d) for d in dims))
+        assert np.array_equal(eval_operator(op, x), _tensordot_chain(op, x)), case
+        assert np.array_equal(elementary_tensor(x).data, _outer_chain(x)), case
+        assert elementary_tensor(x).shape == dims
+
+
+@pytest.mark.parametrize("dims", [(1,), (1, 1), (3,), (2, 3), (1, 4, 2), (3, 1, 2, 2)])
+@pytest.mark.parametrize("k", [1, 3, 12])
+def test_configuration_rows_are_the_per_pair_differences(dims, k):
+    rng = np.random.default_rng(22 + 7 * k + len(dims))
+    cfg = PairConfiguration(tuple(_random_pairs(rng, dims, k)))
+    assert cfg.rows.shape == (k, math.prod(dims))
+    assert not cfg.rows.flags.writeable
+    for row, (u, v) in zip(cfg.rows, cfg.pairs):
+        assert np.array_equal(row, _outer_chain(u) - _outer_chain(v))
+        assert np.array_equal(row, elementary_tensor(u).data - elementary_tensor(v).data)
+    assert not degenerate_rows(cfg.rows).any()
+
+
+def test_configuration_rows_drop_each_degenerate_pair_with_one_warning():
+    rng = np.random.default_rng(23)
+    dims = (2, 3)
+    good = _random_pairs(rng, dims, 3)
+    u = good[1][0]
+    halved = SegrePoint((2.0 * u.factors[0], 0.5 * u.factors[1]))  # the same elementary tensor
+    pairs = (good[0], (u, u), good[1], (u, halved), good[2])
+    with pytest.warns(DegeneratePairWarning) as record:
+        cfg = PairConfiguration(pairs, (1.0, 2.0, 3.0, 4.0, 5.0))
+    assert sum(issubclass(w.category, DegeneratePairWarning) for w in record) == 2
+    assert all(a is b for a, b in zip(cfg.pairs, good)) and cfg.weights == (1.0, 3.0, 5.0)
+    assert cfg.rows.shape == (3, 6) and not cfg.rows.flags.writeable
+    for row, (u, v) in zip(cfg.rows, cfg.pairs):
+        assert np.array_equal(row, _outer_chain(u) - _outer_chain(v))
+    with pytest.raises(ValueError):
+        cfg.rows[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("k", [1, 3, 12])
+def test_eval_differences_are_the_per_pair_evaluations(k):
+    rng = np.random.default_rng(24 + k)
+    for dims, m in (((1,), 1), ((3,), 2), ((2, 3), 1), ((2, 1, 3), 3), ((1, 1), 2)):
+        op = MultilinearOperator.from_array(rng.standard_normal(dims + (m,)))
+        pairs = _random_pairs(rng, dims, k)
+        diffs = eval_differences(op, pairs)
+        assert diffs.shape == (k, m)
+        for row, (u, v) in zip(diffs, pairs):
+            assert np.array_equal(row, _tensordot_chain(op, u) - _tensordot_chain(op, v))
+            assert np.array_equal(row, eval_operator(op, u) - eval_operator(op, v))
