@@ -46,7 +46,6 @@ class RunConfig:
     budget: Budget
     tol: float | None
     input_path: str | None
-    json_out: str | None
 
     def __post_init__(self):
         if self.tol is not None and not 0.0 < self.tol < 1.0:
@@ -66,7 +65,7 @@ def _config(args: argparse.Namespace) -> RunConfig:
     try:
         budget = Budget(restarts=args.budget_restarts, max_pairs=args.budget_pairs,
                         max_dictionary=args.budget_dict, rounds=args.budget_rounds)
-        return RunConfig(args.seed, budget, args.tol, getattr(args, "input", None), args.json_out)
+        return RunConfig(args.seed, budget, args.tol, getattr(args, "input", None))
     except ValueError as exc:
         raise SchemaError(str(exc)) from None
 
@@ -205,20 +204,18 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    dims = tuple(int(d) for d in args.dims.split(","))
-    factor_norms = (
-        tuple(float(r) if r != "inf" else float("inf") for r in args.factor_norms.split(","))
-        if args.factor_norms
-        else (2.0,) * len(dims)
-    )
-    codomain = float("inf") if args.codomain_norm == "inf" else float(args.codomain_norm)
-    norms = NormSpec(factor_norms, codomain)
-    rng = stream(args.seed, 99)
-    kernel = rng.standard_normal(dims + (args.m,))
-    if args.kind == "operator":
-        payload = operator_to_json(MultilinearOperator.from_array(kernel, norms))
-    else:
-        payload = mixed_to_json(MixedTensor.from_array(kernel, norms))
+    try:  # an unparsable entry, an exponent outside {1, 2, inf} or a dimension below 1
+        dims = tuple(int(d) for d in args.dims.split(","))
+        factor_norms = (tuple(float(r) for r in args.factor_norms.split(","))
+                        if args.factor_norms else (2.0,) * len(dims))
+        norms = NormSpec(factor_norms, float(args.codomain_norm))
+        kernel = stream(args.seed, 99).standard_normal(dims + (args.m,))
+        if args.kind == "operator":
+            payload = operator_to_json(MultilinearOperator.from_array(kernel, norms))
+        else:
+            payload = mixed_to_json(MixedTensor.from_array(kernel, norms))
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from None
     save_json(payload, args.output)
     print(f"wrote {args.kind} with dims {dims} -> m={args.m} to {args.output}")
     return 0
@@ -283,6 +280,8 @@ def cli_main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed < 0:  # every subcommand has --seed; SeedSequence takes no negative entropy
+            raise SchemaError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -65,23 +65,10 @@ _LINE_TRIALS = 4  # line-search trials per start in one round of a lockstep asce
 
 
 def weighted_power_sum(values: np.ndarray, weights: np.ndarray, p: float) -> float:
-    """(sum_i a_i |t_i|^p)^(1/p), with max_i |t_i| at p = inf.
-
-    When the plain sum underflows to 0 or overflows to inf although max_i |t_i| = M is
-    finite and nonzero, the value is taken as M (sum_i a_i |t_i / M|^p)^(1/p) instead."""
-    t = np.abs(np.asarray(values, dtype=float))
-    if t.size == 0:
-        return 0.0
-    if math.isinf(p):
-        return float(t.max())
-    weights = np.asarray(weights)
-    with np.errstate(over="ignore", under="ignore"):  # the fallback below takes those inputs
-        out = float((weights * t**p).sum() ** (1.0 / p))
-    if out == 0.0 or math.isinf(out):
-        top = float(t.max())
-        if 0.0 < top < math.inf:
-            return top * float((weights * (t / top) ** p).sum() ** (1.0 / p))
-    return out
+    """(sum_i a_i |t_i|^p)^(1/p), with max_i |t_i| at p = inf: the one-row call of
+    `_power_sums`, whose rule also covers a plain sum that under- or overflows."""
+    t = np.asarray(values, dtype=float).reshape(1, -1)
+    return float(_power_sums(t, np.asarray(weights), p)[0][0])
 
 
 def rank_one_form(vectors: Sequence[np.ndarray], norms: NormSpec) -> MultilinearOperator:
@@ -137,15 +124,6 @@ def slot_gradient(kernel: np.ndarray, factors: list[np.ndarray], y: np.ndarray, 
             operands.extend([factors[j], [..., j]])
     operands.extend([y, [..., n]])
     return np.einsum(*operands, [..., k])
-
-
-def _alternating_start(op: MultilinearOperator, rng: np.random.Generator | None) -> list[np.ndarray]:
-    if rng is None:
-        return [dual_norming_vector(np.ones(d), r) for d, r in zip(op.dims, op.norms.factors)]
-    return [
-        dual_norming_vector(rng.standard_normal(d), r)
-        for d, r in zip(op.dims, op.norms.factors)
-    ]
 
 
 def _alternating_max(
@@ -273,10 +251,11 @@ def operator_norm(
 
     best, argmax = 0.0, None
     if restarts > 0:
-        starts = [_alternating_start(op, None if i == 0 else stream(seed, 0, i))
-                  for i in range(restarts)]
-        values, factors = _alternating_max(op, [np.stack([s[k] for s in starts])
-                                                for k in range(op.n)])
+        # start 0 norms ones(d) in every slot, start i a draw of stream(seed, 0, i) per slot
+        rngs = [stream(seed, 0, i) for i in range(1, restarts)]
+        values, factors = _alternating_max(op, [
+            norming_rows(np.array([np.ones(d)] + [g.standard_normal(d) for g in rngs]), r)
+            for d, r in zip(op.dims, op.norms.factors)])
         i = int(np.argmax(values))  # the first maximum
         if values[i] > best:
             best, argmax = float(values[i]), SegrePoint(tuple(F[i] for F in factors))
@@ -307,12 +286,12 @@ def _hs_upper(deltas: np.ndarray, weights: np.ndarray, p: float) -> float:
     return float(len(weights) ** (1.0 / p - 0.5)) * sigma
 
 
-def _hs_value(G: np.ndarray, deltas: np.ndarray, weights: np.ndarray, p: float) -> float:
-    """Exact objective at a Frobenius-normalized kernel G (flattened)."""
-    nrm = np.linalg.norm(G)
-    if nrm == 0:
-        return 0.0
-    return weighted_power_sum(deltas @ (G / nrm), weights, p)
+def _hs_values(G: np.ndarray, deltas: np.ndarray, weights: np.ndarray, p: float) -> np.ndarray:
+    """The exact objective at every row of G (a flattened kernel), scaled to unit Frobenius
+    norm; 0 at a zero row.  One gemv per row, as `deltas @ g` takes it."""
+    nrm = row_norms(G, 2.0)
+    C = G / np.where(nrm == 0, 1.0, nrm)[:, None]
+    return _power_sums((deltas @ C[:, :, None])[..., 0], weights, p)[0]
 
 
 def _hs_ascent(
@@ -321,9 +300,6 @@ def _hs_ascent(
     """Projected gradient ascent on the Frobenius sphere from each row of `draws` (scaled to
     unit norm first), for finite p; every iterate is feasible.  Returns the value of each."""
     G = draws / row_norms(draws, 2.0)[:, None]
-
-    def values(X):
-        return np.array([_hs_value(x, deltas, weights, p) for x in X])
 
     def gradient(points, _, __):
         X = points[0]
@@ -335,9 +311,9 @@ def _hs_ascent(
 
     def trial(moved):
         C = moved[0] / row_norms(moved[0], 2.0)[:, None]
-        return [C], [], values(C)
+        return [C], [], _hs_values(C, deltas, weights, p)
 
-    value = values(G)
+    value = _hs_values(G, deltas, weights, p)
     lockstep_ascent([G], [], value, gradient, trial, step=1.0, floor=1e-12, iters=iters, tol=tol)
     return value
 
@@ -360,17 +336,19 @@ def _roots(x: np.ndarray, e: float) -> list[float]:
 def _power_sums(
     s: np.ndarray, weights: np.ndarray, p: float,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """weighted_power_sum of every row of s.  As there, a row whose plain sum is 0 or inf is
-    taken as M (sum_i a_i |s_i / M|^p)^(1/p) with M = max_i |s_i|; the second result holds M
-    for those rows and 1.0 for the others, or is None when no row was rescaled."""
+    """(sum_i a_i |s_i|^p)^(1/p) of every row of s, with max_i |s_i| at p = inf; an empty row
+    gives 0.  A row whose plain sum underflows to 0 or overflows to inf although M = max_i
+    |s_i| is finite and nonzero is taken as M (sum_i a_i |s_i / M|^p)^(1/p) instead, so that
+    every other row keeps its bits.  The second result holds M for those rows and 1.0 for the
+    others, or is None when no row was rescaled."""
     t = np.abs(s)
     if math.isinf(p):
-        return t.max(axis=1), None
+        return t.max(axis=1, initial=0.0), None
     with np.errstate(over="ignore", under="ignore"):
         out = _roots((weights * t**p).sum(axis=1), 1.0 / p)
     if 0.0 not in out and math.inf not in out:
         return np.array(out), None
-    out, top = np.array(out), t.max(axis=1)
+    out, top = np.array(out), t.max(axis=1, initial=0.0)
     bad = ((out == 0.0) | (out == math.inf)) & (top > 0.0) & (top < math.inf)
     scale = np.where(bad, top, 1.0)
     out[bad] = top[bad] * _roots((weights * (t[bad] / top[bad, None]) ** p).sum(axis=1), 1.0 / p)
@@ -651,15 +629,13 @@ def config_denominator(
         hs_up = _hs_upper(deltas, weights, p)
         if p == 2.0 or math.isinf(p):
             return BoundReport(hs_up, hs_up, hs_up, method="hs-exact", detail=detail)
-        lower = 0.0
         w2 = weights ** (1.0 / p)
         _, _, vt = np.linalg.svd(deltas * w2[:, None], full_matrices=False)
-        for cand in [vt[0]] + [d for d in deltas]:
-            lower = max(lower, _hs_value(cand, deltas, weights, p))
+        cands = _hs_values(np.vstack([vt[0], deltas]), deltas, weights, p)
         draws = np.array([stream(seed, 1, i).standard_normal(deltas.shape[1])
                           for i in range(restarts)]).reshape(restarts, deltas.shape[1])
         ends = _hs_ascent(deltas, weights, p, draws, max_iters, ASCENT_TOL)
-        lower = max([lower, *map(float, ends)])
+        lower = max([0.0, *cands.tolist(), *ends.tolist()])
         return BoundReport(lower, lower, max(hs_up, lower), method="hs-ascent", detail=detail)
 
     # operator ball
@@ -700,14 +676,11 @@ def config_denominator(
         for row in deltas[:4]:
             du, _, dvt = np.linalg.svd(row.reshape(cfg.dims), full_matrices=False)
             kernels.append((du @ dvt).reshape(-1))
-    for G_flat in kernels:
-        nrm = np.linalg.norm(G_flat)
-        if nrm == 0:
+    kernels = np.array(kernels)
+    for G_flat, raw in zip(kernels, _hs_values(kernels, deltas, weights, p).tolist()):
+        if raw <= 0:  # a zero kernel, or one that vanishes on every pair
             continue
-        G_flat = G_flat / nrm
-        raw = weighted_power_sum(deltas @ G_flat, weights, p)
-        if raw <= 0:
-            continue
+        G_flat = G_flat / np.linalg.norm(G_flat)
         g_form = MultilinearOperator.from_array(
             G_flat.reshape(cfg.dims)[..., np.newaxis], NormSpec(norms.factors, 2.0)
         )

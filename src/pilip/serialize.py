@@ -170,21 +170,12 @@ def operator_from_json(obj: Any) -> MultilinearOperator:
 
 
 def mixed_to_json(z: MixedTensor) -> dict:
-    out = tensor_to_json(z.kernel)
-    out["factor_norms"] = [exponent_to_json(r) for r in z.norms.factors]
-    out["codomain_norm"] = exponent_to_json(z.norms.codomain)
-    out["role"] = "mixed"
-    return out
+    return {**operator_to_json(z), "role": "mixed"}
 
 
 def mixed_from_json(obj: Any) -> MixedTensor:
-    kernel = tensor_from_json(obj)
-    if kernel.ndim < 2:
-        raise SchemaError("mixed tensor needs at least 2 modes")
-    try:
-        return MixedTensor(kernel, _norms_from_json(obj, kernel.ndim - 1))
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from None
+    op = operator_from_json(obj)
+    return MixedTensor(op.kernel, op.norms)
 
 
 def _segre_to_json(x: SegrePoint) -> list:
@@ -264,10 +255,10 @@ def to_jsonable(obj: Any) -> Any:
         return out
     if isinstance(obj, DenseTensor):
         return tensor_to_json(obj)
+    if isinstance(obj, MixedTensor):  # before its base class, MultilinearOperator
+        return mixed_to_json(obj)
     if isinstance(obj, MultilinearOperator):
         return operator_to_json(obj)
-    if isinstance(obj, MixedTensor):
-        return mixed_to_json(obj)
     if isinstance(obj, SegrePoint):
         return {"factors": _segre_to_json(obj)}
     if isinstance(obj, PairConfiguration):

@@ -31,7 +31,6 @@ from .formnorm import (
 from .rng import child_seed, stream
 from .summing import Budget, initial_dictionary, pietsch_upper_lp
 from .tensors import (
-    DenseTensor,
     MultilinearOperator,
     NormSpec,
     PairConfiguration,
@@ -43,6 +42,7 @@ from .tensors import (
     elementary_tensor,
     eval_differences,
     pair_rows,
+    row_norms,
     vector_norm,
 )
 
@@ -69,33 +69,10 @@ def conjugate_exponent(p: float) -> float:
 
 
 @dataclass(frozen=True)
-class MixedTensor:
+class MixedTensor(MultilinearOperator):
     """An element of X_1 (x) ... (x) X_n (x) Y, stored as a dense kernel of
-    shape (d1, ..., dn, m) with the spaces' norms alongside."""
-
-    kernel: DenseTensor
-    norms: NormSpec
-
-    def __post_init__(self):
-        if self.kernel.ndim < 2:
-            raise ValueError("mixed tensor needs at least one factor mode plus the codomain")
-        if len(self.norms.factors) != self.kernel.ndim - 1:
-            raise ValueError("one factor norm per factor mode required")
-
-    @classmethod
-    def from_array(cls, array: np.ndarray, norms: NormSpec | None = None) -> "MixedTensor":
-        array = np.asarray(array, dtype=float)
-        if norms is None:
-            norms = NormSpec.all_l2(array.ndim - 1)
-        return cls(DenseTensor.from_array(array), norms)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return self.kernel.shape[:-1]
-
-    @property
-    def m(self) -> int:
-        return self.kernel.shape[-1]
+    shape (d1, ..., dn, m) with the spaces' norms alongside: the data of an
+    operator, read as a tensor."""
 
 
 @dataclass(frozen=True)
@@ -141,8 +118,8 @@ class DualWitness:
 
 
 def delta_p_norm(ys: Sequence[np.ndarray], p: float, codomain: float = 2.0) -> float:
-    """(sum_i ||y_i||^p)^(1/p); max of norms at p = inf."""
-    vals = np.array([vector_norm(np.asarray(y), codomain) for y in ys])
+    """(sum_i ||y_i||^p)^(1/p) of the vectors y_i; max of norms at p = inf, 0.0 for no y."""
+    vals = row_norms(np.atleast_2d(np.asarray(ys, dtype=float)), codomain)
     return weighted_power_sum(vals, np.ones(len(vals)), p)
 
 

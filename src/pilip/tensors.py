@@ -252,7 +252,7 @@ class PairConfiguration:
             warnings.warn(
                 "dropping degenerate pair (equal elementary tensors)",
                 DegeneratePairWarning,
-                stacklevel=2,
+                stacklevel=3,  # the caller of PairConfiguration(...), past the dataclass __init__
             )
         if drop.all():
             raise ValueError("configuration is empty after dropping degenerate pairs")
@@ -355,25 +355,19 @@ def degenerate_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def vector_norm(v: np.ndarray, r: float) -> float:
-    """The l_r norm for r in {1, 2, inf} (max of absolute values at inf)."""
-    v = np.asarray(v, dtype=float).reshape(-1)
-    r = _check_exponent(r)
-    if v.size == 0:
-        return 0.0
-    if r == 1.0:
-        return float(np.sum(np.abs(v)))
-    if r == 2.0:
-        return float(np.linalg.norm(v))
-    return float(np.max(np.abs(v)))
+    """The l_r norm for r in {1, 2, inf}: the one-row call of `row_norms`."""
+    return float(row_norms(np.asarray(v, dtype=float).reshape(1, -1), r)[0])
 
 
 def row_norms(X: np.ndarray, r: float) -> np.ndarray:
-    """vector_norm(x, r) of every row x of X, with the same arithmetic."""
+    """The l_r norm of every row of X for r in {1, 2, inf} (max of absolute values at inf);
+    an empty row has norm 0."""
+    r = _check_exponent(r)
     if r == 1.0:
         return np.sum(np.abs(X), axis=1)
     if r == 2.0:
         return np.sqrt((X[:, None, :] @ X[:, :, None])[:, 0, 0])  # BLAS dot, as np.linalg.norm
-    return np.max(np.abs(X), axis=1)
+    return np.max(np.abs(X), axis=1, initial=0.0)
 
 
 def unit_vector(v: np.ndarray) -> np.ndarray:
@@ -393,28 +387,16 @@ def dual_exponent(r: float) -> float:
 
 
 def dual_norming_vector(g: np.ndarray, r: float) -> np.ndarray:
-    """A maximizer of <g, w> over the unit l_r ball (any fixed choice at ties).
-
-    For g = 0 returns the first basis vector, which lies on every unit sphere.
-    """
-    g = np.asarray(g, dtype=float).reshape(-1)
-    r = _check_exponent(r)
-    if not np.any(g):
-        e = np.zeros_like(g)
-        e[0] = 1.0
-        return e
-    if r == 2.0:
-        return g / np.linalg.norm(g)
-    if r == 1.0:
-        i = int(np.argmax(np.abs(g)))
-        e = np.zeros_like(g)
-        e[i] = 1.0 if g[i] >= 0 else -1.0
-        return e
-    return np.where(g >= 0, 1.0, -1.0)
+    """A maximizer of <g, w> over the unit l_r ball: the one-row call of `norming_rows`.
+    For g = 0 returns the first basis vector, which lies on every unit sphere."""
+    return norming_rows(np.asarray(g, dtype=float).reshape(1, -1), r)[0]
 
 
 def norming_rows(X: np.ndarray, r: float) -> np.ndarray:
-    """dual_norming_vector(x, r) of every row x of X, with the same arithmetic."""
+    """A maximizer of <x, w> over the unit l_r ball for every row x of X: x / ||x||_2 in l2,
+    the signed basis vector at the first largest |x_i| in l1 and sign(x) (+1 at 0) in l-inf.
+    A zero row gets the first basis vector."""
+    r = _check_exponent(r)
     if r == 2.0:
         nrm = row_norms(X, 2.0)
         out = X / np.where(nrm == 0, 1.0, nrm)[:, None]
@@ -432,29 +414,13 @@ def norming_rows(X: np.ndarray, r: float) -> np.ndarray:
 
 
 def project_to_ball(v: np.ndarray, r: float) -> np.ndarray:
-    """Euclidean projection of v onto the unit l_r ball."""
-    v = np.asarray(v, dtype=float).reshape(-1)
-    r = _check_exponent(r)
-    if r == math.inf:
-        return np.clip(v, -1.0, 1.0)
-    if r == 2.0:
-        nrm = np.linalg.norm(v)
-        return v if nrm <= 1.0 else v / nrm
-    if np.sum(np.abs(v)) <= 1.0:
-        return v
-    # l1 ball: soft-threshold at the level set determined by sorting
-    a = np.sort(np.abs(v))[::-1]
-    cumsum = np.cumsum(a)
-    ks = np.arange(1, a.size + 1)
-    mask = a > (cumsum - 1.0) / ks
-    k = int(np.max(ks[mask]))
-    tau = (cumsum[k - 1] - 1.0) / k
-    return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
+    """Euclidean projection of v onto the unit l_r ball: the one-row call of `project_rows`."""
+    return project_rows(np.asarray(v, dtype=float).reshape(1, -1), r)[0]
 
 
 def project_rows(X: np.ndarray, r: float) -> np.ndarray:
-    """project_to_ball(x, r) of every row x of X, with the same arithmetic.  A row holding a
-    NaN, or in l1 and l2 an infinity, comes back with a non-finite entry."""
+    """Euclidean projection of every row of X onto the unit l_r ball.  A row holding a NaN,
+    or in l1 and l2 an infinity, comes back with a non-finite entry."""
     r = _check_exponent(r)
     if r == math.inf:
         return np.clip(X, -1.0, 1.0)

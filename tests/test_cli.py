@@ -152,3 +152,33 @@ def test_invalid_values_exit_2(argv, lambda2_path, tmp_path, capsys):
     assert cli_main([command, path] + flags) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags", [
+    "--factor-norms 3,2",
+    "--codomain-norm 5",
+    "--dims 2,x",
+    "--m 0",
+    "--dims 2,-1",
+    "--factor-norms 2",
+    "--seed -1",
+])
+def test_gen_invalid_values_exit_2(flags, tmp_path, capsys):
+    out = tmp_path / "instance.json"
+    assert cli_main(["gen", str(out)] + flags.split()) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["norm", "summing", "hs", "dnorm", "restrict", "poly",
+                                     "verify", "gen"])
+def test_negative_seed_exit_2(command, lambda2_path, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    argv = {"verify": ["verify", "--json-out", str(out)], "gen": ["gen", str(out)],
+            "restrict": ["restrict", lambda2_path, "--slot", "0", "--vector", "1,0",
+                         "--json-out", str(out)]}.get(command, [command, lambda2_path,
+                                                                "--json-out", str(out)])
+    assert cli_main(argv + ["--seed", "-2"]) == 2
+    assert capsys.readouterr().err == "error: --seed must be a non-negative integer, got -2\n"
+    assert not out.exists()

@@ -237,6 +237,49 @@ def test_weighted_power_sum_rescales_past_underflow_and_overflow():
     assert formnorm.weighted_power_sum(tiny, np.zeros(2), 4.0) == 0.0
 
 
+def _one_vector_power_sum(values, weights, p):
+    """The weighted p-sum of one vector as written before it became a one-row call of
+    formnorm._power_sums: the bitwise oracle for both."""
+    t = np.abs(np.asarray(values, dtype=float))
+    if t.size == 0:
+        return 0.0
+    if math.isinf(p):
+        return float(t.max())
+    weights = np.asarray(weights)
+    with np.errstate(over="ignore", under="ignore"):
+        out = float((weights * t**p).sum() ** (1.0 / p))
+    if out == 0.0 or math.isinf(out):
+        top = float(t.max())
+        if 0.0 < top < math.inf:
+            return top * float((weights * (t / top) ** p).sum() ** (1.0 / p))
+    return out
+
+
+def test_power_sums_match_the_one_vector_version():
+    rng = np.random.default_rng(31)
+    cases = []
+    for K in (1, 2, 3, 7, 33, 100, 1000):
+        for scale in (1e-3, 1.0, 1e3):
+            cases.append(scale * rng.standard_normal((6, K)))
+    for K in (1, 2, 5):  # plain sums that underflow to 0 or overflow to inf
+        for scale in (1e-200, 1e-120, 1e-80, 1e80, 1e120, 1e200, 1e300):
+            cases.append(scale * rng.standard_normal((6, K)))
+    rescaled = 0
+    for S in cases:
+        S[0] = 0.0
+        weights = rng.uniform(0.1, 2.0, S.shape[1])
+        for p in (1.0, 1.5, 2.0, 3.0, 4.0, 7.3, math.inf):
+            rows, scale = formnorm._power_sums(S, weights, p)
+            for i, s in enumerate(S):
+                want = _one_vector_power_sum(s, weights, p)
+                assert rows[i] == want and formnorm.weighted_power_sum(s, weights, p) == want
+            if scale is not None:
+                rescaled += int(np.sum(scale != 1.0))
+    assert rescaled > 100
+    for p in (1.0, 2.0, math.inf):
+        assert formnorm.weighted_power_sum([], [], p) == 0.0
+
+
 def test_denominator_of_a_tiny_pair_does_not_underflow():
     # p = 4 on factors of size 1e-60: |phi(Delta)|^4 is about 1e-480, below the doubles
     u = SegrePoint((1e-60 * np.array([1.0, 2.0, 0.5]), 1e-60 * np.array([1.0, -1.0, 3.0])))
@@ -517,13 +560,22 @@ def test_lockstep_ascent_stationary_start_stops_at_once(p):
 # --------------------------------------------------------------------------
 
 
+def _hs_value(G, deltas, weights, p):
+    """The HS-ball objective at one kernel as written before formnorm._hs_values stacked it:
+    the bitwise oracle for it."""
+    nrm = np.linalg.norm(G)
+    if nrm == 0:
+        return 0.0
+    return _one_vector_power_sum(deltas @ (G / nrm), weights, p)
+
+
 def _reference_hs_ascent(deltas, weights, p, rng, iters, tol, halvings=None):
     """Projected gradient ascent on the Frobenius sphere from one start, run on its own, one
     line-search trial at a time: the oracle for the batch.  Each line search appends to
     `halvings` ("gain" or "floor", its losses)."""
     G = rng.standard_normal(deltas.shape[1])
     G /= np.linalg.norm(G)
-    value = formnorm._hs_value(G, deltas, weights, p)
+    value = _hs_value(G, deltas, weights, p)
     step = 1.0
     for _ in range(iters):
         s = deltas @ G
@@ -537,7 +589,7 @@ def _reference_hs_ascent(deltas, weights, p, rng, iters, tol, halvings=None):
         while step > 1e-12:
             cand = G + step * grad / gn
             cand /= np.linalg.norm(cand)
-            cand_val = formnorm._hs_value(cand, deltas, weights, p)
+            cand_val = _hs_value(cand, deltas, weights, p)
             if cand_val > value:
                 G, improved = cand, True
                 if halvings is not None:
@@ -572,6 +624,21 @@ def test_lockstep_hs_ascent_is_bitwise_the_one_start_loop():
                                                  tol, halvings) for i in range(5)]
                     assert list(values) == want, (p, count, dim, iters, tol)
     assert_covers_four_trial_rounds(halvings)
+
+
+def test_hs_values_match_the_one_kernel_version():
+    rng = np.random.default_rng(32)
+    for dim in (1, 4, 9, 27, 64):
+        for count in (1, 3, 12):
+            deltas = rng.standard_normal((count, dim))
+            weights = rng.uniform(0.2, 2.0, size=count)
+            G = rng.standard_normal((7, dim))
+            G[2] = 0.0
+            G[3] *= 1e-120  # a plain power sum that underflows
+            for p in (1.0, 1.5, 3.0, 4.0, math.inf):
+                values = formnorm._hs_values(G, deltas, weights, p)
+                assert values[2] == 0.0
+                assert list(values) == [_hs_value(g, deltas, weights, p) for g in G]
 
 
 def _never(*_):
@@ -627,6 +694,15 @@ def _reference_gradient(kernel, factors, y, k):
     return np.einsum(*operands, [k])
 
 
+def _alternating_start(op, rng):
+    """The start of one restart of operator_norm as drawn before it stacked its draws: the
+    oracle for them."""
+    if rng is None:
+        return [dual_norming_vector(np.ones(d), r) for d, r in zip(op.dims, op.norms.factors)]
+    return [dual_norming_vector(rng.standard_normal(d), r)
+            for d, r in zip(op.dims, op.norms.factors)]
+
+
 def _reference_alternating(op, factors, max_sweeps):
     """Alternating maximization from one start, run on its own: the oracle for the batch."""
     factors = [np.asarray(f, dtype=float) for f in factors]
@@ -675,11 +751,37 @@ def test_lockstep_alternating_max_is_bitwise_the_one_start_loop(n):
                 if case == "zero-slice":
                     kernel[..., 0] = 0.0
                 op = MultilinearOperator.from_array(kernel, NormSpec(factors, codomain))
-                starts = [formnorm._alternating_start(op, None)]
-                starts += [formnorm._alternating_start(op, stream(78, n, i)) for i in range(4)]
+                starts = [_alternating_start(op, None)]
+                starts += [_alternating_start(op, stream(78, n, i)) for i in range(4)]
                 starts += [[rng.standard_normal(d) for d in dims], [np.zeros(d) for d in dims]]
                 for max_sweeps in (1, 2, 200):
                     _assert_alternating_matches_reference(op, starts, max_sweeps)
+
+
+def test_operator_norm_starts_are_the_one_start_draws(monkeypatch):
+    seen = []
+
+    def spy(op, factors, *args):
+        seen.append([F.copy() for F in factors])
+        return alternating_max(op, factors, *args)
+
+    alternating_max = formnorm._alternating_max
+    monkeypatch.setattr(formnorm, "_alternating_max", spy)
+    rng = stream(82)
+    # an l2 first slot of dimension >= 2 and m = 2 keep every operator on the relaxed path
+    for dims in ((3, 3), (2, 1), (2, 1, 3), (4, 2, 2)):
+        for rest in (2.0, 1.0, math.inf):
+            factors = (2.0,) + (rest,) * (len(dims) - 1)
+            op = MultilinearOperator.from_array(rng.standard_normal(dims + (2,)),
+                                                NormSpec(factors, 1.0))
+            for seed, restarts in ((0, 1), (3, 2), (7, 9)):
+                seen.clear()
+                operator_norm(op, seed=seed, restarts=restarts)
+                want = [_alternating_start(op, None if i == 0 else stream(seed, 0, i))
+                        for i in range(restarts)]
+                assert len(seen) == 1
+                for k, F in enumerate(seen[0]):
+                    assert np.array_equal(F, np.array([w[k] for w in want])), (dims, seed, k)
 
 
 def test_operator_norm_takes_the_first_maximum():
@@ -688,7 +790,7 @@ def test_operator_norm_takes_the_first_maximum():
     rng = stream(79)
     kernel = rng.integers(-1, 2, size=(3, 3, 3, 2)).astype(float)
     op = MultilinearOperator.from_array(kernel, NormSpec((2.0, 1.0, 1.0), 2.0))
-    starts = [formnorm._alternating_start(op, None if i == 0 else stream(5, 0, i))
+    starts = [_alternating_start(op, None if i == 0 else stream(5, 0, i))
               for i in range(16)]
     values, factors = formnorm._alternating_max(
         op, [np.stack([s[k] for s in starts]) for k in range(op.n)])

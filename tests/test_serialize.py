@@ -21,7 +21,8 @@ from pilip.serialize import (
     to_jsonable,
 )
 from pilip.summing import pietsch_upper_lp
-from pilip.tensors import DenseTensor, NormSpec
+from pilip.tensor_norm import MixedTensor
+from pilip.tensors import DenseTensor, MultilinearOperator, NormSpec
 from pilip.verify import lambda_n, random_mixed, random_operator, random_pairs
 
 
@@ -46,6 +47,18 @@ def test_mixed_roundtrip():
     assert obj["role"] == "mixed"
     back = mixed_from_json(json.loads(dumps_canonical(obj)))
     np.testing.assert_array_equal(back.kernel.data, z.kernel.data)
+
+
+def test_mixed_json_is_the_operator_json_plus_its_role():
+    z = random_mixed((2, 3), 2, stream(3), NormSpec((1.0, math.inf), 1.0))
+    op = MultilinearOperator(z.kernel, z.norms)
+    assert mixed_to_json(z) == {**operator_to_json(op), "role": "mixed"}
+    assert to_jsonable(z) == mixed_to_json(z) and to_jsonable(op) == operator_to_json(op)
+    back = mixed_from_json(mixed_to_json(z))
+    assert type(back) is MixedTensor and back.norms == z.norms
+    assert np.array_equal(back.kernel.array, z.kernel.array)
+    with pytest.raises(SchemaError):
+        mixed_from_json({"shape": [2], "data": [1.0, 2.0]})
 
 
 def test_pairset_roundtrip_with_weights():

@@ -159,6 +159,14 @@ def test_conf_drops_degenerate_pairs_with_warning():
     assert len(cfg) == 1
 
 
+def test_degenerate_pair_warning_points_at_the_caller():
+    u = SegrePoint.of([1.0, 0.0], [1.0, 0.0])
+    w = SegrePoint.of([0.0, 1.0], [1.0, 0.0])
+    with pytest.warns(DegeneratePairWarning) as record:
+        PairConfiguration(((u, u), (u, w)))
+    assert [w.filename for w in record] == [__file__]
+
+
 def test_conf_rejects_all_degenerate():
     u = SegrePoint.of([1.0], [1.0])
     with pytest.warns(DegeneratePairWarning), pytest.raises(ValueError):
@@ -203,9 +211,60 @@ def test_l1_projection_is_euclidean_projection():
     assert np.linalg.norm(proj - v) <= np.linalg.norm(best - v) + 1e-6
 
 
+def _one_vector_norm(v, r):
+    """The one-vector l_r norm as written before it became a one-row call of row_norms: the
+    bitwise oracle for both."""
+    v = np.asarray(v, dtype=float).reshape(-1)
+    if v.size == 0:
+        return 0.0
+    if r == 1.0:
+        return float(np.sum(np.abs(v)))
+    if r == 2.0:
+        return float(np.linalg.norm(v))
+    return float(np.max(np.abs(v)))
+
+
+def _one_vector_norming(g, r):
+    """The one-vector dual norming vector as written before it became a one-row call of
+    norming_rows: the bitwise oracle for both."""
+    g = np.asarray(g, dtype=float).reshape(-1)
+    if not np.any(g):
+        e = np.zeros_like(g)
+        e[0] = 1.0
+        return e
+    if r == 2.0:
+        return g / np.linalg.norm(g)
+    if r == 1.0:
+        i = int(np.argmax(np.abs(g)))
+        e = np.zeros_like(g)
+        e[i] = 1.0 if g[i] >= 0 else -1.0
+        return e
+    return np.where(g >= 0, 1.0, -1.0)
+
+
+def _one_vector_projection(v, r):
+    """The one-vector projection onto the unit l_r ball as written before it became a one-row
+    call of project_rows: the bitwise oracle for both."""
+    v = np.asarray(v, dtype=float).reshape(-1)
+    if r == math.inf:
+        return np.clip(v, -1.0, 1.0)
+    if r == 2.0:
+        nrm = np.linalg.norm(v)
+        return v if nrm <= 1.0 else v / nrm
+    if np.sum(np.abs(v)) <= 1.0:
+        return v
+    a = np.sort(np.abs(v))[::-1]
+    cumsum = np.cumsum(a)
+    ks = np.arange(1, a.size + 1)
+    mask = a > (cumsum - 1.0) / ks
+    k = int(np.max(ks[mask]))
+    tau = (cumsum[k - 1] - 1.0) / k
+    return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
+
+
 def test_row_helpers_match_one_vector_versions():
     rng = np.random.default_rng(3)
-    for d in (1, 2, 5, 12):
+    for d in (1, 2, 5, 12, 31, 100, 257, 1000):
         X = rng.standard_normal((9, d))
         X[0] = 0.0                              # a zero row
         X[1] = 0.02 * X[1]                      # inside every unit ball
@@ -213,12 +272,19 @@ def test_row_helpers_match_one_vector_versions():
         X[3] = 3.0 * X[3]                       # outside every unit ball, clipped in l-inf
         X[4] = np.round(X[4])                   # ties in |x|
         X[5, 0] = -4.0                          # clipped in l-inf
+        X[6] = 1e15 * X[6]                      # large entries, below 2^53
+        X[7] = 1e-150 * X[7]                    # squares near the least normal float
         for r in (1.0, 2.0, math.inf):
             norms, norming, proj = row_norms(X, r), norming_rows(X, r), project_rows(X, r)
             for i, x in enumerate(X):
-                assert norms[i] == vector_norm(x, r), (d, r, i)
-                assert np.array_equal(norming[i], dual_norming_vector(x, r)), (d, r, i)
-                assert np.array_equal(proj[i], project_to_ball(x, r)), (d, r, i)
+                want = _one_vector_norm(x, r)
+                assert norms[i] == want and vector_norm(x, r) == want, (d, r, i)
+                want = _one_vector_norming(x, r)
+                assert np.array_equal(norming[i], want), (d, r, i)
+                assert np.array_equal(dual_norming_vector(x, r), want), (d, r, i)
+                want = _one_vector_projection(x, r)
+                assert np.array_equal(proj[i], want), (d, r, i)
+                assert np.array_equal(project_to_ball(x, r), want), (d, r, i)
     outside = 3.0 * rng.standard_normal((4, 6))
     assert np.all(np.sum(np.abs(outside), axis=1) > 1.0)
     assert not np.array_equal(project_rows(outside, 1.0), outside)  # the soft threshold ran
@@ -235,6 +301,24 @@ def test_row_helpers_match_one_vector_versions():
             assert np.array_equal(tensors[i], elementary_tensor(x).data)
     with pytest.raises(ShapeError):
         eval_rows(EYE_FORM, [np.ones((2, 2)), np.ones((2, 3))])
+
+
+def test_row_helpers_reject_other_exponents():
+    X = np.ones((2, 3))
+    for helper in (row_norms, norming_rows, project_rows, vector_norm, dual_norming_vector,
+                   project_to_ball):
+        with pytest.raises(ValueError, match="norm exponent"):
+            helper(X if helper in (row_norms, norming_rows, project_rows) else X[0], 3.0)
+
+
+def test_one_vector_helpers_keep_their_edge_rules():
+    for r in (1.0, 2.0, math.inf):
+        assert vector_norm(np.zeros(0), r) == 0.0 and vector_norm([], r) == 0.0
+        assert np.array_equal(row_norms(np.zeros((2, 0)), r), np.zeros(2))
+        assert np.array_equal(dual_norming_vector(np.zeros(3), r), [1.0, 0.0, 0.0])
+        want = [1.0, 1.0] if r == math.inf else [0.0, 1.0]  # sign(0) is +1 in l-inf
+        assert np.array_equal(dual_norming_vector([[0.0], [2.0]], r), want)
+        assert vector_norm([[3.0], [-4.0]], r) == {1.0: 7.0, 2.0: 5.0, math.inf: 4.0}[r]
 
 
 def test_project_rows_keeps_non_finite_rows_non_finite():
