@@ -7,6 +7,7 @@ __version__ = "0.1.0"
 from .bounds import BoundReport
 from .formnorm import (
     config_denominator,
+    denominator_upper,
     operator_norm,
     rank_one_form,
 )
@@ -77,6 +78,7 @@ __all__ = [
     "config_denominator",
     "conjugate_exponent",
     "delta_p_norm",
+    "denominator_upper",
     "dp_lower_dual",
     "dp_upper",
     "elementary_tensor",

@@ -9,6 +9,7 @@ configuration, so identical invocations produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -105,9 +106,12 @@ def _load_operator(path: str) -> MultilinearOperator:
 
 
 def _emit(report: dict, json_out: str | None) -> None:
+    """Print the report's canonical text, after writing it to `json_out` when one is given."""
+    text = dumps_canonical(to_jsonable(report))
     if json_out:
-        save_json(report, json_out)
-    print(dumps_canonical(to_jsonable(report)))
+        with open(json_out, "w") as fh:
+            fh.write(text + "\n")
+    print(text)
 
 
 def _report(command: str, config: RunConfig, result: dict) -> dict:
@@ -221,7 +225,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="pilip",
         description="Certified brackets for Lipschitz p-summing norms of "

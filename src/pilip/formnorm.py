@@ -46,6 +46,7 @@ from .tensors import (
 __all__ = [
     "operator_norm",
     "config_denominator",
+    "denominator_upper",
     "rank_one_form",
     "rank_one_norm",
     "halving_trials",
@@ -583,6 +584,25 @@ def op_ball_uppers(
             "triangle": weighted_power_sum(np.asarray(triangle), weights, p)}
 
 
+def denominator_upper(cfg: PairConfiguration, p: float, norms: NormSpec) -> tuple[float, str]:
+    """The op-ball denominator's cheapest certified upper that needs no search, as (value,
+    method): the least of the `op_ball_uppers` entries and, for a single pair of l2 bilinear
+    points, "nuclear" (a^(1/p) times the nuclear norm of the difference).  When every factor
+    space is scalar the value is exact, with method "scalar-exact": every form is
+    alpha * z_1...z_n with |alpha| <= 1, on either ball."""
+    weights, deltas = np.asarray(cfg.weights), cfg.rows
+    if math.prod(cfg.dims) == 1:
+        return weighted_power_sum(deltas[:, 0], weights, p), "scalar-exact"
+    triangle = pair_triangle(pair_factors(cfg.pairs), norms)
+    uppers = op_ball_uppers(deltas, triangle, weights, cfg.dims, norms, p)
+    if len(cfg) == 1 and len(cfg.dims) == 2 and norms.factors == (2.0, 2.0):
+        nuc = float(np.sum(np.linalg.svd(deltas[0].reshape(cfg.dims), compute_uv=False)))
+        a0 = 1.0 if math.isinf(p) else float(weights[0] ** (1.0 / p))
+        uppers["nuclear"] = a0 * nuc
+    method = min(uppers, key=uppers.get)
+    return uppers[method], method
+
+
 def config_denominator(
     cfg: PairConfiguration,
     p: float,
@@ -599,9 +619,9 @@ def config_denominator(
 
     ball "hs": forms with Frobenius norm <= 1 (exact at p = 2 and p = inf).
     ball "op": forms with operator norm <= 1 for the factor norms in `norms`;
-    the certified upper is the cheapest of the kappa-scaled HS bound, the
-    triangle bound, and single-pair exact values, the certified lower comes
-    from rank-one ascent (exact normalization).
+    the certified upper is `denominator_upper` (raised to the certified lower
+    where that is larger), the certified lower comes from rank-one ascent
+    (exact normalization).
 
     `extra_rank_one_starts` / `extra_kernels` inject known good candidates
     (e.g. the maximizers found on a sub-configuration), which keeps the
@@ -621,9 +641,8 @@ def config_denominator(
     detail: dict = {"seed": seed, "restarts": restarts, "ball": ball, "p": p}
 
     if math.prod(cfg.dims) == 1:
-        # scalar factor spaces: every form is alpha * z_1...z_n with |alpha| <= 1
-        exact = weighted_power_sum(deltas[:, 0], weights, p)
-        return BoundReport(exact, exact, exact, method="scalar-exact", detail=detail)
+        exact, method = denominator_upper(cfg, p, norms)
+        return BoundReport(exact, exact, exact, method=method, detail=detail)
 
     if ball == "hs":
         hs_up = _hs_upper(deltas, weights, p)
@@ -639,14 +658,7 @@ def config_denominator(
         return BoundReport(lower, lower, max(hs_up, lower), method="hs-ascent", detail=detail)
 
     # operator ball
-    triangle = pair_triangle(pair_factors(cfg.pairs), norms)
-    uppers = op_ball_uppers(deltas, triangle, weights, cfg.dims, norms, p)
-    if len(cfg) == 1 and len(cfg.dims) == 2 and norms.factors == (2.0, 2.0):
-        nuc = float(np.sum(np.linalg.svd(deltas[0].reshape(cfg.dims), compute_uv=False)))
-        a0 = 1.0 if math.isinf(p) else float(weights[0] ** (1.0 / p))
-        uppers["nuclear"] = a0 * nuc
-    method_up = min(uppers, key=uppers.get)
-    upper = uppers[method_up]
+    upper, method_up = denominator_upper(cfg, p, norms)
 
     certified = 0.0
     best_lams: list[np.ndarray] | None = None

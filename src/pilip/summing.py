@@ -36,6 +36,7 @@ import numpy as np
 from .bounds import BoundReport
 from .formnorm import (
     config_denominator,
+    denominator_upper,
     lockstep_ascent,
     operator_norm,
     rank_one_form,
@@ -804,10 +805,7 @@ def estimate_pi_lip_poly(
         num = t_i ** (1.0 / p)
         triangle = vector_norm(x, r) ** n + vector_norm(y, r) ** n
         cfg = PairConfiguration(((SegrePoint((x,) * n), SegrePoint((y,) * n)),))
-        den_op = config_denominator(
-            cfg, p, "op", op.norms, seed=child_seed(seed, 11), restarts=8
-        )
-        den_upper = min(triangle, den_op.certified_upper / polar)
+        den_upper = min(triangle, denominator_upper(cfg, p, op.norms)[0] / polar)
         if den_upper > 0:
             best_lower = max(best_lower, num / den_upper)
     if math.isfinite(upper):

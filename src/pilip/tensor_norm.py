@@ -22,6 +22,7 @@ import numpy as np
 from .bounds import BoundReport
 from .formnorm import (
     config_denominator,
+    denominator_upper,
     hs_to_op_scale,
     op_ball_uppers,
     pair_triangle,
@@ -371,10 +372,8 @@ def dp_upper(
         diff = cand.reconstruct(unit.dims, unit.m) - unit.kernel.array
         slack = float(np.sum(np.abs(diff)))  # each basis elementary has value <= 1
         cfg = cand.pair_configuration()
-        den = config_denominator(
-            cfg, pp, "op", z.norms, seed=child_seed(seed, 21), restarts=8,
-        )
-        value = den.certified_upper * delta_p_norm(cand.y_vectors(), p, z.norms.codomain) + slack
+        den = denominator_upper(cfg, pp, z.norms)[0]
+        value = den * delta_p_norm(cand.y_vectors(), p, z.norms.codomain) + slack
         if value < best_val:
             best_val, best_rep, best_res = value, cand, res
     if best_rep is None:

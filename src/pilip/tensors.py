@@ -366,8 +366,34 @@ def row_norms(X: np.ndarray, r: float) -> np.ndarray:
     if r == 1.0:
         return np.sum(np.abs(X), axis=1)
     if r == 2.0:
-        return np.sqrt((X[:, None, :] @ X[:, :, None])[:, 0, 0])  # BLAS dot, as np.linalg.norm
+        s, top = _l2_norms(X)
+        return s if top is None else top * s
     return np.max(np.abs(X), axis=1, initial=0.0)
+
+
+@np.errstate(over="ignore", under="ignore")
+def _l2_norms(X: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """The l2 norm of every row of X as (s, M), the norm being M * s.  A row whose plain norm
+    underflows to 0 or overflows to inf although M = max_i |x_i| is finite and nonzero gets
+    s = ||x / M||_2; every other row keeps the bits of its plain norm, with M = 1.0.  M is None
+    when no row was rescaled."""
+    s = np.sqrt((X[:, None, :] @ X[:, :, None])[:, 0, 0])  # BLAS dot, as np.linalg.norm
+    seen = s.tolist()  # a list scan is cheaper than an array test on these few rows
+    if 0.0 not in seen and math.inf not in seen:
+        return s, None
+    odd = [i for i, v in enumerate(seen) if v == 0.0 or v == math.inf]
+    if not X[odd].any():  # zero rows only, the common case
+        return s, None
+    top = np.max(np.abs(X[odd]), axis=1)
+    fix = (top > 0.0) & (top < math.inf)
+    if not fix.any():  # and rows with an infinite entry
+        return s, None
+    rows, top = np.array(odd)[fix], top[fix]
+    Y = X[rows] / top[:, None]
+    s[rows] = np.sqrt((Y[:, None, :] @ Y[:, :, None])[:, 0, 0])
+    M = np.ones(len(s))
+    M[rows] = top
+    return s, M
 
 
 def unit_vector(v: np.ndarray) -> np.ndarray:
@@ -398,8 +424,8 @@ def norming_rows(X: np.ndarray, r: float) -> np.ndarray:
     A zero row gets the first basis vector."""
     r = _check_exponent(r)
     if r == 2.0:
-        nrm = row_norms(X, 2.0)
-        out = X / np.where(nrm == 0, 1.0, nrm)[:, None]
+        nrm, top = _l2_norms(X)
+        out = (X if top is None else X / top[:, None]) / np.where(nrm == 0, 1.0, nrm)[:, None]
     elif r == 1.0:
         rows, i = np.arange(len(X)), np.argmax(np.abs(X), axis=1)
         out = np.zeros_like(X)
@@ -435,9 +461,20 @@ def project_rows(X: np.ndarray, r: float) -> np.ndarray:
         a = np.sort(np.abs(V), axis=1)[:, ::-1]
         cumsum = np.cumsum(a, axis=1)
         ks = np.arange(1, X.shape[1] + 1)
-        k = np.max(np.where(a > (cumsum - 1.0) / ks, ks, 0), axis=1)  # 0 only with NaN or inf
-        tau = (cumsum[np.arange(len(rows)), k - 1] - 1.0) / k
+        k = np.max(np.where(a > (cumsum - 1.0) / ks, ks, 0), axis=1)
+        with np.errstate(divide="ignore"):  # k = 0 only on the rows redone below, NaN or inf
+            tau = (cumsum[np.arange(len(rows)), k - 1] - 1.0) / k
         out[rows] = np.sign(V) * np.maximum(np.abs(V) - tau[:, None], 0.0)
+        big = (a[:, 0] >= 2.0**53) & (a[:, 0] < math.inf)
+        if big.any():
+            # 1 is below the spacing of these entries, so cumsum - 1 rounds; the same k and
+            # values from gaps between entries: k = #{j : sum_{i<=j} (a_i - a_j) < 1}, and
+            # |x| becomes (1 - sum_{j<=k} (a_j - |x|)) / k, or 0 where that is negative
+            A, W = a[big], np.abs(V[big])
+            kb = np.sum(np.triu(A[:, :, None] - A[:, None, :]).sum(axis=1) < 1.0, axis=1)
+            in_k = (ks <= kb[:, None])[:, None, :]
+            gap = np.sum(np.where(in_k, A[:, None, :] - W[:, :, None], 0.0), axis=2)
+            out[rows[big]] = np.sign(V[big]) * np.maximum((1.0 - gap) / kb[:, None], 0.0)
     return out
 
 

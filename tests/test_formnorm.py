@@ -12,6 +12,7 @@ from pilip.formnorm import (
     ASCENT_TOL,
     ENUMERATION_CAP,
     config_denominator,
+    denominator_upper,
     hs_to_op_scale,
     operator_norm,
     pair_triangle,
@@ -195,6 +196,36 @@ def test_denominator_nuclear_single_pair_is_exact_l2():
     assert rep.certified_upper <= nuclear + 1e-12
     # the spectral-ball sup of <G, delta> is achieved; ascent should get close
     assert rep.certified_lower >= nuclear * (1 - 1e-6)
+
+
+@pytest.mark.parametrize("factors", [(1.0, 1.0), (2.0, 2.0), (math.inf, math.inf), (1.0, math.inf),
+                                     (1.0, 1.0, 1.0), (2.0, 2.0, 2.0), (math.inf, 1.0, 2.0)])
+def test_denominator_upper_is_the_search_free_end_of_config_denominator(factors):
+    # config_denominator's upper is denominator_upper's unless its ascent lower lies above it
+    dims, norms = (2, 3, 2)[:len(factors)], NormSpec(factors, 2.0)
+    rng, unclamped = stream(15, len(factors), int(1.0 in factors)), 0
+    for p in (1.0, 1.5, 2.0, 3.0, math.inf):
+        for count, zero in itertools.product((1, 4), (0.0, 1.0)):
+            cfg = random_pairs(dims, count, rng, zero_fraction=zero)
+            cfg = PairConfiguration(cfg.pairs, tuple(rng.uniform(0.5, 2.0, count)))
+            value, method = denominator_upper(cfg, p, norms)
+            rep = config_denominator(cfg, p, "op", norms, seed=1, restarts=4)
+            assert rep.method == f"rank-one-ascent/{method}"
+            if rep.certified_lower <= value:
+                unclamped += 1
+                assert rep.certified_upper == value
+            else:
+                assert rep.certified_upper == rep.certified_lower <= value * (1 + 1e-14)
+    assert unclamped >= 10  # of 20: on one l2 pair the ascent can end ulps above the nuclear upper
+
+
+def test_denominator_upper_of_scalar_spaces_is_exact():
+    cfg = PairConfiguration(((SegrePoint.of([2.0], [0.5]), SegrePoint.of([1.0], [0.5])),
+                             (SegrePoint.of([-1.0], [3.0]), SegrePoint.zero((1, 1)))), (2.0, 1.0))
+    for p in (1.0, 3.0, math.inf):
+        rep = config_denominator(cfg, p, "op", NormSpec((1.0, math.inf), 2.0))
+        assert denominator_upper(cfg, p, NormSpec((1.0, math.inf), 2.0)) == (
+            rep.certified_upper, "scalar-exact")
 
 
 def test_denominator_hs_below_op_upper():

@@ -7,7 +7,7 @@ from conftest import assert_covers_four_trial_rounds
 
 from pilip.bounds import BoundReport
 from pilip.formnorm import operator_norm, slot_gradient
-from pilip import summing
+from pilip import formnorm, summing
 from pilip.rng import stream
 from pilip.simplex import SimplexResult, solve_lp
 from pilip.summing import (
@@ -740,6 +740,32 @@ def test_poly_diagonal_e1_bracket_contains_one():
     assert rep.certified_lower <= 1.0 + 1e-9
     assert rep.certified_upper >= 1.0 - 1e-9
     assert rep.certified_upper - rep.certified_lower <= 0.05
+
+
+@pytest.mark.parametrize("i,r,n,d,expected", [
+    (0, 2.0, 2, 3, ("2.661445645974273", "3.6297105218402668")),
+    (1, 1.0, 2, 3, ("1.552818325642759", "1.8672647906369575")),
+    (2, math.inf, 3, 2, ("6.417158362379967", "6.417158362379967")),
+    (3, 2.0, 3, 1, ("1.3486128457587618", "1.3486128457587618")),  # scalar factor spaces
+])
+def test_poly_pinned_values(i, r, n, d, expected):
+    kernel = symmetrize_kernel(stream(0, 60, i).standard_normal((d,) * n + (2,)))
+    op = MultilinearOperator.from_array(kernel, NormSpec((r,) * n, 2.0))
+    rep = estimate_pi_lip_poly(op, 2.0, FAST, seed=3)
+    assert (repr(rep.certified_lower), repr(rep.certified_upper)) == expected
+
+
+def test_poly_runs_no_denominator_search(monkeypatch):
+    # the certified lower reads only the search-free denominator upper
+    def forbidden(*args, **kwargs):
+        raise AssertionError("no denominator search expected")
+
+    monkeypatch.setattr(summing, "config_denominator", forbidden)
+    monkeypatch.setattr(formnorm, "config_denominator", forbidden)
+    monkeypatch.setattr(formnorm, "_rank_one_ascent", forbidden)
+    kernel = symmetrize_kernel(stream(0, 60, 0).standard_normal((3, 3, 2)))
+    rep = estimate_pi_lip_poly(MultilinearOperator.from_array(kernel), 2.0, FAST, seed=3)
+    assert repr(rep.certified_lower) == "2.661445645974273"
 
 
 def test_poly_rejects_asymmetric_kernel():

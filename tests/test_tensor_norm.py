@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from pilip import tensor_norm
+from pilip import formnorm, tensor_norm
 from pilip.rng import stream
 from pilip.summing import Budget
 from pilip.tensor_norm import (
@@ -382,6 +382,26 @@ def test_dp_upper_pinned_values(i, dims, m, p, norms, expected):
     z = random_mixed(dims, m, stream(0, 30, i), norms)
     up = dp_upper(z, p, seed=0, budget=Budget(restarts=2))
     assert repr(up.certified_upper) == expected
+
+
+def test_dp_upper_of_scalar_factor_spaces_is_pinned():
+    z = random_mixed((1, 1), 2, stream(0, 61))
+    for p in (1.5, 2.0, math.inf):
+        up = dp_upper(z, p, seed=0, budget=Budget(restarts=2))
+        assert repr(up.certified_upper) == "0.9527727590565715"
+
+
+def test_dp_upper_runs_no_denominator_search(monkeypatch):
+    # each representation is priced with the search-free denominator upper
+    def forbidden(*args, **kwargs):
+        raise AssertionError("no denominator search expected")
+
+    monkeypatch.setattr(tensor_norm, "config_denominator", forbidden)
+    monkeypatch.setattr(formnorm, "config_denominator", forbidden)
+    monkeypatch.setattr(formnorm, "_rank_one_ascent", forbidden)
+    z = random_mixed((3, 3, 2), 2, stream(0, 30, 0))
+    up = dp_upper(z, 3.0, seed=0, budget=Budget(restarts=2))
+    assert repr(up.certified_upper) == "18.098757597842127"
 
 
 def test_dp_upper_default_k_covers_the_svd_construction():

@@ -332,6 +332,43 @@ def test_project_rows_keeps_non_finite_rows_non_finite():
             assert not np.all(np.isfinite(out[1]))
 
 
+@pytest.mark.parametrize("scale", [1e-170, 1e-310, 5e-324, 1e170, 1e300])
+def test_l2_helpers_rescale_tiny_and_huge_rows(scale):
+    # squares of these entries underflow to 0 or overflow to inf
+    X = np.array([[1.0, 1.0, 1.0], [3.0, -4.0, 0.0], [0.0, 0.0, 0.0]]) * [[scale], [scale], [1]]
+    X = np.vstack([X, [[3.0, 4.0, 0.0]]])  # a plain row keeps its bits
+    with np.errstate(over="raise", under="ignore"):
+        norms, norming, proj = row_norms(X, 2.0), norming_rows(X, 2.0), project_rows(X, 2.0)
+    want = [math.sqrt(3.0) * scale, 5.0 * scale, 0.0, 5.0]
+    if scale > 1e-300:
+        np.testing.assert_allclose(norms, want, rtol=1e-15)
+    else:  # subnormal entries carry fewer bits
+        assert 0.0 < norms[0] and 0.0 < norms[1] and norms[2] == 0.0
+    assert norms[3] == 5.0 and vector_norm(X[0], 2.0) == norms[0]
+    np.testing.assert_allclose(norming[:2], [[3.0 ** -0.5] * 3, [0.6, -0.8, 0.0]], rtol=1e-15)
+    assert np.array_equal(norming[2], [1.0, 0.0, 0.0]) and np.array_equal(norming[3], X[3] / 5.0)
+    assert np.array_equal(dual_norming_vector(X[0], 2.0), norming[0])
+    if scale > 1.0:
+        np.testing.assert_allclose(proj[:2], norming[:2], rtol=1e-15)
+    else:
+        assert np.array_equal(proj[:2], X[:2])
+
+
+def test_l1_projection_of_entries_above_2_53():
+    # 1 is below the spacing of these entries, so cumsum - 1 rounds to cumsum
+    for v, want in (([1e17], [1.0]), ([1e17, -1e17], [0.5, -0.5]), ([1e17, 1.0], [1.0, 0.0]),
+                    ([2.0**53 + 2.0], [1.0]), ([1e16, 0.5, -1e16], [0.5, 0.0, -0.5])):
+        with np.errstate(all="raise"):
+            out = project_to_ball(np.array(v), 1.0)
+        assert np.array_equal(out, want), (v, out)
+    X = np.array([[1e17, 3.0, -1e17 + 16.0], [2.0, 1.0, 0.0], [0.2, -0.3, 0.1]])
+    with np.errstate(all="raise"):
+        out = project_rows(X, 1.0)
+    assert np.array_equal(out[0], [1.0, 0.0, 0.0])  # the gap 16 > 1 leaves the top entry
+    for i in (1, 2):  # the other rows keep their bits
+        assert np.array_equal(out[i], _one_vector_projection(X[i], 1.0))
+
+
 # --------------------------------------------------------------------------
 # the one-point helpers and the pair layout against per-point references
 # --------------------------------------------------------------------------
