@@ -228,7 +228,9 @@ def operator_norm(
     point attains the supremum); otherwise the lower end comes from
     multi-start alternating maximization and the upper end from the
     scaled-HS relaxation, tagged "relaxed".  With restarts = 0 no search
-    runs, and certified_upper is the certified upper alone.
+    runs, and certified_upper is the certified upper alone; off the
+    enumeration path T is not evaluated either, so the lower ends are 0
+    and argmax is None.
     """
     kernel = op.kernel.array
     if not np.any(kernel):
@@ -244,7 +246,11 @@ def operator_norm(
     svd = _svd_argmax(op)
     if svd is not None:
         sigma, argmax = svd
-        attained = vector_norm(eval_operator(op, argmax), op.norms.codomain)
+        attained = 0.0
+        if restarts > 0:
+            attained = vector_norm(eval_operator(op, argmax), op.norms.codomain)
+        else:  # no evaluation: the upper end alone, as on the relaxed path
+            argmax = None
         return BoundReport(
             attained, attained, sigma, method="svd",
             detail={"argmax": argmax, "seed": seed},
@@ -525,7 +531,7 @@ def _rank_one_ascent(
         kept, R = kept[0], len(value)
         pu, pv = kept[:, :n * P].reshape(R, n, P), kept[:, n * P:2 * n * P].reshape(R, n, P)
         s, num = kept[:, 2 * n * P:-1], kept[:, -1]
-        # at p = inf, num == 0 makes the gradient 0, so that start stops on gn below
+        # num == 0 makes the gradient 0 (at p = inf too), so that start stops on gn below
         if math.isinf(p):
             rows, i = np.arange(R), np.argmax(np.abs(s), axis=1)
             coef = np.zeros_like(s)
@@ -549,7 +555,7 @@ def _rank_one_ascent(
         for g, i in loc:  # left to right over the slots: np.sum adds three in another order
             sq = sq + dots[g][:, i]
         gn = np.sqrt(sq)
-        return grads, gn, (num == 0) | (gn < 1e-14)
+        return grads, gn, gn <= 1e-14 * value  # relative: the ratio is 1-homogeneous in the pairs
 
     def trial(moved):
         cand = normalized(moved)

@@ -42,6 +42,7 @@ from .tensors import (
     elementary_rows,
     elementary_tensor,
     eval_differences,
+    pair_factors,
     pair_rows,
     row_norms,
     vector_norm,
@@ -103,6 +104,30 @@ class Representation:
 
     def y_vectors(self) -> list[np.ndarray]:
         return [y for _, _, y in self.terms]
+
+    def value_floor(self, norms: NormSpec) -> float:
+        """A floor under dp_upper's value, at every p in (1, inf], of every rescaling
+        (s_i p_i, s_i q_i, y_i / s_i) of the terms in which no pair is dropped
+        (docs/formats.md).  By Hoelder it is the least of sum_i t_i ||y_i|| (triangle),
+        kappa sum_i ||y_i|| |r_i . v| with v the top right singular vector of diag(||y_i||) R
+        (kappa-hs) and, for one l2 bilinear pair, ||r||_2 ||y|| (nuclear); on scalar spaces it
+        is sum_i |r_i| ||y_i||.  0.0 when a difference row r_i lies within a factor 1e20 of
+        the drop rule (`degenerate_rows`)."""
+        if not self.terms:
+            return 0.0
+        pairs = [(p_pt, q_pt) for p_pt, q_pt, _ in self.terms]
+        rows = pair_rows(pairs)
+        if degenerate_rows(rows * 1e-20).any():
+            return 0.0
+        a = row_norms(np.array(self.y_vectors(), dtype=float), norms.codomain)
+        if rows.shape[1] == 1:
+            return float(np.abs(rows[:, 0]) @ a)
+        v = np.linalg.svd(a[:, None] * rows, full_matrices=False)[2][0]
+        kappa = hs_to_op_scale(self.terms[0][0].dims, norms)
+        floor = min(pair_triangle(pair_factors(pairs), norms) @ a, kappa * (np.abs(rows @ v) @ a))
+        if len(rows) == 1 and norms.factors == (2.0, 2.0):
+            floor = min(floor, vector_norm(rows[0], 2.0) * a[0])
+        return float(floor)
 
 
 @dataclass(frozen=True)
@@ -368,6 +393,8 @@ def dp_upper(
         res = cand.residual(unit)
         if res > residual_tol:
             continue
+        if best_val < math.inf and cand.value_floor(z.norms) * (1 - 1e-9) >= best_val:
+            continue  # no rescaling of cand can price below the best
         cand = _rebalance(cand, unit, p, pp)
         diff = cand.reconstruct(unit.dims, unit.m) - unit.kernel.array
         slack = float(np.sum(np.abs(diff)))  # each basis elementary has value <= 1

@@ -336,6 +336,24 @@ def test_rank_one_ascent_of_a_tiny_pair_does_not_underflow():
     assert 0.0 < values.max() and abs(values.max() - exact) <= 1e-12 * exact
 
 
+def test_rank_one_ascent_stop_does_not_depend_on_the_scale_of_the_pairs():
+    # the ratio and its gradient are 1-homogeneous in the pairs: at scale 1e-60 per factor
+    # every start ascends as it does at scale 1, so a gradient stop at an absolute 1e-14
+    # would halt each start at its first gradient, with 0.003-0.25 of the optimum
+    rng = stream(16)
+    starts = [[rng.standard_normal(3), rng.standard_normal(3)] for _ in range(8)]
+    ends = []
+    for scale in (1.0, 1e-60):
+        u = SegrePoint((scale * np.array([1.0, 2.0, 0.5]), scale * np.array([1.0, -1.0, 3.0])))
+        cfg = PairConfiguration(((u, SegrePoint.zero((3, 3))),))
+        values, _ = formnorm._rank_one_ascent(cfg, NormSpec.all_l2(2), 4.0, starts,
+                                              ASCENT_MAX_ITERS, ASCENT_TOL)
+        ends.append(values)
+    exact = math.sqrt(5.25) * math.sqrt(11.0)  # ||u_1|| ||u_2|| at scale 1
+    np.testing.assert_allclose(ends[0], exact, rtol=1e-6)  # up to the ascent's gain stop
+    np.testing.assert_allclose(ends[1], ends[0] * 1e-120, rtol=1e-12)
+
+
 def test_halving_trials_takes_the_first_gain():
     floor = 1e-12
     step = np.array([1.0, 0.5, 3e-12, 2.0, 1e-12])
@@ -840,6 +858,15 @@ def test_operator_norm_without_restarts_has_zero_lower_end():
     rep = operator_norm(op, restarts=0)
     assert rep.certified_lower == 0.0 and rep.detail["argmax"] is None
     assert rep.certified_upper == formnorm._relaxed_upper(op) > 0
+    # the SVD path evaluates T only for the lower end, so it skips that evaluation too
+    for kernel, norms in ((stream(81).standard_normal((3, 2, 1)), NormSpec.all_l2(2)),
+                          (stream(82).standard_normal((3, 2)), NormSpec.all_l2(1))):
+        op = MultilinearOperator.from_array(kernel, norms)
+        rep, full = operator_norm(op, restarts=0), operator_norm(op)
+        assert rep.method == full.method == "svd"
+        assert rep.certified_lower == rep.heuristic_lower == 0.0 and rep.detail["argmax"] is None
+        assert rep.certified_upper == full.certified_upper > 0
+        assert full.certified_lower > 0 and full.detail["argmax"] is not None
 
 
 def test_operator_norm_pinned_values():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pilip import formnorm, tensor_norm
-from pilip.rng import stream
+from pilip.rng import child_seed, stream
 from pilip.summing import Budget
 from pilip.tensor_norm import (
     _rebalance,
@@ -23,6 +23,7 @@ from pilip.tensor_norm import (
 )
 from pilip.formnorm import (
     config_denominator,
+    denominator_upper,
     hs_to_op_scale,
     op_ball_uppers,
     weighted_power_sum,
@@ -410,3 +411,180 @@ def test_dp_upper_default_k_covers_the_svd_construction():
     up = dp_upper(z, 2.0)
     assert up.detail["k"] == 27
     assert repr(up.certified_upper) == "45.35185082075107"
+
+
+# --------------------------------------------------------------------------
+# the rescaling floor that lets dp_upper skip a candidate
+# --------------------------------------------------------------------------
+
+
+def _price(rep, norms, p):
+    """dp_upper's value of rep without its reconstruction slack (which is >= 0)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegeneratePairWarning)
+        cfg = rep.pair_configuration()
+    den = denominator_upper(cfg, conjugate_exponent(p), norms)[0]
+    return den * delta_p_norm(rep.y_vectors(), p, norms.codomain)
+
+
+def _skip_cases():
+    """(z, p, budget) for the skip guard: n = 1, 2, 3 with l1, l2 and linf factors and
+    codomains, p in {1.5, 2, 3, inf} and both budgets.  Every fourth tensor is rank one over
+    two l2 factors, whose one-pair candidates are priced "nuclear" and all tie with the SVD
+    base up to rounding; every eighth has scalar factor spaces, priced "scalar-exact"."""
+    rng = stream(93)
+    exps = (1.0, 2.0, math.inf)
+    for i in range(216):
+        n = 1 + i % 3
+        p = (1.5, 2.0, 3.0, math.inf)[i // 3 % 4]
+        budget = Budget(restarts=2) if i % 2 else Budget()
+        m = int(rng.integers(1, 4))
+        codomain = exps[int(rng.integers(3))]
+        if i % 4 == 1:
+            dims = tuple(int(d) for d in rng.integers(2, 4, size=2))
+            kernel = np.einsum("i,j,k->ijk", *(rng.standard_normal(d) for d in dims + (m,)))
+            z = MixedTensor.from_array(kernel, NormSpec((2.0, 2.0), codomain))
+        else:
+            dims = (1,) * n if i % 8 == 2 else tuple(int(d) for d in rng.integers(1, 4, size=n))
+            norms = NormSpec(tuple(exps[int(k)] for k in rng.integers(3, size=n)), codomain)
+            z = random_mixed(dims, m, rng, norms)
+        yield z, p, budget
+
+
+def _same_upper(got, want):
+    assert repr(got.certified_upper) == repr(want.certified_upper)
+    assert repr(got.detail["residual"]) == repr(want.detail["residual"])
+    gt, wt = got.detail["representation"].terms, want.detail["representation"].terms
+    assert len(gt) == len(wt)
+    for (gp, gq, gy), (wp, wq, wy) in zip(gt, wt):
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(gp.factors + gq.factors, wp.factors + wq.factors))
+        assert np.array_equal(gy, wy)
+
+
+def test_dp_upper_skip_is_bitwise_the_loop_without_it(monkeypatch):
+    calls = collections.Counter()
+    rebalance = tensor_norm._rebalance
+
+    def counted(*args):
+        calls[mode] += 1
+        return rebalance(*args)
+
+    monkeypatch.setattr(tensor_norm, "_rebalance", counted)
+    cases = 0
+    for z, p, budget in _skip_cases():
+        mode = "skip"
+        got = dp_upper(z, p, budget=budget, seed=cases)
+        with monkeypatch.context() as m:
+            # a floor of 0 never skips: dp_upper's loop as it runs without the rule
+            m.setattr(Representation, "value_floor", lambda self, norms: 0.0)
+            mode = "all"
+            want = dp_upper(z, p, budget=budget, seed=cases)
+        _same_upper(got, want)
+        cases += 1
+    assert cases >= 200
+    assert calls["skip"] < calls["all"], calls  # the rule fired, so the comparison is not vacuous
+
+
+def test_value_floor_lies_below_every_rebalanced_price(monkeypatch):
+    seen = []
+    rebalance = tensor_norm._rebalance
+
+    def spy(rep, z, p, pp):
+        out = rebalance(rep, z, p, pp)
+        seen.append((rep, out, z.norms, p))
+        return out
+
+    monkeypatch.setattr(tensor_norm, "_rebalance", spy)
+    for i, (z, p, budget) in enumerate(itertools.islice(_skip_cases(), 0, None, 3)):
+        dp_upper(z, p, budget=budget, seed=i)
+    assert len(seen) > 60
+    moved = 0
+    for rep, out, norms, p in seen:
+        floor = rep.value_floor(norms)
+        assert 0.0 < floor <= _price(out, norms, p) * (1 + 1e-12)
+        assert floor <= _price(rep, norms, p) * (1 + 1e-12)
+        moved += out is not rep
+    assert moved > 0
+
+
+@pytest.mark.parametrize("dims,factors", [
+    ((3, 2), (2.0, 2.0)), ((3, 3, 2), (1.0, 2.0, math.inf)), ((2, 3), (math.inf, 1.0)),
+    ((4,), (2.0,)), ((1, 1), (1.0, 2.0))])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, math.inf])
+def test_value_floor_lies_below_random_rescalings(dims, factors, p):
+    rng = stream(94, len(dims), int(p) if math.isfinite(p) else 0)
+    exps = (1.0, 2.0, math.inf)
+    for trial in range(12):
+        norms = NormSpec(factors, exps[trial % 3])
+        count = 1 if trial % 4 == 0 else int(rng.integers(2, 6))  # one l2 bilinear pair: nuclear
+
+        def point():
+            return SegrePoint(tuple(rng.standard_normal(d) for d in dims))
+
+        rep = Representation(tuple(
+            (point(), SegrePoint.zero(dims) if j % 2 else point(),
+             math.exp(rng.standard_normal()) * rng.standard_normal(3))
+            for j in range(count)))
+        floor = rep.value_floor(norms)
+        assert floor > 0.0
+        for _ in range(8):
+            s = np.exp(1.5 * rng.standard_normal(count))
+            scaled = Representation(tuple(
+                (u.scale(t ** (1.0 / len(dims))), v.scale(t ** (1.0 / len(dims))), y / t)
+                for (u, v, y), t in zip(rep.terms, s)))
+            assert floor <= _price(scaled, norms, p) * (1 + 1e-12)
+
+
+def test_value_floor_is_zero_next_to_a_degenerate_pair():
+    # pricing drops the pair (e, e), which the floor's sums would count: the floor must be 0
+    e = SegrePoint((np.array([1.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0])))
+    norms = NormSpec.all_l2(2)
+    rep = Representation(((e, e, np.array([1.0, 0.0])),
+                          (e, SegrePoint.zero((3, 3)), np.array([0.0, 1.0]))))
+    assert rep.value_floor(norms) <= _price(rep, norms, 2.0)
+    assert rep.value_floor(norms) == 0.0
+    # a row within 1e20 of the drop rule gets 0 too; one farther away does not
+    for scale, zero in ((1e-143, True), (1e-138, False)):
+        tiny = SegrePoint((scale * np.ones(3), scale * np.ones(3)))
+        rep = Representation(((tiny, SegrePoint.zero((3, 3)), np.ones(2)),
+                              (e, SegrePoint.zero((3, 3)), np.ones(2))))
+        assert (rep.value_floor(norms) == 0.0) is zero
+
+
+def test_dp_upper_skip_fires_on_a_pinned_tensor(monkeypatch):
+    calls = []
+    rebalance = tensor_norm._rebalance
+    monkeypatch.setattr(tensor_norm, "_rebalance", lambda *a: calls.append(1) or rebalance(*a))
+    z = random_mixed((3, 3, 2), 2, stream(0, 30, 0))
+    up = dp_upper(z, 3.0, seed=0, budget=Budget(restarts=2))
+    assert repr(up.certified_upper) == "18.098757597842127"
+    skipped = len(calls)
+    monkeypatch.setattr(Representation, "value_floor", lambda self, norms: 0.0)
+    again = dp_upper(z, 3.0, seed=0, budget=Budget(restarts=2))
+    assert repr(again.certified_upper) == "18.098757597842127"
+    assert skipped < len(calls) - skipped, (skipped, len(calls) - skipped)
+
+
+def test_dp_upper_rebalances_few_candidates_on_a_dnorm_cycle(monkeypatch):
+    """The 20 tensors of one seed-0 pass of perfbench's dnorm workload (five shapes, four
+    batches), priced as its CLI calls price them: 44 rebalances without the skip rule, 24 with
+    it, against one per tensor at least."""
+    calls = []
+    rebalance = tensor_norm._rebalance
+    monkeypatch.setattr(tensor_norm, "_rebalance", lambda *a: calls.append(1) or rebalance(*a))
+    shapes = [((2, 2), 2, 2.0), ((3, 3), 2, 2.0), ((3, 3, 2), 2, 2.0), ((3, 3, 2), 2, 3.0),
+              ((2, 2, 2), 3, 1.5)]
+
+    def cycle():
+        calls.clear()
+        for j in range(4):
+            for i, (dims, m, p) in enumerate(shapes):
+                z = random_mixed(dims, m, stream(0, 10, i, j))
+                seed = 0 if j == 0 else child_seed(0, 40, j)
+                dp_upper(z, p, budget=Budget(restarts=2), seed=seed)
+        return len(calls)
+
+    assert cycle() == 24
+    monkeypatch.setattr(Representation, "value_floor", lambda self, norms: 0.0)
+    assert cycle() == 44
