@@ -590,15 +590,21 @@ def op_ball_uppers(
             "triangle": weighted_power_sum(np.asarray(triangle), weights, p)}
 
 
-def denominator_upper(cfg: PairConfiguration, p: float, norms: NormSpec) -> tuple[float, str]:
-    """The op-ball denominator's cheapest certified upper that needs no search, as (value,
-    method): the least of the `op_ball_uppers` entries and, for a single pair of l2 bilinear
-    points, "nuclear" (a^(1/p) times the nuclear norm of the difference).  When every factor
+def denominator_upper(cfg: PairConfiguration, p: float, norms: NormSpec,
+                      ball: str = "op") -> tuple[float, str]:
+    """The denominator's cheapest certified upper that needs no search, as (value, method).
+    On the op ball: the least of the `op_ball_uppers` entries and, for a single pair of l2
+    bilinear points, "nuclear" (a^(1/p) times the nuclear norm of the difference).  On the HS
+    ball: `_hs_upper`, exact at p = 2 and p = inf ("hs-exact"), else "hs".  When every factor
     space is scalar the value is exact, with method "scalar-exact": every form is
     alpha * z_1...z_n with |alpha| <= 1, on either ball."""
+    if ball not in ("op", "hs"):
+        raise ValueError(f"ball must be 'op' or 'hs', got {ball!r}")
     weights, deltas = np.asarray(cfg.weights), cfg.rows
     if math.prod(cfg.dims) == 1:
         return weighted_power_sum(deltas[:, 0], weights, p), "scalar-exact"
+    if ball == "hs":
+        return _hs_upper(deltas, weights, p), "hs-exact" if p == 2.0 or math.isinf(p) else "hs"
     triangle = pair_triangle(pair_factors(cfg.pairs), norms)
     uppers = op_ball_uppers(deltas, triangle, weights, cfg.dims, norms, p)
     if len(cfg) == 1 and len(cfg.dims) == 2 and norms.factors == (2.0, 2.0):
@@ -624,10 +630,10 @@ def config_denominator(
     """Bracket D = sup over the chosen unit ball of (sum_i a_i|phi(Delta_i)|^p)^(1/p).
 
     ball "hs": forms with Frobenius norm <= 1 (exact at p = 2 and p = inf).
-    ball "op": forms with operator norm <= 1 for the factor norms in `norms`;
-    the certified upper is `denominator_upper` (raised to the certified lower
-    where that is larger), the certified lower comes from rank-one ascent
-    (exact normalization).
+    ball "op": forms with operator norm <= 1 for the factor norms in `norms`.
+    On either ball the certified upper is `denominator_upper` (raised to the
+    certified lower where that is larger); the op ball's certified lower comes
+    from rank-one ascent (exact normalization).
 
     `extra_rank_one_starts` / `extra_kernels` inject known good candidates
     (e.g. the maximizers found on a sub-configuration), which keeps the
@@ -635,8 +641,6 @@ def config_denominator(
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    if ball not in ("op", "hs"):
-        raise ValueError(f"ball must be 'op' or 'hs', got {ball!r}")
     if norms is None:
         norms = NormSpec.all_l2(len(cfg.dims))
     if len(norms.factors) != len(cfg.dims):
@@ -645,15 +649,11 @@ def config_denominator(
     weights = np.asarray(cfg.weights)
     deltas = cfg.rows
     detail: dict = {"seed": seed, "restarts": restarts, "ball": ball, "p": p}
-
-    if math.prod(cfg.dims) == 1:
-        exact, method = denominator_upper(cfg, p, norms)
-        return BoundReport(exact, exact, exact, method=method, detail=detail)
+    upper, method_up = denominator_upper(cfg, p, norms, ball)
+    if method_up in ("scalar-exact", "hs-exact"):
+        return BoundReport(upper, upper, upper, method=method_up, detail=detail)
 
     if ball == "hs":
-        hs_up = _hs_upper(deltas, weights, p)
-        if p == 2.0 or math.isinf(p):
-            return BoundReport(hs_up, hs_up, hs_up, method="hs-exact", detail=detail)
         w2 = weights ** (1.0 / p)
         _, _, vt = np.linalg.svd(deltas * w2[:, None], full_matrices=False)
         cands = _hs_values(np.vstack([vt[0], deltas]), deltas, weights, p)
@@ -661,11 +661,9 @@ def config_denominator(
                           for i in range(restarts)]).reshape(restarts, deltas.shape[1])
         ends = _hs_ascent(deltas, weights, p, draws, max_iters, ASCENT_TOL)
         lower = max([0.0, *cands.tolist(), *ends.tolist()])
-        return BoundReport(lower, lower, max(hs_up, lower), method="hs-ascent", detail=detail)
+        return BoundReport(lower, lower, max(upper, lower), method="hs-ascent", detail=detail)
 
     # operator ball
-    upper, method_up = denominator_upper(cfg, p, norms)
-
     certified = 0.0
     best_lams: list[np.ndarray] | None = None
     starts: list[list[np.ndarray]] = [

@@ -188,6 +188,13 @@ def _numerator(op: MultilinearOperator, cfg: PairConfiguration, p: float) -> flo
     return weighted_power_sum(diffs, np.asarray(cfg.weights), p)
 
 
+def _certified_ratio(num: float, den_upper: float) -> float:
+    """N / upper(D) for a positive N: N > 0 forces D > 0, so a zero upper raises."""
+    if den_upper <= 0:
+        raise RuntimeError(f"numerical failure: denominator upper end 0 under numerator {num}")
+    return num / den_upper
+
+
 def lower_bound_config(
     op: MultilinearOperator,
     cfg: PairConfiguration,
@@ -216,9 +223,7 @@ def lower_bound_config(
     den = denominator if denominator is not None else config_denominator(
         cfg, p, ball, op.norms, seed=seed, restarts=restarts
     )
-    if den.certified_upper <= 0:  # N > 0 forces D > 0
-        raise RuntimeError(f"numerical failure: denominator upper end 0 under numerator {num}")
-    certified = num / den.certified_upper
+    certified = _certified_ratio(num, den.certified_upper)
     heuristic = num / den.heuristic_lower if den.heuristic_lower > 0 else math.inf
     upper = num / den.certified_lower if den.certified_lower > 0 else math.inf
     return BoundReport(
@@ -278,17 +283,23 @@ def _pietsch_lp(
     if np.any(active & (np.max(S, axis=1) <= 0.0)):
         return math.inf, math.nan, None, None, "dictionary cannot dominate a pair (all-zero row)"
     Sa, ta = S[active], t[active]
-    # each pair's column scaled to a largest entry of 1 (nu_i = r_i mu_i): the
-    # entries span many decades and the simplex tolerances are absolute
-    A = (Sa / ta[:, None]).T
+    # the simplex tolerances are absolute: t scaled into [1/2, 1) by the power of two 2^-e
+    # makes the objective -1/r, of the order of t, of order 1 and leaves A / r bit-identical;
+    # each pair's column is scaled to a largest entry of 1 (nu_i = r_i mu_i), as the entries
+    # span many decades
+    e = math.frexp(t_scale)[1]
+    ts = np.ldexp(ta, -e)
+    A = (Sa / ts[:, None]).T
     r = np.max(A, axis=0)
     res = solve_lp(-1.0 / r, A_ub=A / r, b_ub=np.ones(S.shape[1]))
     if not res.ok:
         raise RuntimeError(f"Pietsch LP not solved: simplex status {res.status}")
+    if np.sum(res.duals) == 0:
+        raise RuntimeError("Pietsch LP not solved: zero duals under a nonzero t")
     w = res.duals / np.sum(res.duals)
     lam = np.zeros(len(t))
-    lam[active] = res.x / (r * ta)
-    return float(np.max(ta / (Sa @ w))), -res.value, w, lam, None
+    lam[active] = res.x / (r * ts)
+    return float(np.max(ta / (Sa @ w))), math.ldexp(-res.value, e), w, lam, None
 
 
 def pietsch_upper_lp(
@@ -520,8 +531,8 @@ def estimate_pi_lip(
     initial_pairs: Sequence[tuple[SegrePoint, SegrePoint]] | None = None,
     extra_dictionary: Sequence[MultilinearOperator] | None = None,
 ) -> BoundReport:
-    """Bracket pi_p(T): certified lower from explored configurations, the
-    final LP constant as the (restricted, heuristic) upper.
+    """Bracket pi_p(T): certified lower N / denominator_upper from explored
+    configurations, the final LP constant as the (restricted, heuristic) upper.
 
     The pairset always contains the operator-norm argmax paired with zero,
     which makes the certified lower dominate the attained value of ||T||
@@ -551,7 +562,7 @@ def estimate_pi_lip(
     dictionary += initial_dictionary(op, pairs, seed, budget.max_dictionary, ball)
     dictionary = _dedup_forms(dictionary, budget.max_dictionary)
 
-    best_lower, best_heuristic = 0.0, 0.0
+    best_lower = 0.0
     best_witness: PairConfiguration | None = None
     cert: PietschCertificate | None = None
     rounds_used = 0
@@ -574,15 +585,12 @@ def estimate_pi_lip(
             lower_candidates.append(PairConfiguration((argmax_pair,)))
         if initial_pairs:
             lower_candidates.append(PairConfiguration(tuple(initial_pairs)))
-        for cand in lower_candidates:
-            rep = lower_bound_config(
-                op, cand, p, ball,
-                seed=child_seed(seed, 2, rnd),
-                restarts=max(8, budget.restarts // 4),
-            )
-            if rep.certified_lower > best_lower:
-                best_lower, best_witness = rep.certified_lower, cand
-            best_heuristic = max(best_heuristic, rep.heuristic_lower)
+        for cand in lower_candidates:  # N / upper(D), priced without a search
+            num = _numerator(op, cand, p)
+            if num > 0:
+                lower = _certified_ratio(num, denominator_upper(cand, p, op.norms, ball)[0])
+                if lower > best_lower:
+                    best_lower, best_witness = lower, cand
 
         if cert.feasible and cert.constant <= best_lower * (1 + 1e-3) + 1e-12:
             break  # bracket already tight
@@ -637,7 +645,7 @@ def estimate_pi_lip(
         "ball": ball,
         "p": p,
     }
-    return BoundReport(best_lower, max(best_heuristic, best_lower), upper, method, detail)
+    return BoundReport(best_lower, best_lower, upper, method, detail)
 
 
 # ---------------------------------------------------------------------------

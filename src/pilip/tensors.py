@@ -465,11 +465,12 @@ def project_rows(X: np.ndarray, r: float) -> np.ndarray:
         with np.errstate(divide="ignore"):  # k = 0 only on the rows redone below, NaN or inf
             tau = (cumsum[np.arange(len(rows)), k - 1] - 1.0) / k
         out[rows] = np.sign(V) * np.maximum(np.abs(V) - tau[:, None], 0.0)
-        big = (a[:, 0] >= 2.0**53) & (a[:, 0] < math.inf)
+        big = (cumsum[:, -1] >= 16.0) & (a[:, 0] < math.inf)
         if big.any():
-            # 1 is below the spacing of these entries, so cumsum - 1 rounds; the same k and
-            # values from gaps between entries: k = #{j : sum_{i<=j} (a_i - a_j) < 1}, and
-            # |x| becomes (1 - sum_{j<=k} (a_j - |x|)) / k, or 0 where that is negative
+            # cumsum - 1 loses about sum |x| * 2^-53 to rounding, all of the projection once
+            # 1 is below the spacing of the entries; the same k and values from gaps between
+            # entries: k = #{j : sum_{i<=j} (a_i - a_j) < 1}, and |x| becomes
+            # (1 - sum_{j<=k} (a_j - |x|)) / k, or 0 where that is negative
             A, W = a[big], np.abs(V[big])
             kb = np.sum(np.triu(A[:, :, None] - A[:, None, :]).sum(axis=1) < 1.0, axis=1)
             in_k = (ks <= kb[:, None])[:, None, :]

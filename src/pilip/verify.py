@@ -14,7 +14,7 @@ from typing import Any, Callable
 import numpy as np
 
 from . import __version__
-from .formnorm import config_denominator, operator_norm
+from .formnorm import config_denominator, denominator_upper, operator_norm
 from .hilbert_schmidt import (
     basis_config_lower,
     hs_norm,
@@ -188,7 +188,10 @@ def _check_ball_inclusion(seed: int, trials: int) -> tuple[bool, dict]:
         cfg = random_pairs((2, 2), 4, rng)
         hs = config_denominator(cfg, 2.0, "hs", seed=child_seed(seed, 31, i))
         op = config_denominator(cfg, 2.0, "op", seed=child_seed(seed, 31, i), restarts=12)
-        if hs.certified_upper > op.certified_upper + 1e-9:
+        # the search-free upper that prices estimate_pi_lip's lower end lies above the ascent's
+        search_free = denominator_upper(cfg, 2.0, NormSpec.all_l2(2))[0]
+        if (hs.certified_upper > op.certified_upper + 1e-9
+                or op.certified_lower > search_free * (1 + 1e-12)):
             failures += 1
     return failures == 0, {"failures": failures}
 

@@ -219,6 +219,33 @@ def test_denominator_upper_is_the_search_free_end_of_config_denominator(factors)
     assert unclamped >= 10  # of 20: on one l2 pair the ascent can end ulps above the nuclear upper
 
 
+def test_denominator_upper_on_the_hs_ball_is_config_denominators_upper():
+    # the HS ball: _hs_upper, exact at p = 2 and p = inf; "scalar-exact" first on either ball
+    rng = stream(15, 9)
+    for p in (1.0, 1.5, 2.0, 3.0, math.inf):
+        cfg = random_pairs((2, 3), 4, rng)
+        value, method = denominator_upper(cfg, p, NormSpec.all_l2(2), "hs")
+        rep = config_denominator(cfg, p, "hs", restarts=4)
+        assert method == ("hs-exact" if p in (2.0, math.inf) else "hs")
+        assert rep.method == ("hs-exact" if method == "hs-exact" else "hs-ascent")
+        assert rep.certified_upper == value and rep.certified_lower <= value
+    scalar = random_pairs((1, 1), 2, rng)
+    assert denominator_upper(scalar, 3.0, NormSpec.all_l2(2), "hs")[1] == "scalar-exact"
+    with pytest.raises(ValueError, match="ball"):
+        denominator_upper(cfg, 2.0, NormSpec.all_l2(2), "frobenius")
+
+
+def test_ball_inclusion_property_checks_the_search_free_upper(monkeypatch):
+    from pilip import verify
+
+    check = {name: func for name, func, _ in verify.PROPERTIES}["form_norm/ball_inclusion"]
+    assert check(0, 8) == (True, {"failures": 0})
+    real = verify.denominator_upper
+    monkeypatch.setattr(verify, "denominator_upper",
+                        lambda cfg, p, norms: (0.9 * real(cfg, p, norms)[0], "too low"))
+    assert check(0, 8)[0] is False  # one of the 8 ascents ends above 0.9 of the upper
+
+
 def test_denominator_upper_of_scalar_spaces_is_exact():
     cfg = PairConfiguration(((SegrePoint.of([2.0], [0.5]), SegrePoint.of([1.0], [0.5])),
                              (SegrePoint.of([-1.0], [3.0]), SegrePoint.zero((1, 1)))), (2.0, 1.0))

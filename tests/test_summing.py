@@ -366,6 +366,77 @@ def test_estimate_pi_lip_pinned_values(norms, dims, m, expected):
     assert repr([rep.certified_lower, rep.certified_upper]) == repr(expected)
 
 
+@pytest.mark.parametrize("ball", ["op", "hs"])
+def test_estimate_prices_its_lower_end_without_a_denominator_search(monkeypatch, ball):
+    # every lower candidate is priced N / denominator_upper; config_denominator runs only to
+    # grow the dictionary, once after every round but the last
+    def forbidden(*args, **kwargs):
+        raise AssertionError("lower candidates are priced without a search")
+
+    balls = []
+
+    def spy(*args, **kwargs):
+        balls.append(args[2])
+        return real(*args, **kwargs)
+
+    real = summing.config_denominator
+    monkeypatch.setattr(summing, "lower_bound_config", forbidden)
+    monkeypatch.setattr(summing, "config_denominator", spy)
+    op = random_operator((2, 2), 2, stream(0, 40))
+    budget = Budget(restarts=8, max_pairs=10, max_dictionary=48, rounds=3)
+    rep = estimate_pi_lip(op, 2.0, budget, seed=0, ball=ball)
+    assert rep.detail["rounds"] >= 2
+    assert balls == [ball] * (rep.detail["rounds"] - 1)
+    assert rep.heuristic_lower == rep.certified_lower > 0
+
+
+def test_estimate_hs_ball_at_p3_pinned_values():
+    # the HS ball at p != 2: the lower end reads denominator_upper's "hs" upper
+    op = random_operator((2, 2, 2), 2, stream(7, 2))
+    budget = Budget(restarts=8, max_pairs=10, max_dictionary=48, rounds=2)
+    rep = estimate_pi_lip(op, 3.0, budget, seed=2, ball="hs")
+    assert repr([rep.certified_lower, rep.certified_upper]) == repr(
+        [2.7938330482634113, 2.922097897537928])
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize("scale", [1e-4, 1e-6])
+def test_estimate_of_a_small_operator_is_the_scaled_bracket(p, scale):
+    # the Pietsch LP's objective is of the order of ||T||^p; below the simplex's absolute
+    # tolerance no column would enter and the duals would be 0
+    t2 = random_operator((3, 3), 2, stream(0, 1))
+    small = MultilinearOperator.from_array(t2.kernel.array * scale, t2.norms)
+    budget = Budget(restarts=8, max_pairs=10, max_dictionary=48, rounds=2)
+    ref, rep = estimate_pi_lip(t2, p, budget, seed=0), estimate_pi_lip(small, p, budget, seed=0)
+    assert rep.certified_lower == pytest.approx(scale * ref.certified_lower, rel=3e-15)
+    assert rep.certified_upper == pytest.approx(scale * ref.certified_upper, rel=3e-15)
+    cert = rep.detail["certificate"]
+    assert cert.detail["dual_constant"] == pytest.approx(cert.constant, rel=1e-15)
+
+
+def test_sandwich_of_a_tiny_operator_passes():
+    from pilip.hilbert_schmidt import verify_sandwich
+
+    op = random_operator((3, 3), 2, stream(0, 5))
+    tiny = MultilinearOperator.from_array(op.kernel.array * 1e-12, op.norms)
+    report = verify_sandwich(tiny, 3.0)
+    assert report["passed"]
+    assert report["ratio_p"] == pytest.approx(verify_sandwich(op, 3.0)["ratio_p"], rel=1e-12)
+
+
+def test_pietsch_lp_raises_on_zero_duals(monkeypatch):
+    def solve(c, A_ub, b_ub):  # an "optimum" that no column entered
+        return SimplexResult("optimal", np.zeros(len(c)), 0.0, np.zeros(len(b_ub)))
+
+    monkeypatch.setattr(summing, "solve_lp", solve)
+    rng = stream(4)
+    op = random_operator((2, 2), 2, rng)
+    cfg = random_pairs((2, 2), 5, rng)
+    dictionary = initial_dictionary(op, list(cfg.pairs), 11, 16, "op")
+    with pytest.raises(RuntimeError, match="zero duals"):
+        pietsch_upper_lp(op, cfg, dictionary, 2.0)
+
+
 # --------------------------------------------------------------------------
 # lockstep violation search against the one-start loop, bit for bit
 # --------------------------------------------------------------------------

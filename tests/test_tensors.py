@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -243,8 +244,8 @@ def _one_vector_norming(g, r):
 
 
 def _one_vector_projection(v, r):
-    """The one-vector projection onto the unit l_r ball as written before it became a one-row
-    call of project_rows: the bitwise oracle for both."""
+    """The one-vector projection onto the unit l_r ball, the bitwise oracle for project_rows
+    and project_to_ball: in l1, the sort path below an l1 norm of 16 and the gaps from it on."""
     v = np.asarray(v, dtype=float).reshape(-1)
     if r == math.inf:
         return np.clip(v, -1.0, 1.0)
@@ -256,6 +257,10 @@ def _one_vector_projection(v, r):
     a = np.sort(np.abs(v))[::-1]
     cumsum = np.cumsum(a)
     ks = np.arange(1, a.size + 1)
+    if cumsum[-1] >= 16.0 and a[0] < math.inf:  # the cancellation-free form, from the gaps
+        k = int(np.sum(np.triu(a[:, None] - a[None, :]).sum(axis=0) < 1.0))
+        gap = np.sum(np.where(ks <= k, a[None, :] - np.abs(v)[:, None], 0.0), axis=1)
+        return np.sign(v) * np.maximum((1.0 - gap) / k, 0.0)
     mask = a > (cumsum - 1.0) / ks
     k = int(np.max(ks[mask]))
     tau = (cumsum[k - 1] - 1.0) / k
@@ -272,7 +277,7 @@ def test_row_helpers_match_one_vector_versions():
         X[3] = 3.0 * X[3]                       # outside every unit ball, clipped in l-inf
         X[4] = np.round(X[4])                   # ties in |x|
         X[5, 0] = -4.0                          # clipped in l-inf
-        X[6] = 1e15 * X[6]                      # large entries, below 2^53
+        X[6] = 1e15 * X[6]                      # large entries: l1 sum above 16
         X[7] = 1e-150 * X[7]                    # squares near the least normal float
         for r in (1.0, 2.0, math.inf):
             norms, norming, proj = row_norms(X, r), norming_rows(X, r), project_rows(X, r)
@@ -367,6 +372,38 @@ def test_l1_projection_of_entries_above_2_53():
     assert np.array_equal(out[0], [1.0, 0.0, 0.0])  # the gap 16 > 1 leaves the top entry
     for i in (1, 2):  # the other rows keep their bits
         assert np.array_equal(out[i], _one_vector_projection(X[i], 1.0))
+
+
+def _exact_l1_projection(v):
+    """The projection of v onto the unit l1 ball in rational arithmetic, each entry rounded
+    once at the end."""
+    x = [Fraction(float(t)) for t in v]
+    if sum(abs(t) for t in x) <= 1:
+        return np.array([float(t) for t in x])
+    total, tau = Fraction(0), None
+    for j, a in enumerate(sorted((abs(t) for t in x), reverse=True), 1):
+        total += a
+        if a > (total - 1) / j:
+            tau = (total - 1) / j
+    return np.array([float(max(abs(t) - tau, 0) * (1 if t > 0 else -1)) for t in x])
+
+
+@pytest.mark.parametrize("e", [0.5, 2, 4, 6, 10, 20, 40, 60])
+def test_l1_projection_matches_the_exact_projection_at_every_scale(e):
+    # rows of l1 norm about 2^e whose entries lie within 1 of each other, so that every entry
+    # survives the soft threshold; cumsum - 1 would lose about 2^(e - 53) there
+    rng = np.random.default_rng(int(4 * e))
+    for d in (2, 3, 5, 8):
+        X = (2.0**e / d + rng.uniform(0, 1.5 / d, (40, d))) * rng.choice([-1.0, 1.0], (40, d))
+        for x, got in zip(X, project_rows(X, 1.0)):
+            want = _exact_l1_projection(x)
+            assert np.max(np.abs(got - want)) <= 8 * 2.0**-53, (e, x, got, want)
+            assert np.sum(np.abs(got)) <= 1 + 1e-14
+
+
+def test_l1_projection_of_a_row_whose_sum_passes_2_52():
+    # every entry is below 2^53, but 1 is below the spacing of the running sum
+    assert np.array_equal(project_to_ball(np.array([4e15 + 0.5, 4e15]), 1.0), [0.75, 0.25])
 
 
 # --------------------------------------------------------------------------
