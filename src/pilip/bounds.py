@@ -1,4 +1,4 @@
-"""Certified/heuristic bracket container used by every estimator."""
+"""The certified bracket returned by every estimator."""
 
 from __future__ import annotations
 
@@ -11,18 +11,15 @@ __all__ = ["BoundReport"]
 
 @dataclass(frozen=True)
 class BoundReport:
-    """A bracket [certified_lower, certified_upper] plus the best heuristic value.
+    """A bracket [certified_lower, certified_upper] on the reported quantity.
 
-    `certified_lower` and `certified_upper` are mathematically guaranteed
-    bounds on the reported quantity; `heuristic_lower` is the best value a
-    search produced and may rely on non-certified normalization.  `method`
-    names how the endpoints were obtained (and flags when the upper end is
-    only a restricted/heuristic estimate).  Construction clamps the values
-    into certified_lower <= heuristic_lower <= certified_upper.
+    Both ends are mathematically guaranteed bounds; `method` names how they were
+    obtained and flags an upper end that is only a restricted/heuristic estimate
+    (the summing norms' LP constant).  Construction clamps the ends into
+    0 <= certified_lower <= certified_upper.
     """
 
     certified_lower: float
-    heuristic_lower: float
     certified_upper: float
     method: str = ""
     detail: dict[str, Any] = field(default_factory=dict)
@@ -30,15 +27,17 @@ class BoundReport:
     def __post_init__(self):
         lo = float(self.certified_lower)
         hi = float(self.certified_upper)
-        if math.isnan(lo) or math.isnan(hi) or math.isnan(float(self.heuristic_lower)):
+        if math.isnan(lo) or math.isnan(hi):
             raise ValueError("bounds must not be NaN")
-        lo = max(0.0, lo)
         hi = max(hi, 0.0)
-        lo = min(lo, hi)
-        heur = min(max(float(self.heuristic_lower), lo), hi)
+        lo = min(max(0.0, lo), hi)
         object.__setattr__(self, "certified_lower", lo)
-        object.__setattr__(self, "heuristic_lower", heur)
         object.__setattr__(self, "certified_upper", hi)
+
+    @property
+    def heuristic_lower(self) -> float:
+        """Read-only alias of `certified_lower`, kept in `to_dict` (docs/formats.md)."""
+        return self.certified_lower
 
     @property
     def width(self) -> float:

@@ -66,7 +66,7 @@ def _config(args: argparse.Namespace) -> RunConfig:
     try:
         budget = Budget(restarts=args.budget_restarts, max_pairs=args.budget_pairs,
                         max_dictionary=args.budget_dict, rounds=args.budget_rounds)
-        return RunConfig(args.seed, budget, args.tol, getattr(args, "input", None))
+        return RunConfig(args.seed, budget, vars(args).get("tol"), vars(args).get("input"))
     except ValueError as exc:
         raise SchemaError(str(exc)) from None
 
@@ -81,9 +81,6 @@ def _add_common(sub: argparse.ArgumentParser, with_input: bool = True) -> None:
     if with_input:
         sub.add_argument("input", help="path to a JSON instance")
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--p", type=float, default=2.0)
-    sub.add_argument("--ball", choices=["op", "hs"], default="op")
-    sub.add_argument("--tol", type=float, default=None)
     sub.add_argument("--json-out", default=None, help="write the report here")
     sub.add_argument("--budget-restarts", type=int, default=64)
     sub.add_argument("--budget-pairs", type=int, default=24)
@@ -127,9 +124,7 @@ def _cmd_norm(args: argparse.Namespace) -> int:
     cfg = _config(args)
     op = _load_operator(args.input)
     rep = operator_norm(op, seed=args.seed, restarts=cfg.budget.restarts)
-    out = rep.to_dict()
-    out["detail"] = {k: to_jsonable(v) for k, v in rep.detail.items()}
-    _emit(_report("norm", cfg, out), args.json_out)
+    _emit(_report("norm", cfg, rep), args.json_out)  # _emit makes the report JSON-ready
     return 0
 
 
@@ -242,6 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sum = sub.add_parser("summing", help="Lipschitz p-summing norm bracket")
     _add_common(p_sum)
+    p_sum.add_argument("--ball", choices=["op", "hs"], default="op")
     p_sum.set_defaults(func=_cmd_summing)
 
     p_hs = sub.add_parser("hs", help="Hilbert-Schmidt norm / coincidence check")
@@ -252,6 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dn = sub.add_parser("dnorm", help="tensor-norm bracket for a mixed tensor")
     _add_common(p_dn)
+    p_dn.add_argument("--tol", type=float, default=None, help="residual tolerance (1e-8)")
     p_dn.set_defaults(func=_cmd_dnorm)
 
     p_re = sub.add_parser("restrict", help="fix one slot to a vector")
@@ -263,6 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_po = sub.add_parser("poly", help="summing bracket for the diagonal polynomial")
     _add_common(p_po)
     p_po.set_defaults(func=_cmd_poly)
+    for sp in (p_sum, p_hs, p_dn, p_po):  # the subcommands that read --p
+        sp.add_argument("--p", type=float, default=2.0)
 
     p_ve = sub.add_parser("verify", help="run the randomized property suite")
     _add_common(p_ve, with_input=False)

@@ -47,6 +47,7 @@ __all__ = [
     "operator_norm",
     "config_denominator",
     "denominator_upper",
+    "rank_one_maximizer",
     "rank_one_form",
     "rank_one_norm",
     "halving_trials",
@@ -234,13 +235,13 @@ def operator_norm(
     """
     kernel = op.kernel.array
     if not np.any(kernel):
-        return BoundReport(0.0, 0.0, 0.0, method="zero")
+        return BoundReport(0.0, 0.0, method="zero")
 
     enum = _enumeration_max(op)
     if enum is not None:
         value, argmax = enum
         return BoundReport(
-            value, value, value, method="enumeration",
+            value, value, method="enumeration",
             detail={"argmax": argmax, "seed": seed},
         )
     svd = _svd_argmax(op)
@@ -252,7 +253,7 @@ def operator_norm(
         else:  # no evaluation: the upper end alone, as on the relaxed path
             argmax = None
         return BoundReport(
-            attained, attained, sigma, method="svd",
+            attained, sigma, method="svd",
             detail={"argmax": argmax, "seed": seed},
         )
 
@@ -268,7 +269,7 @@ def operator_norm(
             best, argmax = float(values[i]), SegrePoint(tuple(F[i] for F in factors))
     upper = _relaxed_upper(op)
     return BoundReport(
-        best, best, max(upper, best), method="relaxed",
+        best, max(upper, best), method="relaxed",
         detail={"argmax": argmax, "seed": seed, "restarts": restarts},
     )
 
@@ -615,6 +616,29 @@ def denominator_upper(cfg: PairConfiguration, p: float, norms: NormSpec,
     return uppers[method], method
 
 
+def rank_one_maximizer(
+    cfg: PairConfiguration, p: float, norms: NormSpec, *, seed: int = 0,
+    restarts: int = DEFAULT_RESTARTS, max_iters: int = ASCENT_MAX_ITERS,
+    extra_starts: Sequence[Sequence[np.ndarray]] | None = None,
+) -> tuple[float, list[np.ndarray] | None]:
+    """The op-ball denominator's best rank-one form lam_1 (x) ... (x) lam_n from
+    `_rank_one_ascent`, as (value, [lam_k]), a certified lower (exact normalization), or
+    (0.0, None) when no value is positive.  Starts: `extra_starts`, the dual norming vectors
+    of the u and the v of the first max(1, restarts // 4) pairs, then stream(seed, 2, i)."""
+    starts = [[np.asarray(v, dtype=float) for v in s] for s in (extra_starts or [])]
+    for u, v in cfg.pairs[: max(1, restarts // 4)]:
+        starts.append([dual_norming_vector(f, r) for f, r in zip(u.factors, norms.factors)])
+        starts.append([dual_norming_vector(f, r) for f, r in zip(v.factors, norms.factors)])
+    for i in range(len(starts), max(restarts, len(starts))):
+        rng = stream(seed, 2, i)
+        starts.append([rng.standard_normal(d) for d in cfg.dims])
+    values, lams = _rank_one_ascent(cfg, norms, p, starts, max_iters, ASCENT_TOL)
+    best = int(np.argmax(values))  # the first maximum
+    if values[best] > 0.0:
+        return float(values[best]), [L[best] for L in lams]
+    return 0.0, None
+
+
 def config_denominator(
     cfg: PairConfiguration,
     p: float,
@@ -633,7 +657,7 @@ def config_denominator(
     ball "op": forms with operator norm <= 1 for the factor norms in `norms`.
     On either ball the certified upper is `denominator_upper` (raised to the
     certified lower where that is larger); the op ball's certified lower comes
-    from rank-one ascent (exact normalization).
+    from `rank_one_maximizer` and from full-kernel candidates (exact norms).
 
     `extra_rank_one_starts` / `extra_kernels` inject known good candidates
     (e.g. the maximizers found on a sub-configuration), which keeps the
@@ -651,7 +675,7 @@ def config_denominator(
     detail: dict = {"seed": seed, "restarts": restarts, "ball": ball, "p": p}
     upper, method_up = denominator_upper(cfg, p, norms, ball)
     if method_up in ("scalar-exact", "hs-exact"):
-        return BoundReport(upper, upper, upper, method=method_up, detail=detail)
+        return BoundReport(upper, upper, method=method_up, detail=detail)
 
     if ball == "hs":
         w2 = weights ** (1.0 / p)
@@ -661,30 +685,17 @@ def config_denominator(
                           for i in range(restarts)]).reshape(restarts, deltas.shape[1])
         ends = _hs_ascent(deltas, weights, p, draws, max_iters, ASCENT_TOL)
         lower = max([0.0, *cands.tolist(), *ends.tolist()])
-        return BoundReport(lower, lower, max(upper, lower), method="hs-ascent", detail=detail)
+        return BoundReport(lower, max(upper, lower), method="hs-ascent", detail=detail)
 
     # operator ball
-    certified = 0.0
-    best_lams: list[np.ndarray] | None = None
-    starts: list[list[np.ndarray]] = [
-        [np.asarray(v, dtype=float) for v in s] for s in (extra_rank_one_starts or [])
-    ]
-    for u, v in cfg.pairs[: max(1, restarts // 4)]:
-        starts.append([dual_norming_vector(f, r) for f, r in zip(u.factors, norms.factors)])
-        starts.append([dual_norming_vector(f, r) for f, r in zip(v.factors, norms.factors)])
-    for i in range(len(starts), max(restarts, len(starts))):
-        rng = stream(seed, 2, i)
-        starts.append([rng.standard_normal(d) for d in cfg.dims])
-    values, lams = _rank_one_ascent(cfg, norms, p, starts, max_iters, ASCENT_TOL)
-    best = int(np.argmax(values))  # the first maximum
-    if values[best] > certified:
-        certified, best_lams = float(values[best]), [L[best] for L in lams]
+    certified, best_lams = rank_one_maximizer(cfg, p, norms, seed=seed, restarts=restarts,
+                                              max_iters=max_iters,
+                                              extra_starts=extra_rank_one_starts)
 
     # full-kernel candidates: the HS geometry maximizer, the per-pair
     # spectral-ball norming kernels U V^T (which attain the nuclear pairing
     # for l2 bilinear forms), plus injected ones; certified by dividing out
-    # a certified operator-norm upper
-    heuristic = certified
+    # operator_norm's search-free certified upper
     w2 = weights ** (1.0 / p) if not math.isinf(p) else np.ones_like(weights)
     _, _, vt = np.linalg.svd(deltas * w2[:, None], full_matrices=False)
     kernels = [vt[0]] + [np.asarray(k, dtype=float).reshape(-1) for k in (extra_kernels or [])]
@@ -700,16 +711,13 @@ def config_denominator(
         g_form = MultilinearOperator.from_array(
             G_flat.reshape(cfg.dims)[..., np.newaxis], NormSpec(norms.factors, 2.0)
         )
-        g_norm = operator_norm(g_form, seed=seed ^ 0x5F, restarts=max(8, restarts // 4))
-        if g_norm.certified_upper > 0:
-            certified = max(certified, raw / g_norm.certified_upper)
-        if g_norm.heuristic_lower > 0:
-            heuristic = max(heuristic, raw / g_norm.heuristic_lower)
+        g_upper = operator_norm(g_form, restarts=0).certified_upper
+        if g_upper > 0:
+            certified = max(certified, raw / g_upper)
 
     detail["rank_one_maximizer"] = best_lams
     detail["full_kernel_candidate"] = vt[0].reshape(cfg.dims)
-    upper = max(upper, certified)
     return BoundReport(
-        certified, max(heuristic, certified), upper,
+        certified, max(upper, certified),
         method=f"rank-one-ascent/{method_up}", detail=detail,
     )

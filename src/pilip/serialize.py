@@ -23,7 +23,7 @@ import numpy as np
 
 from .bounds import BoundReport
 from .summing import FactorizationBundle, PietschCertificate
-from .tensor_norm import MixedTensor, Representation
+from .tensor_norm import DualWitness, MixedTensor, Representation
 from .tensors import (
     DenseTensor,
     MultilinearOperator,
@@ -265,6 +265,8 @@ def to_jsonable(obj: Any) -> Any:
         return pairset_to_json(obj)
     if isinstance(obj, PietschCertificate):
         return certificate_to_json(obj)
+    if isinstance(obj, DualWitness):  # "certified" stays in the layout (docs/formats.md)
+        return {**{k: to_jsonable(v) for k, v in vars(obj).items()}, "certified": True}
     if isinstance(obj, Representation):
         return [
             {"p": _segre_to_json(p), "q": _segre_to_json(q), "y": to_jsonable(y)}

@@ -40,6 +40,7 @@ from .formnorm import (
     lockstep_ascent,
     operator_norm,
     rank_one_form,
+    rank_one_maximizer,
     rank_one_norm,
     slot_gradient,
     weighted_power_sum,
@@ -219,15 +220,14 @@ def lower_bound_config(
         raise ShapeError("configuration dims do not match the operator")
     num = _numerator(op, cfg, p)
     if num == 0.0:
-        return BoundReport(0.0, 0.0, 0.0, method="zero-numerator")
+        return BoundReport(0.0, 0.0, method="zero-numerator")
     den = denominator if denominator is not None else config_denominator(
         cfg, p, ball, op.norms, seed=seed, restarts=restarts
     )
     certified = _certified_ratio(num, den.certified_upper)
-    heuristic = num / den.heuristic_lower if den.heuristic_lower > 0 else math.inf
     upper = num / den.certified_lower if den.certified_lower > 0 else math.inf
     return BoundReport(
-        certified, min(heuristic, upper), upper,
+        certified, upper,
         method=f"config-ratio[{den.method}]",
         detail={"numerator": num, "denominator": den.to_dict(), "ball": ball, "p": p},
     )
@@ -382,6 +382,7 @@ def _violation_search(
         return []
     norms, n = op.norms, op.n
     kernel = op.kernel.array
+    lhs_floor = 1e-14 * float(np.max(np.abs(kernel)))  # relative: lhs is 1-homogeneous in T
     keep = [j for j, w in enumerate(cert.weights) if w > 1e-15]
     F, w = cert.form_matrix()[keep], np.asarray(cert.weights)[keep]
     s_dual = dual_exponent(norms.codomain)
@@ -397,7 +398,7 @@ def _violation_search(
     def ratio(diff, vals):
         lhs = row_norms(diff, norms.codomain)
         rhs = np.array([float(x) ** (1.0 / p) for x in form_sums(vals)])  # a scalar power each
-        return np.divide(lhs, rhs, out=np.where(lhs > 1e-14, math.inf, 0.0),
+        return np.divide(lhs, rhs, out=np.where(lhs > lhs_floor, math.inf, 0.0),
                          where=~(rhs <= 1e-300))
 
     def gradient(X, kept, _):
@@ -541,8 +542,7 @@ def estimate_pi_lip(
     """
     budget = budget or Budget()
     if not np.any(op.kernel.data):
-        return BoundReport(0.0, 0.0, 0.0, method="zero",
-                           detail={"certificate": None, "seed": seed})
+        return BoundReport(0.0, 0.0, method="zero", detail={"certificate": None, "seed": seed})
 
     norm_report = operator_norm(op, seed=child_seed(seed, 1), restarts=budget.restarts)
     pairs: list[tuple[SegrePoint, SegrePoint]] = list(initial_pairs or [])
@@ -592,7 +592,7 @@ def estimate_pi_lip(
                 if lower > best_lower:
                     best_lower, best_witness = lower, cand
 
-        if cert.feasible and cert.constant <= best_lower * (1 + 1e-3) + 1e-12:
+        if cert.feasible and cert.constant <= best_lower * (1 + 1e-3):
             break  # bracket already tight
         if rnd == budget.rounds - 1:
             break
@@ -605,14 +605,12 @@ def estimate_pi_lip(
             fresh = [pr for pr, d in zip(found, degenerate_rows(pair_rows(found))) if not d]
             pairs += fresh[:max(0, budget.max_pairs - len(pairs))]
 
-        den = config_denominator(
-            PairConfiguration(tuple(pairs)), p, ball, op.norms,
-            seed=child_seed(seed, 4, rnd), restarts=max(8, budget.restarts // 4),
-            max_iters=budget.ascent_iters,
-        )
-        lams = den.detail.get("rank_one_maximizer")
-        if lams is not None:
-            dictionary.append(_unit_rank_one(lams, op.norms, ball))
+        if ball == "op" and math.prod(op.dims) > 1:
+            _, lams = rank_one_maximizer(
+                PairConfiguration(tuple(pairs)), p, op.norms, seed=child_seed(seed, 4, rnd),
+                restarts=max(8, budget.restarts // 4), max_iters=budget.ascent_iters)
+            if lams is not None:
+                dictionary.append(_unit_rank_one(lams, op.norms, ball))
         grow_rng = stream(seed, 8, rnd)
         for _ in range(4):
             dictionary.append(
@@ -645,7 +643,7 @@ def estimate_pi_lip(
         "ball": ball,
         "p": p,
     }
-    return BoundReport(best_lower, best_lower, upper, method, detail)
+    return BoundReport(best_lower, upper, method, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -765,7 +763,7 @@ def estimate_pi_lip_poly(
     if float(np.max(np.abs(kernel - symmetrize_kernel(kernel)))) > SYMMETRY_TOL * scale:
         raise ValueError("kernel is not symmetric under factor permutations")
     if not np.any(kernel):
-        return BoundReport(0.0, 0.0, 0.0, method="zero")
+        return BoundReport(0.0, 0.0, method="zero")
     r = op.norms.factors[0]
 
     rng = stream(seed, 9)
@@ -819,7 +817,7 @@ def estimate_pi_lip_poly(
     if math.isfinite(upper):
         best_lower = min(best_lower, upper + 1e-6)
     return BoundReport(
-        best_lower, best_lower, upper,
+        best_lower, upper,
         method="poly-pietsch-lp(restricted-heuristic-upper)",
         detail={"seed": seed, "pairs": len(live_pairs), "dictionary_size": len(forms), "p": p},
     )

@@ -132,15 +132,10 @@ class Representation:
 
 @dataclass(frozen=True)
 class DualWitness:
-    """A summing operator W with a known upper estimate of its p'-norm.
-
-    Only witnesses whose upper bound is certified contribute to the
-    certified lower bound of the tensor norm; the others are diagnostics.
-    """
+    """A summing operator W with a certified upper bound `pi_upper` of its p'-norm."""
 
     operator: MultilinearOperator
     pi_upper: float
-    certified: bool = True
 
 
 def delta_p_norm(ys: Sequence[np.ndarray], p: float, codomain: float = 2.0) -> float:
@@ -349,7 +344,7 @@ def dp_upper(
     A = z.kernel.array
     scale = float(np.linalg.norm(A))
     if scale == 0.0:
-        return BoundReport(0.0, 0.0, 0.0, method="zero")
+        return BoundReport(0.0, 0.0, method="zero")
     unit = MixedTensor.from_array(A / scale, z.norms)
     Z = unit.kernel.array.reshape(-1, unit.m)
 
@@ -408,7 +403,7 @@ def dp_upper(
             f"no representation within residual tolerance at k = {k_eff}; increase k"
         )
     return BoundReport(
-        0.0, 0.0, scale * best_val,
+        0.0, scale * best_val,
         method="representation-search",
         detail={
             "representation": best_rep,
@@ -445,7 +440,7 @@ def _rank_one_witnesses(z: MixedTensor, seed: int, count: int = 12) -> list[Dual
         w_op = MultilinearOperator.from_array(kernel, norms)
         pi_up = rank_one_norm(lam, norms) * vector_norm(ystar, s_dual)
         if pi_up > 0:
-            witnesses.append(DualWitness(w_op, pi_up, certified=True))
+            witnesses.append(DualWitness(w_op, pi_up))
 
     for l in range(min(len(s), 3)):
         if s[l] == 0:
@@ -490,26 +485,24 @@ def dp_lower_dual(
     """Certified lower bound max |<W, z>| / upper(pi_p'(W)) over witnesses.
 
     Auto-generated scalar-type witnesses (rank-one form tensored with a
-    dual-unit codomain vector) have exactly known norms.  Witnesses whose
-    bound is not certified only feed the heuristic value.
+    dual-unit codomain vector) have exactly known norms.
     """
     if p <= 1:
         raise ValueError("dp_lower_dual needs p in (1, inf]")
     if float(np.linalg.norm(z.kernel.data)) == 0.0:
-        return BoundReport(0.0, 0.0, math.inf, method="dual-witness")
+        return BoundReport(0.0, math.inf, method="dual-witness")
     pool = list(witnesses or [])
     pool.extend(_rank_one_witnesses(z, seed))
-    certified, heuristic = 0.0, 0.0
+    certified = 0.0
     best: DualWitness | None = None
     for w in pool:
         if w.pi_upper <= 0:
             continue
         ratio = abs(_pairing(w.operator, z)) / w.pi_upper
-        heuristic = max(heuristic, ratio)
-        if w.certified and ratio > certified:
+        if ratio > certified:
             certified, best = ratio, w
     return BoundReport(
-        certified, heuristic, math.inf,
+        certified, math.inf,
         method="dual-witness",
         detail={"witness": best, "witness_count": len(pool), "seed": seed, "p": p},
     )
@@ -542,22 +535,21 @@ def check_delta_epsilon_bound(
     seed: int = 0,
     tol: float = 1e-7,
 ) -> dict[str, Any]:
-    """Finitary check: Delta_p of the mapped differences is at most
-    (LP constant on cfg) x (epsilon certified upper), within tol."""
+    """Finitary check: Delta_p of the mapped differences is at most (LP constant on
+    cfg) x (epsilon certified upper, the op-ball `denominator_upper`), within tol."""
     budget = budget or Budget()
     lhs = delta_p_norm(eval_differences(op, cfg.pairs), p, op.norms.codomain)
-    eps = epsilon_norm_diff(cfg, p, op.norms, seed=child_seed(seed, 23),
-                            restarts=max(8, budget.restarts // 8))
+    eps_upper = denominator_upper(cfg, p, op.norms)[0]
     dictionary = initial_dictionary(
         op, list(cfg.pairs), child_seed(seed, 24), budget.max_dictionary, "op"
     )
     cert = pietsch_upper_lp(op, cfg, dictionary, p)
-    bound = cert.constant * eps.certified_upper
+    bound = cert.constant * eps_upper
     passed = lhs <= bound + tol
     return {
         "delta_p": lhs,
         "constant": cert.constant,
-        "epsilon_upper": eps.certified_upper,
+        "epsilon_upper": eps_upper,
         "bound": bound,
         "margin": bound - lhs,
         "passed": bool(passed),

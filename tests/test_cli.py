@@ -127,28 +127,60 @@ def test_verify_exit_zero_and_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_bad_tolerance_rejected(lambda2_path, capsys):
-    assert cli_main(["norm", lambda2_path, "--tol", "7"]) == 2
+def _mixed_path(tmp_path):
+    path = str(tmp_path / "mixed.json")
+    save_json(mixed_to_json(random_mixed((2, 2), 2, stream(0))), path)
+    return path
+
+
+def test_bad_tolerance_rejected(tmp_path, capsys):
+    assert cli_main(["dnorm", _mixed_path(tmp_path), "--tol", "7"]) == 2
     assert capsys.readouterr().err.startswith("error: tolerance must lie in (0, 1)")
+
+
+def test_tolerance_is_echoed_by_dnorm_and_null_elsewhere(lambda2_path, tmp_path, capsys):
+    assert cli_main(["dnorm", _mixed_path(tmp_path), "--tol", "1e-6"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["tol"] == 1e-6
+    assert cli_main(["norm", lambda2_path]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["tol"] is None
+
+
+# every subcommand takes only the flags it reads: --ball only summing, --tol only dnorm,
+# and --p neither norm, restrict nor verify
+REMOVED_FLAGS = ([f"{c} --ball op" for c in ("norm", "hs", "dnorm", "restrict", "poly", "verify")]
+                 + [f"{c} --tol 0.5" for c in ("norm", "summing", "hs", "restrict", "poly",
+                                               "verify")]
+                 + [f"{c} --p 2" for c in ("norm", "restrict", "verify")])
+
+
+@pytest.mark.parametrize("argv", REMOVED_FLAGS)
+def test_removed_flag_exits_2(argv, lambda2_path, tmp_path, capsys):
+    command, *flags = argv.split()
+    args = {"verify": [], "dnorm": [_mixed_path(tmp_path)],
+            "restrict": [lambda2_path, "--slot", "0", "--vector", "1,0"]}.get(command,
+                                                                              [lambda2_path])
+    with pytest.raises(SystemExit) as exc:
+        cli_main([command] + args + flags)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + " ".join(flags) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
     "summing --p 0.5",
     "summing --p inf",
     "summing --p nan",
-    "summing --tol 2",
     "summing --budget-rounds 0",
     "poly --p inf",
     "hs --sandwich --p nan",
     "dnorm --p 1",
     "dnorm --p nan",
+    "dnorm --tol 2",
 ])
 def test_invalid_values_exit_2(argv, lambda2_path, tmp_path, capsys):
     command, *flags = argv.split()
     path = lambda2_path
     if command == "dnorm":
-        path = str(tmp_path / "mixed.json")
-        save_json(mixed_to_json(random_mixed((2, 2), 2, stream(0))), path)
+        path = _mixed_path(tmp_path)
     assert cli_main([command, path] + flags) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err

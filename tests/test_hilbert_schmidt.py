@@ -137,6 +137,28 @@ def test_sandwich_records_bp_diagnostics_for_large_p():
     assert "lp_constant_p" in report and "bp_power_n_bound" in report
 
 
+@pytest.mark.parametrize("factor,key", [(0.5, "lp_consistent"), (4.0, "within_bp_bound")])
+def test_sandwich_margins_are_relative_to_hs(monkeypatch, factor, key):
+    # an LP constant off by a factor 2 or 4 fails the sandwich however small T is
+    import dataclasses
+
+    from pilip import hilbert_schmidt
+
+    real = hilbert_schmidt.pietsch_upper_lp
+
+    def scaled(*args, **kwargs):
+        cert = real(*args, **kwargs)
+        return dataclasses.replace(cert, constant=factor * cert.constant)
+
+    monkeypatch.setattr(hilbert_schmidt, "pietsch_upper_lp", scaled)
+    op = random_operator((3, 3), 2, stream(0, 5))
+    for scale in (1.0, 1e-12):
+        small = MultilinearOperator.from_array(op.kernel.array * scale, op.norms)
+        report = verify_sandwich(small, 3.0, FAST)
+        assert report[key] is False
+        assert report["passed"] is (key != "lp_consistent")
+
+
 def test_operator_norm_below_hs():
     for i in range(10):
         op = random_operator((2, 2, 2), 2, stream(100 + i))

@@ -21,7 +21,7 @@ from pilip.serialize import (
     to_jsonable,
 )
 from pilip.summing import pietsch_upper_lp
-from pilip.tensor_norm import MixedTensor
+from pilip.tensor_norm import DualWitness, MixedTensor
 from pilip.tensors import DenseTensor, MultilinearOperator, NormSpec
 from pilip.verify import lambda_n, random_mixed, random_operator, random_pairs
 
@@ -122,3 +122,12 @@ def test_dumps_canonical_is_deterministic():
 def test_dense_tensor_to_jsonable():
     t = DenseTensor.from_array(np.arange(4.0).reshape(2, 2))
     assert to_jsonable(t) == {"shape": [2, 2], "data": [0.0, 1.0, 2.0, 3.0]}
+
+
+def test_dual_witness_keeps_its_report_layout():
+    # DualWitness has no certified flag (every pi_upper is certified), and its JSON still
+    # carries "certified": true so that dnorm reports keep their bytes
+    op = random_operator((2, 2), 2, stream(3))
+    out = to_jsonable(DualWitness(op, 0.5))
+    assert list(out) == ["operator", "pi_upper", "certified"]
+    assert out == {"operator": operator_to_json(op), "pi_upper": 0.5, "certified": True}

@@ -94,7 +94,7 @@ def test_lower_of_a_huge_operator_is_finite():
 
 def test_lower_raises_on_a_zero_denominator_upper(monkeypatch):
     monkeypatch.setattr(summing, "config_denominator",
-                        lambda *args, **kwargs: BoundReport(0.0, 0.0, 0.0, method="broken"))
+                        lambda *args, **kwargs: BoundReport(0.0, 0.0, method="broken"))
     cfg = random_pairs((2, 2), 3, stream(0))
     with pytest.raises(RuntimeError, match="numerical failure"):
         lower_bound_config(random_operator((2, 2), 2, stream(1)), cfg, 2.0)
@@ -368,26 +368,46 @@ def test_estimate_pi_lip_pinned_values(norms, dims, m, expected):
 
 @pytest.mark.parametrize("ball", ["op", "hs"])
 def test_estimate_prices_its_lower_end_without_a_denominator_search(monkeypatch, ball):
-    # every lower candidate is priced N / denominator_upper; config_denominator runs only to
-    # grow the dictionary, once after every round but the last
+    # every lower candidate is priced N / denominator_upper, and no config_denominator runs;
+    # rank_one_maximizer grows the op-ball dictionary once after every round but the last,
+    # and never runs on the HS ball, which has no rank-one maximizer to add
     def forbidden(*args, **kwargs):
         raise AssertionError("lower candidates are priced without a search")
 
-    balls = []
+    calls = []
 
     def spy(*args, **kwargs):
-        balls.append(args[2])
+        calls.append(args[0])
         return real(*args, **kwargs)
 
-    real = summing.config_denominator
+    real = summing.rank_one_maximizer
     monkeypatch.setattr(summing, "lower_bound_config", forbidden)
-    monkeypatch.setattr(summing, "config_denominator", spy)
+    monkeypatch.setattr(summing, "config_denominator", forbidden)
+    monkeypatch.setattr(summing, "rank_one_maximizer", spy)
     op = random_operator((2, 2), 2, stream(0, 40))
     budget = Budget(restarts=8, max_pairs=10, max_dictionary=48, rounds=3)
     rep = estimate_pi_lip(op, 2.0, budget, seed=0, ball=ball)
     assert rep.detail["rounds"] >= 2
-    assert balls == [ball] * (rep.detail["rounds"] - 1)
-    assert rep.heuristic_lower == rep.certified_lower > 0
+    assert len(calls) == (rep.detail["rounds"] - 1 if ball == "op" else 0)
+    assert rep.certified_lower > 0
+
+
+def test_estimate_on_scalar_dims_grows_no_rank_one_maximizer(monkeypatch):
+    # every form on scalar factor spaces is a multiple of z_1...z_n: no maximizer to add
+    def forbidden(*args, **kwargs):
+        raise AssertionError("no rank-one ascent on scalar factor spaces")
+
+    def loose(*args, **kwargs):  # a doubled upper keeps the bracket from closing in round 1
+        value, method = real(*args, **kwargs)
+        return 2.0 * value, method
+
+    real = summing.denominator_upper
+    monkeypatch.setattr(summing, "rank_one_maximizer", forbidden)
+    monkeypatch.setattr(summing, "denominator_upper", loose)
+    op = random_operator((1, 1), 2, stream(0, 41))
+    budget = Budget(restarts=8, max_pairs=10, max_dictionary=48, rounds=3)
+    rep = estimate_pi_lip(op, 3.0, budget, seed=0)
+    assert rep.detail["rounds"] == 3 and rep.certified_lower > 0
 
 
 def test_estimate_hs_ball_at_p3_pinned_values():
@@ -412,6 +432,43 @@ def test_estimate_of_a_small_operator_is_the_scaled_bracket(p, scale):
     assert rep.certified_upper == pytest.approx(scale * ref.certified_upper, rel=3e-15)
     cert = rep.detail["certificate"]
     assert cert.detail["dual_constant"] == pytest.approx(cert.constant, rel=1e-15)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_estimate_is_scale_equivariant_over_powers_of_two(p):
+    # no threshold of the search is absolute: T 2^-e runs the rounds of T, and its bracket is
+    # T's times 2^-e, bit for bit at p = 2 (at p = 3 the LP's t = ||.||^3 rounds differently)
+    t2 = random_operator((3, 3), 2, stream(0, 1))
+    budget = Budget(restarts=8, max_pairs=10, max_dictionary=48, rounds=2)
+    ref = estimate_pi_lip(t2, p, budget, seed=0)
+    assert ref.detail["rounds"] == 2
+    for e in (20, 60, 100):
+        small = MultilinearOperator.from_array(np.ldexp(t2.kernel.array, -e), t2.norms)
+        rep = estimate_pi_lip(small, p, budget, seed=0)
+        assert rep.detail["rounds"] == 2
+        ends = [math.ldexp(rep.certified_lower, e), math.ldexp(rep.certified_upper, e)]
+        if p == 2.0:
+            assert ends == [ref.certified_lower, ref.certified_upper]
+        else:
+            assert ends == pytest.approx([ref.certified_lower, ref.certified_upper], rel=4e-15)
+
+
+def test_violation_search_flags_an_undominated_pair_at_every_scale():
+    # a dictionary that vanishes on every Delta leaves each start's ratio infinite, however
+    # small T is: the search compares ||T(u) - T(v)|| with 1e-14 max |kernel|
+    dims = (2, 3)
+    norms = NormSpec((2.0, math.inf), 1.0)
+    op = MultilinearOperator.from_array(stream(85).standard_normal(dims + (2,)), norms)
+    zero = MultilinearOperator.from_array(np.zeros(dims + (1,)), norms)
+    cert = _certificate([zero], [1.0], 2.0, dims)
+    ref = _violation_search(op, cert, 2.0, 3, 7)
+    for e in (60, 1000):
+        tiny = MultilinearOperator.from_array(np.ldexp(op.kernel.array, -e), norms)
+        found = _violation_search(tiny, cert, 2.0, 3, 7)
+        assert [r[2] for r in found] == [r[2] for r in ref] == [math.inf] * 7
+        for (u, v, _), (ru, rv, _) in zip(found, ref):
+            assert all(np.array_equal(a, b) for a, b in zip(u.factors + v.factors,
+                                                             ru.factors + rv.factors))
 
 
 def test_sandwich_of_a_tiny_operator_passes():
@@ -463,7 +520,7 @@ class _ViolationObjective:
         )
         rhs = self.form_sum(u, v) ** (1.0 / self.p)
         if rhs <= 1e-300:
-            return math.inf if lhs > 1e-14 else 0.0
+            return math.inf if lhs > 1e-14 * float(np.max(np.abs(self.op.kernel.array))) else 0.0
         return lhs / rhs
 
     def gradients(self, u, v):

@@ -11,7 +11,6 @@ from pilip.rng import child_seed, stream
 from pilip.summing import Budget
 from pilip.tensor_norm import (
     _rebalance,
-    DualWitness,
     MixedTensor,
     Representation,
     check_delta_epsilon_bound,
@@ -179,18 +178,6 @@ def test_representation_residual_and_reconstruct():
     rep = Representation(((SegrePoint((a, b)), SegrePoint.zero((2, 2)), y),))
     assert rep.residual(z) <= 1e-12
     np.testing.assert_allclose(rep.reconstruct((2, 2), 2), z.kernel.array, atol=1e-12)
-
-
-def test_user_witness_heuristic_only_excluded_from_certified():
-    z = random_mixed((2, 2), 2, stream(65))
-    big = DualWitness(
-        random_operator((2, 2), 2, stream(66)), pi_upper=1e-6, certified=False
-    )
-    with_heur = dp_lower_dual(z, 2.0, witnesses=[big], seed=7)
-    base = dp_lower_dual(z, 2.0, seed=7)
-    # the implausible heuristic witness inflates only the heuristic value
-    np.testing.assert_allclose(with_heur.certified_lower, base.certified_lower, rtol=1e-12)
-    assert with_heur.heuristic_lower >= with_heur.certified_lower
 
 
 def test_epsilon_inherits_config_denominator():
