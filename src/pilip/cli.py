@@ -41,10 +41,11 @@ __all__ = ["RunConfig", "cli_main", "main"]
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Echoed into every report: seed, budgets, tolerance, paths."""
+    """Echoed into every report: seed, budgets (None where the subcommand reads none),
+    tolerance, paths."""
 
     seed: int
-    budget: Budget
+    budget: Budget | None
     tol: float | None
     input_path: str | None
 
@@ -55,7 +56,7 @@ class RunConfig:
     def echo(self) -> dict:
         return {
             "seed": self.seed,
-            "budget": asdict(self.budget),
+            "budget": None if self.budget is None else asdict(self.budget),
             "tol": self.tol,
             "input": self.input_path,
         }
@@ -64,8 +65,10 @@ class RunConfig:
 def _config(args: argparse.Namespace) -> RunConfig:
     """The run configuration of a subcommand; an invalid budget or tolerance is an input error."""
     try:
-        budget = Budget(restarts=args.budget_restarts, max_pairs=args.budget_pairs,
-                        max_dictionary=args.budget_dict, rounds=args.budget_rounds)
+        budget = None
+        if "budget_rounds" in vars(args):  # a subcommand that reads a budget
+            budget = Budget(restarts=args.budget_restarts, max_pairs=args.budget_pairs,
+                            max_dictionary=args.budget_dict, rounds=args.budget_rounds)
         return RunConfig(args.seed, budget, vars(args).get("tol"), vars(args).get("input"))
     except ValueError as exc:
         raise SchemaError(str(exc)) from None
@@ -82,6 +85,9 @@ def _add_common(sub: argparse.ArgumentParser, with_input: bool = True) -> None:
         sub.add_argument("input", help="path to a JSON instance")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--json-out", default=None, help="write the report here")
+
+
+def _add_budget(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--budget-restarts", type=int, default=64)
     sub.add_argument("--budget-pairs", type=int, default=24)
     sub.add_argument("--budget-dict", type=int, default=48)
@@ -262,6 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_po.set_defaults(func=_cmd_poly)
     for sp in (p_sum, p_hs, p_dn, p_po):  # the subcommands that read --p
         sp.add_argument("--p", type=float, default=2.0)
+    for sp in (p_norm, p_sum, p_hs, p_dn, p_po):  # the subcommands that read a budget
+        _add_budget(sp)
 
     p_ve = sub.add_parser("verify", help="run the randomized property suite")
     _add_common(p_ve, with_input=False)

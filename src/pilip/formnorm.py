@@ -52,9 +52,12 @@ __all__ = [
     "rank_one_norm",
     "halving_trials",
     "hs_to_op_scale",
+    "hs_uppers",
     "lockstep_ascent",
     "op_ball_uppers",
     "pair_triangle",
+    "power_sums",
+    "rank_one_norms",
     "slot_gradient",
     "weighted_power_sum",
 ]
@@ -68,9 +71,9 @@ _LINE_TRIALS = 4  # line-search trials per start in one round of a lockstep asce
 
 def weighted_power_sum(values: np.ndarray, weights: np.ndarray, p: float) -> float:
     """(sum_i a_i |t_i|^p)^(1/p), with max_i |t_i| at p = inf: the one-row call of
-    `_power_sums`, whose rule also covers a plain sum that under- or overflows."""
+    `power_sums`, whose rule also covers a plain sum that under- or overflows."""
     t = np.asarray(values, dtype=float).reshape(1, -1)
-    return float(_power_sums(t, np.asarray(weights), p)[0][0])
+    return float(power_sums(t, np.asarray(weights), p)[0][0])
 
 
 def rank_one_form(vectors: Sequence[np.ndarray], norms: NormSpec) -> MultilinearOperator:
@@ -85,9 +88,14 @@ def rank_one_form(vectors: Sequence[np.ndarray], norms: NormSpec) -> Multilinear
 
 
 def rank_one_norm(vectors: Sequence[np.ndarray], norms: NormSpec) -> float:
-    return float(
-        np.prod([vector_norm(v, dual_exponent(r)) for v, r in zip(vectors, norms.factors)])
-    )
+    """The norm of `rank_one_form(vectors, norms)`: the one-row call of `rank_one_norms`."""
+    return float(rank_one_norms([np.asarray(v, dtype=float)[None] for v in vectors], norms)[0])
+
+
+def rank_one_norms(factors: Sequence[np.ndarray], norms: NormSpec) -> np.ndarray:
+    """The norm of every rank-one form whose k-th factors are the rows of the (R, d_k) array
+    factors[k]: the product of the factors' dual norms, taken left to right."""
+    return _prod(row_norms(X, dual_exponent(r)) for X, r in zip(factors, norms.factors))
 
 
 def hs_to_op_scale(dims: Sequence[int], norms: NormSpec) -> float:
@@ -280,15 +288,23 @@ def operator_norm(
 
 
 def _hs_upper(deltas: np.ndarray, weights: np.ndarray, p: float) -> float:
-    """Certified upper bound for the HS-ball denominator at exponent p.
+    """Certified upper bound for the HS-ball denominator at exponent p: the one-row call of
+    `hs_uppers`."""
+    return float(hs_uppers(deltas[None], weights, p)[0])
+
+
+def hs_uppers(deltas: np.ndarray, weights: np.ndarray, p: float) -> np.ndarray:
+    """Certified upper bound for the HS-ball denominator at exponent p of every configuration
+    deltas[c], a (C, K, D) stack of K difference rows each, all with the same weights.
 
     p = 2 and p = inf are exact; other p reduce to the p = 2 closed form
     via norm comparisons (weights move to a_i^(2/p), and p < 2 pays the
-    usual count factor k^(1/p - 1/2))."""
+    usual count factor k^(1/p - 1/2)).  LAPACK takes the stacked SVD one
+    matrix at a time, so every value has the bits of a one-matrix call."""
     if math.isinf(p):
-        return float(np.max(np.linalg.norm(deltas, axis=1)))
+        return np.linalg.norm(deltas, axis=2).max(axis=1)
     w2 = weights ** (1.0 / p)
-    sigma = float(np.linalg.svd(deltas * w2[:, None], compute_uv=False)[0])
+    sigma = np.linalg.svd(deltas * w2[:, None], compute_uv=False)[:, 0]
     if p >= 2.0:
         return sigma
     return float(len(weights) ** (1.0 / p - 0.5)) * sigma
@@ -299,7 +315,7 @@ def _hs_values(G: np.ndarray, deltas: np.ndarray, weights: np.ndarray, p: float)
     norm; 0 at a zero row.  One gemv per row, as `deltas @ g` takes it."""
     nrm = row_norms(G, 2.0)
     C = G / np.where(nrm == 0, 1.0, nrm)[:, None]
-    return _power_sums((deltas @ C[:, :, None])[..., 0], weights, p)[0]
+    return power_sums((deltas @ C[:, :, None])[..., 0], weights, p)[0]
 
 
 def _hs_ascent(
@@ -341,7 +357,7 @@ def _roots(x: np.ndarray, e: float) -> list[float]:
     return list(map(math.pow, x.tolist(), itertools.repeat(e)))
 
 
-def _power_sums(
+def power_sums(
     s: np.ndarray, weights: np.ndarray, p: float,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """(sum_i a_i |s_i|^p)^(1/p) of every row of s, with max_i |s_i| at p = inf; an empty row
@@ -520,7 +536,7 @@ def _rank_one_ascent(
             dual_norms.append(_by_norm(row_norms, X, duals)[..., 0])
         # products left to right over the slots
         s = _prod(pu[g][:, i] for g, i in loc) - _prod(pv[g][:, i] for g, i in loc)
-        num, rescale = _power_sums(s, weights, p)
+        num, rescale = power_sums(s, weights, p)
         scale = _prod(dual_norms[g][:, i] for g, i in loc)
         value = np.divide(num, scale, out=np.zeros_like(num), where=scale != 0)
         if rescale is not None:

@@ -500,18 +500,19 @@ def initial_dictionary(
 
 def _dedup_forms(forms: list[MultilinearOperator], cap: int) -> list[MultilinearOperator]:
     kept: list[MultilinearOperator] = []
+    kept_norms: list[float] = []
     for f in forms:
         vec = f.kernel.data
         nrm = np.linalg.norm(vec)
         if nrm == 0:
             continue
         if any(
-            abs(float(np.dot(vec, g.kernel.data)))
-            >= (1 - 1e-12) * nrm * np.linalg.norm(g.kernel.data)
-            for g in kept
+            abs(float(np.dot(vec, g.kernel.data))) >= (1 - 1e-12) * nrm * g_nrm
+            for g, g_nrm in zip(kept, kept_norms)
         ):
             continue
         kept.append(f)
+        kept_norms.append(nrm)
         if len(kept) >= cap:
             break
     return kept

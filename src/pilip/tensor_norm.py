@@ -24,9 +24,10 @@ from .formnorm import (
     config_denominator,
     denominator_upper,
     hs_to_op_scale,
-    op_ball_uppers,
+    hs_uppers,
     pair_triangle,
-    rank_one_norm,
+    power_sums,
+    rank_one_norms,
     weighted_power_sum,
 )
 from .rng import child_seed, stream
@@ -38,10 +39,9 @@ from .tensors import (
     SegrePoint,
     degenerate_rows,
     dual_exponent,
-    dual_norming_vector,
     elementary_rows,
-    elementary_tensor,
     eval_differences,
+    norming_rows,
     pair_factors,
     pair_rows,
     row_norms,
@@ -234,77 +234,128 @@ def _perturbed(rep: Representation, rng: np.random.Generator, scale: float) -> l
     return pairs
 
 
-def _triangle_wins(tri: float, kappa: float, row_l2: np.ndarray, pp: float) -> bool:
-    """Whether the triangle upper `tri` of unit-weight pairs lies below their "kappa-hs" upper,
-    so that min(op_ball_uppers(...).values()) returns `tri` itself and the SVD can be skipped.
+def _triangle_wins(tri: np.ndarray, kappa: float, row_l2: np.ndarray, pp: float) -> np.ndarray:
+    """Whether the triangle upper tri[c] of candidate c's unit-weight pairs lies below their
+    "kappa-hs" upper, so that min(op_ball_uppers(...).values()) is tri[c] itself and the SVD
+    can be skipped; one flag per candidate.
 
-    `row_l2` holds the l2 norms of the pairs' difference rows and kappa is hs_to_op_scale.
+    row_l2[c] holds the l2 norms of candidate c's difference rows and kappa is hs_to_op_scale.
     The HS upper's sigma_max is at least every row norm, and at p' < 2 it is multiplied by
     K^(1/p' - 1/2) for K rows; the factor 1 - 1e-9 covers the rounding of both sides."""
-    bound = float(row_l2.max())
+    bound = row_l2.max(axis=-1)
     if pp < 2.0:
-        bound *= len(row_l2) ** (1.0 / pp - 0.5)
+        bound = bound * row_l2.shape[-1] ** (1.0 / pp - 0.5)
     return tri < kappa * bound * (1.0 - 1e-9)
+
+
+SCALES = (0.5, 0.75, 1.5, 2.0)  # the rescalings _rebalance tries on each term, in order
+
+
+def _scaled_terms(stacks: Sequence[list[np.ndarray]], ys: Sequence[np.ndarray],
+                  scales: Sequence[float], norms: NormSpec) -> list[tuple]:
+    """Terms rescaled in one pass: candidate c is the term whose factors are stacks[c], n
+    arrays of shape (2, d_k) holding p's factor over q's, and whose y is ys[c], rescaled by
+    scales[c].  s moves the factors to s^(1/n) * X (as SegrePoint.scale) and y to y / s, which
+    leaves the tensor as it is; s = 1.0 leaves both as they are.  Returns, per candidate, its
+    stack, its y and the parts that price it: difference row, triangle value, y norm, the
+    row's l2 norm and keep flag (the PairConfiguration drop rule).  Each part is taken row by
+    row, so every candidate has the bits of a one-candidate call."""
+    C = len(scales)
+    factor = np.array([s ** (1.0 / len(stacks[0])) for s in scales])
+    slots = [(factor[:, None, None] * np.array(X)).transpose(1, 0, 2).reshape(2 * C, -1)
+             for X in zip(*stacks)]  # per slot, every candidate's p over every candidate's q
+    Y = np.array(ys, dtype=float) / np.array(scales)[:, None]
+    E = elementary_rows(slots)
+    rows = E[:C] - E[C:]
+    row_l2 = np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])  # one BLAS dot per row
+    parts = (rows, pair_triangle(slots, norms), row_norms(Y, norms.codomain), row_l2,
+             ~degenerate_rows(rows))
+    return [([S[c::C] for S in slots], Y[c], *(part[c] for part in parts)) for c in range(C)]
 
 
 def _rebalance(rep: Representation, z: MixedTensor, p: float, pp: float) -> Representation:
     """Per-term scale sweeps: move mass between a pair and its y (tensor fixed).
 
     A representation's value is the certified search-free op-ball upper of its
-    pairs times the p-sum of its y norms.  Each term's difference row, triangle
-    value, y norm and keep flag (the PairConfiguration drop rule) are computed
-    once; a candidate recomputes only the term it rescales, from its factors
-    stacked as (2, d_k) arrays (p's factor over q's), once per scale while the
-    term is unchanged, and SegrePoints are built only for the terms that
-    changed.  The SVD of the HS upper runs only when the triangle upper does
-    not win outright (`_triangle_wins`)."""
+    pairs times the p-sum of its y norms.  Each term's pricing parts are kept
+    in a cache.  A term's candidates depend only on its own factors, which
+    change only at its own visit, so each sweep first builds, in one stack, the
+    SCALES of every term not yet tried from its current factors.  At each visit
+    the term's candidates, each the representation with that one term
+    replaced, are priced in one pass.  The first below the best is the one a
+    loop over the scales would accept, as nothing it reads changes before it;
+    the scales after it are built and priced again from the new factors.
+    SegrePoints are built only for the terms that changed."""
     norms = z.norms
-    n = len(z.dims)
     kappa = hs_to_op_scale(z.dims, norms)
 
-    def parts(stacks, y):
-        E = elementary_rows(stacks)
-        rows = E[:1] - E[1:]
-        return (rows[0], float(pair_triangle(stacks, norms)[0]), vector_norm(y, norms.codomain),
-                not degenerate_rows(rows)[0], math.sqrt(rows[0] @ rows[0]))
-
-    ones = np.ones(len(rep.terms))
-
-    def value(cache):
-        rows, tri, y_norms, kept, row_l2 = cache
+    def prices(rows, tri, y_norms, row_l2, kept):
+        """The value of every candidate c from row c of the (C, K[, D]) arrays; the
+        candidates share the keep flags `kept`.  The SVD of the HS upper runs only for the
+        candidates whose triangle upper does not win outright (`_triangle_wins`)."""
         if not kept.all():
-            rows, tri, row_l2 = rows[kept], tri[kept], row_l2[kept]
-            if not len(rows):
+            rows, tri, row_l2 = rows[:, kept], tri[:, kept], row_l2[:, kept]
+            if not kept.any():
                 raise ValueError("configuration is empty after dropping degenerate pairs")
-        den = weighted_power_sum(tri, ones[:len(tri)], pp)
-        if not _triangle_wins(den, kappa, row_l2, pp):
-            den = min(op_ball_uppers(rows, tri, ones[:len(tri)], z.dims, norms, pp).values())
-        return den * weighted_power_sum(y_norms, ones, p)
+        ones = np.ones(tri.shape[1])
+        den = power_sums(tri, ones, pp)[0]
+        svd = ~_triangle_wins(den, kappa, row_l2, pp)
+        if svd.any():
+            hs, tri_sum = kappa * hs_uppers(rows[svd], ones, pp), den[svd]
+            den[svd] = np.where(tri_sum < hs, tri_sum, hs)  # min(hs, tri_sum), as min takes it
+        return den * power_sums(y_norms, np.ones(y_norms.shape[1]), p)[0]
 
     stacks = [[np.stack(fs) for fs in zip(p_pt.factors, q_pt.factors)]
               for p_pt, q_pt, _ in rep.terms]
     ys = [y for _, _, y in rep.terms]
-    cache = [np.array(c) for c in zip(*(parts(st, y) for st, y in zip(stacks, ys)))]
-    best_val = value(cache)
-    changed = set()
     tried = [{} for _ in ys]  # per term, scale -> its candidate from the term's current factors
+
+    def build(todo):
+        """Add the candidates (term, scale) of `todo` to `tried`, in one stack."""
+        cands = _scaled_terms([stacks[i] for i, _ in todo], [ys[i] for i, _ in todo],
+                              [s for _, s in todo], norms)
+        for (i, s), cand in zip(todo, cands):
+            tried[i][s] = cand
+
+    cache = [np.array(part) for part in zip(*(cand[2:] for cand in _scaled_terms(
+        stacks, ys, [1.0] * len(ys), norms)))]
+    best_val = prices(*(c[None] for c in cache[:4]), cache[4])[0]
+    changed = set()
     for _ in range(3):
         improved = False
+        untried = [(i, s) for i in range(len(ys)) for s in SCALES if s not in tried[i]]
+        if untried:
+            build(untried)
         for i in range(len(ys)):
-            for s in (0.5, 0.75, 1.5, 2.0):
-                if s not in tried[i]:
-                    factor = s ** (1.0 / n)
-                    st, y_s = [factor * X for X in stacks[i]], ys[i] / s  # as SegrePoint.scale
-                    tried[i][s] = st, y_s, parts(st, y_s)
-                st, y_s, term = tried[i][s]
-                cand = [c.copy() for c in cache]
-                for c, v in zip(cand, term):
-                    c[i] = v
-                val = value(cand)
-                if val < best_val * (1 - 1e-12):
-                    stacks[i], ys[i], tried[i] = st, y_s, {}
-                    cache, best_val, improved = cand, val, True
-                    changed.add(i)
+            todo = SCALES
+            while todo:
+                if todo[0] not in tried[i]:  # the scales after an accepted one
+                    build([(i, s) for s in todo])
+                cands = [tried[i][s] for s in todo]
+                stacked = []
+                for c, base in enumerate(cache[:4]):
+                    col = np.repeat(base[None], len(todo), axis=0)
+                    col[:, i] = [cand[2 + c] for cand in cands]
+                    stacked.append(col)
+                kept_i = np.array([cand[6] for cand in cands])
+                same = kept_i == cache[4][i]
+                vals = np.empty(len(todo))
+                if same.any():
+                    vals[same] = prices(*(col[same] for col in stacked), cache[4])
+                for j in range(len(todo)):
+                    if not same[j]:  # this candidate drops or restores a pair: priced alone
+                        kept = cache[4].copy()
+                        kept[i] = kept_i[j]
+                        vals[j] = prices(*(col[j:j + 1] for col in stacked), kept)[0]
+                    if vals[j] < best_val * (1 - 1e-12):
+                        break
+                else:
+                    break
+                stacks[i], ys[i] = cands[j][:2]
+                for part, value in zip(cache, cands[j][2:]):
+                    part[i] = value
+                best_val, improved, tried[i], todo = vals[j], True, {}, todo[j + 1:]
+                changed.add(i)
         if not improved:
             break
     if not changed:
@@ -425,36 +476,35 @@ def _pairing(witness: MultilinearOperator, z: MixedTensor) -> float:
     return float(np.dot(witness.kernel.data, z.kernel.data))
 
 
-def _rank_one_witnesses(z: MixedTensor, seed: int, count: int = 12) -> list[DualWitness]:
-    """Scalar-type witnesses phi (x) y*: exact norm product, hence certified."""
+def _rank_one_witnesses(z: MixedTensor, seed: int,
+                        count: int = 12) -> tuple[np.ndarray, np.ndarray]:
+    """Scalar-type witnesses phi (x) y*: exact norm product, hence certified.  Up to three from
+    the leading singular pairs of z's ({factors},{codomain}) flattening, then `count` random ones
+    from stream(seed, 22), built in one stack: returns their flattened kernels as rows and their
+    pi uppers, leaving out every witness whose pi upper is not positive."""
     dims, m = z.dims, z.m
     norms = z.norms
     s_dual = dual_exponent(norms.codomain)
     Z = z.kernel.array.reshape(-1, m)
     u, s, vt = np.linalg.svd(Z, full_matrices=False)
-    witnesses = []
-
-    def add(vecs: list[np.ndarray], ystar: np.ndarray) -> None:
-        lam = [dual_norming_vector(c, dual_exponent(r)) for c, r in zip(vecs, norms.factors)]
-        kernel = elementary_tensor(SegrePoint((*lam, ystar))).array
-        w_op = MultilinearOperator.from_array(kernel, norms)
-        pi_up = rank_one_norm(lam, norms) * vector_norm(ystar, s_dual)
-        if pi_up > 0:
-            witnesses.append(DualWitness(w_op, pi_up))
-
+    vecs, gs = [], []  # per witness, the vectors that its lambdas and its y* norm
     for l in range(min(len(s), 3)):
         if s[l] == 0:
             break
         w = u[:, l].reshape(dims)
         fac = _elementary_factors(w)
-        if fac is None:
-            fac = _leading_rank_one(w)
-        add(fac, dual_norming_vector(vt[l], s_dual))
+        vecs.append(fac if fac is not None else _leading_rank_one(w))
+        gs.append(vt[l])
     rng = stream(seed, 22)
     for _ in range(count):
-        vecs = [rng.standard_normal(d) for d in dims]
-        add(vecs, dual_norming_vector(rng.standard_normal(m), s_dual))
-    return witnesses
+        vecs.append([rng.standard_normal(d) for d in dims])
+        gs.append(rng.standard_normal(m))
+    lam = [norming_rows(np.array(col), dual_exponent(r))
+           for col, r in zip(zip(*vecs), norms.factors)]
+    ystar = norming_rows(np.array(gs), s_dual)
+    pi = rank_one_norms(lam, norms) * row_norms(ystar, s_dual)
+    keep = pi > 0
+    return elementary_rows(lam + [ystar])[keep], pi[keep]
 
 
 def _leading_rank_one(w: np.ndarray, sweeps: int = 30) -> list[np.ndarray]:
@@ -492,7 +542,6 @@ def dp_lower_dual(
     if float(np.linalg.norm(z.kernel.data)) == 0.0:
         return BoundReport(0.0, math.inf, method="dual-witness")
     pool = list(witnesses or [])
-    pool.extend(_rank_one_witnesses(z, seed))
     certified = 0.0
     best: DualWitness | None = None
     for w in pool:
@@ -501,10 +550,19 @@ def dp_lower_dual(
         ratio = abs(_pairing(w.operator, z)) / w.pi_upper
         if ratio > certified:
             certified, best = ratio, w
+    kernels, pi = _rank_one_witnesses(z, seed)
+    pairings = (kernels[:, None, :] @ z.kernel.data[:, None])[:, 0, 0]  # np.dot per row
+    ratios = np.abs(pairings) / pi
+    gain = ratios > certified
+    if gain.any():  # the first largest ratio, as a loop replacing on a larger one takes it
+        top = int(np.argmax(np.where(gain, ratios, -math.inf)))
+        certified = float(ratios[top])
+        best = DualWitness(MultilinearOperator.from_array(kernels[top].reshape(z.dims + (z.m,)),
+                                                          z.norms), float(pi[top]))
     return BoundReport(
         certified, math.inf,
         method="dual-witness",
-        detail={"witness": best, "witness_count": len(pool), "seed": seed, "p": p},
+        detail={"witness": best, "witness_count": len(pool) + len(pi), "seed": seed, "p": p},
     )
 
 

@@ -146,11 +146,25 @@ def test_tolerance_is_echoed_by_dnorm_and_null_elsewhere(lambda2_path, tmp_path,
 
 
 # every subcommand takes only the flags it reads: --ball only summing, --tol only dnorm,
-# and --p neither norm, restrict nor verify
+# and neither --p nor a budget flag restrict or verify (nor --p norm)
 REMOVED_FLAGS = ([f"{c} --ball op" for c in ("norm", "hs", "dnorm", "restrict", "poly", "verify")]
                  + [f"{c} --tol 0.5" for c in ("norm", "summing", "hs", "restrict", "poly",
                                                "verify")]
-                 + [f"{c} --p 2" for c in ("norm", "restrict", "verify")])
+                 + [f"{c} --p 2" for c in ("norm", "restrict", "verify")]
+                 + [f"{c} {flag}" for c in ("restrict", "verify")
+                    for flag in ("--budget-restarts 3", "--budget-pairs 3", "--budget-dict 3",
+                                 "--budget-rounds 2")])
+
+
+def test_budget_is_echoed_where_it_is_read_and_null_elsewhere(lambda2_path, tmp_path, capsys):
+    assert cli_main(["norm", lambda2_path, "--budget-restarts", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["budget"]["restarts"] == 3
+    path = str(tmp_path / "bilinear.json")
+    save_json(operator_to_json(MultilinearOperator.from_array(np.ones((2, 2, 1)))), path)
+    assert cli_main(["restrict", path, "--slot", "0", "--vector", "1,0"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["budget"] is None
+    assert cli_main(["verify", "--trials", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["budget"] is None
 
 
 @pytest.mark.parametrize("argv", REMOVED_FLAGS)

@@ -360,7 +360,7 @@ def test_weighted_power_sum_rescales_past_underflow_and_overflow():
 
 def _one_vector_power_sum(values, weights, p):
     """The weighted p-sum of one vector as written before it became a one-row call of
-    formnorm._power_sums: the bitwise oracle for both."""
+    formnorm.power_sums: the bitwise oracle for both."""
     t = np.abs(np.asarray(values, dtype=float))
     if t.size == 0:
         return 0.0
@@ -390,7 +390,7 @@ def test_power_sums_match_the_one_vector_version():
         S[0] = 0.0
         weights = rng.uniform(0.1, 2.0, S.shape[1])
         for p in (1.0, 1.5, 2.0, 3.0, 4.0, 7.3, math.inf):
-            rows, scale = formnorm._power_sums(S, weights, p)
+            rows, scale = formnorm.power_sums(S, weights, p)
             for i, s in enumerate(S):
                 want = _one_vector_power_sum(s, weights, p)
                 assert rows[i] == want and formnorm.weighted_power_sum(s, weights, p) == want

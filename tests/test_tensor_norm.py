@@ -11,6 +11,7 @@ from pilip.rng import child_seed, stream
 from pilip.summing import Budget
 from pilip.tensor_norm import (
     _rebalance,
+    DualWitness,
     MixedTensor,
     Representation,
     check_delta_epsilon_bound,
@@ -33,6 +34,10 @@ from pilip.tensors import (
     NormSpec,
     PairConfiguration,
     SegrePoint,
+    dual_exponent,
+    dual_norming_vector,
+    elementary_tensor,
+    vector_norm,
 )
 from pilip.verify import lambda_n, random_mixed, random_operator, random_pairs
 
@@ -93,6 +98,80 @@ def test_dp_lower_elementary_saturation():
     target = np.linalg.norm(a) * np.linalg.norm(b) * np.linalg.norm(y)
     low = dp_lower_dual(z, 2.0, seed=3)
     np.testing.assert_allclose(low.certified_lower, target, rtol=1e-9)
+
+
+def _witnesses_reference(z, seed, count=12):
+    """The automatic witnesses one DualWitness at a time, as dp_lower_dual built them before
+    they were stacked."""
+    dims, m, norms = z.dims, z.m, z.norms
+    s_dual = dual_exponent(norms.codomain)
+    u, s, vt = np.linalg.svd(z.kernel.array.reshape(-1, m), full_matrices=False)
+    out = []
+
+    def add(vecs, ystar):
+        lam = [dual_norming_vector(c, dual_exponent(r)) for c, r in zip(vecs, norms.factors)]
+        kernel = elementary_tensor(SegrePoint((*lam, ystar))).array
+        pi_up = float(np.prod([vector_norm(v, dual_exponent(r))
+                               for v, r in zip(lam, norms.factors)])) * vector_norm(ystar, s_dual)
+        if pi_up > 0:
+            out.append(DualWitness(MultilinearOperator.from_array(kernel, norms), pi_up))
+
+    for l in range(min(len(s), 3)):
+        if s[l] == 0:
+            break
+        w = u[:, l].reshape(dims)
+        fac = tensor_norm._elementary_factors(w)
+        add(fac if fac is not None else tensor_norm._leading_rank_one(w),
+            dual_norming_vector(vt[l], s_dual))
+    rng = stream(seed, 22)
+    for _ in range(count):
+        vecs = [rng.standard_normal(d) for d in dims]
+        add(vecs, dual_norming_vector(rng.standard_normal(m), s_dual))
+    return out
+
+
+def _lower_reference(z, witnesses, seed):
+    """(certified lower, winner, witness count) of the one-object-at-a-time loop."""
+    pool = list(witnesses) + _witnesses_reference(z, seed)
+    certified, best = 0.0, None
+    for w in pool:
+        if w.pi_upper <= 0:
+            continue
+        ratio = abs(float(np.dot(w.operator.kernel.data, z.kernel.data))) / w.pi_upper
+        if ratio > certified:
+            certified, best = ratio, w
+    return certified, best, len(pool)
+
+
+def test_stacked_witnesses_are_bitwise_the_one_at_a_time_loop():
+    cases = 0
+    for n, dims in ((1, (3,)), (2, (2, 3)), (3, (2, 2, 2))):
+        for c, factors in enumerate(itertools.product(EXPONENTS, repeat=n)):
+            for codomain in EXPONENTS:
+                norms = NormSpec(factors, codomain)
+                rng = stream(94, n, c, int(codomain) if math.isfinite(codomain) else 0)
+                z = random_mixed(dims, 2, rng, norms)
+                if c % 2:  # an elementary z, whose leading witness comes from exact factors
+                    z = MixedTensor.from_array(elementary_tensor(SegrePoint(tuple(
+                        rng.standard_normal(d) for d in dims + (2,)))).array, norms)
+                _, auto_best, _ = _lower_reference(z, [], c)
+                weak = DualWitness(auto_best.operator, auto_best.pi_upper * 4.0)
+                strong = DualWitness(auto_best.operator, auto_best.pi_upper / 4.0)
+                tie = DualWitness(auto_best.operator, auto_best.pi_upper)  # equal ratio
+                unpriced = DualWitness(auto_best.operator, 0.0)
+                for user in ([], [weak], [unpriced, strong], [tie], [weak, tie]):
+                    got = dp_lower_dual(z, 2.0, user, seed=c)
+                    certified, best, count = _lower_reference(z, user, c)
+                    assert got.certified_lower == certified
+                    assert got.detail["witness_count"] == count
+                    w = got.detail["witness"]
+                    assert np.array_equal(w.operator.kernel.data, best.operator.kernel.data)
+                    assert w.pi_upper == best.pi_upper
+                    assert w.operator.norms == best.operator.norms
+                    if any(u is best for u in user):  # a user witness kept its place
+                        assert w is best
+                    cases += 1
+    assert cases == 5 * 3 * (3 + 9 + 27)
 
 
 def test_dp_lower_zero():
@@ -275,18 +354,28 @@ EXPONENTS = (1.0, 2.0, math.inf)
 
 def _compare_rebalance_with_rebuild(n, codomain, p, monkeypatch):
     """Assert _rebalance bitwise equal to the whole rebuild on uneven representations over
-    every factor-norm combination; returns how many moved and how many candidates skipped
-    the SVD (True) or needed it (False)."""
+    every factor-norm combination; returns how many moved, how many candidates skipped the
+    SVD (True) or needed it (False), and how many stacks were built again after an accepted
+    scale that was not the last of its stack."""
     dims = (3, 2, 2)[:n]
-    moved, paths = 0, collections.Counter()
-    wins = tensor_norm._triangle_wins
+    moved, paths, restacks = 0, collections.Counter(), 0
+    wins, scaled = tensor_norm._triangle_wins, tensor_norm._scaled_terms
 
     def counted(*args):
         out = wins(*args)
-        paths[out] += 1
+        paths.update(np.atleast_1d(out).tolist())  # one flag per stacked candidate
         return out
 
+    def built(stacks, ys, scales, norms):
+        nonlocal restacks
+        # the untried scales of a term are a prefix of SCALES, and the base is built at scale
+        # 1.0, except right after an acceptance, when the scales after the accepted one are
+        # built again from the term's new factors
+        restacks += scales[0] in tensor_norm.SCALES[1:]
+        return scaled(stacks, ys, scales, norms)
+
     monkeypatch.setattr(tensor_norm, "_triangle_wins", counted)
+    monkeypatch.setattr(tensor_norm, "_scaled_terms", built)
     for c, factors in enumerate(itertools.product(EXPONENTS, repeat=n)):
         if n == 3 and c % 4:  # a third of the 27 combinations keeps the test short
             continue
@@ -302,22 +391,23 @@ def _compare_rebalance_with_rebuild(n, codomain, p, monkeypatch):
                                                             wp.factors + wq.factors))
             assert np.array_equal(gy, wy)
         moved += got is not rep
-    return moved, paths
+    return moved, paths, restacks
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("codomain", EXPONENTS)
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, math.inf])
 def test_incremental_rebalance_is_bitwise_the_whole_rebuild(n, codomain, p, monkeypatch):
-    moved, paths = _compare_rebalance_with_rebuild(n, codomain, p, monkeypatch)
+    moved, paths, restacks = _compare_rebalance_with_rebuild(n, codomain, p, monkeypatch)
     assert moved > 0  # the sweeps accepted candidates, so the comparison is not vacuous
-    assert sum(paths.values()) > 0
+    assert sum(paths.values()) > len(tensor_norm.SCALES)  # stacked candidates, not only bases
+    assert restacks > 0  # and a visit went on after an acceptance, from the new factors
 
 
 @pytest.mark.parametrize("n,codomain,p", [(1, 2.0, 1.5), (2, math.inf, 2.0)])
 def test_incremental_rebalance_compares_both_paths(n, codomain, p, monkeypatch):
     # at n = 3 the triangle upper always wins; these cases also reach the SVD
-    _, paths = _compare_rebalance_with_rebuild(n, codomain, p, monkeypatch)
+    _, paths, _ = _compare_rebalance_with_rebuild(n, codomain, p, monkeypatch)
     assert paths[True] > 0 and paths[False] > 0, paths
 
 
