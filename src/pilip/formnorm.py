@@ -19,6 +19,7 @@ Two nonconvex suprema live here:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Callable, Sequence
@@ -32,6 +33,7 @@ from .tensors import (
     NormSpec,
     PairConfiguration,
     SegrePoint,
+    degenerate_rows,
     dual_exponent,
     dual_norming_vector,
     elementary_tensor,
@@ -54,10 +56,12 @@ __all__ = [
     "hs_to_op_scale",
     "hs_uppers",
     "lockstep_ascent",
-    "op_ball_uppers",
     "pair_triangle",
     "power_sums",
     "rank_one_norms",
+    "search_free_floor",
+    "search_free_uppers",
+    "SEARCH_FREE_UPPERS",
     "slot_gradient",
     "weighted_power_sum",
 ]
@@ -98,13 +102,13 @@ def rank_one_norms(factors: Sequence[np.ndarray], norms: NormSpec) -> np.ndarray
     return _prod(row_norms(X, dual_exponent(r)) for X, r in zip(factors, norms.factors))
 
 
-def hs_to_op_scale(dims: Sequence[int], norms: NormSpec) -> float:
+@functools.lru_cache(maxsize=128)
+def hs_to_op_scale(dims: tuple[int, ...], norms: NormSpec) -> float:
     """kappa with ||phi||_HS <= kappa ||phi||_op over the given factor norms.
 
     sqrt(prod d_i / max d_i) for l2/linf factors; each l1 factor costs an
-    extra sqrt(d_i) because its unit ball is smaller than the l2 ball.
-    """
-    dims = tuple(int(d) for d in dims)
+    extra sqrt(d_i) because its unit ball is smaller than the l2 ball.  Cached: the pricing
+    loops call it once per stack."""
     kappa = math.sqrt(math.prod(dims) / max(dims))
     for d, r in zip(dims, norms.factors):
         if r == 1.0:
@@ -285,12 +289,6 @@ def operator_norm(
 # ---------------------------------------------------------------------------
 # configuration denominator
 # ---------------------------------------------------------------------------
-
-
-def _hs_upper(deltas: np.ndarray, weights: np.ndarray, p: float) -> float:
-    """Certified upper bound for the HS-ball denominator at exponent p: the one-row call of
-    `hs_uppers`."""
-    return float(hs_uppers(deltas[None], weights, p)[0])
 
 
 def hs_uppers(deltas: np.ndarray, weights: np.ndarray, p: float) -> np.ndarray:
@@ -596,40 +594,88 @@ def pair_triangle(factors: Sequence[np.ndarray], norms: NormSpec) -> np.ndarray:
     return t[:len(t) // 2] + t[len(t) // 2:]
 
 
-def op_ball_uppers(
-    deltas: np.ndarray, triangle: Sequence[float], weights: np.ndarray,
-    dims: Sequence[int], norms: NormSpec, p: float,
-) -> dict[str, float]:
-    """The op-ball denominator's certified uppers that need no search: "kappa-hs" (the HS
-    upper scaled by hs_to_op_scale) and "triangle" (the weighted p-sum of pair_triangle).
-    `deltas` stacks the pairs' flattened differences, one row per pair, as `triangle` does."""
-    return {"kappa-hs": hs_to_op_scale(dims, norms) * _hs_upper(deltas, weights, p),
-            "triangle": weighted_power_sum(np.asarray(triangle), weights, p)}
+SEARCH_FREE_UPPERS = ("scalar-exact", "kappa-hs", "triangle", "nuclear")
+
+
+def _triangle_wins(tri: np.ndarray, kappa: float, row_l2: np.ndarray, p: float) -> np.ndarray:
+    """Whether configuration c's triangle upper tri[c] lies below its "kappa-hs" upper, whose SVD
+    can then be skipped.  row_l2[c] holds the l2 norms of the rows of c's `hs_uppers` matrix:
+    sigma_max is at least each, and p < 2 multiplies it by K^(1/p - 1/2) for K rows; the factor
+    1 - 1e-9 covers the rounding of both sides."""
+    bound = row_l2.max(axis=-1)
+    if p < 2.0:
+        bound = bound * row_l2.shape[-1] ** (1.0 / p - 0.5)
+    return tri < kappa * bound * (1.0 - 1e-9)
+
+
+def search_free_uppers(
+    rows: np.ndarray, triangle: np.ndarray, row_l2: np.ndarray, weights: np.ndarray,
+    dims: tuple[int, ...], norms: NormSpec, p: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The op-ball denominator's least certified upper that needs no search, for every
+    configuration c of a stack with shared weights a, dims and norms: rows[c] holds its K
+    difference rows r_i, triangle[c] their `pair_triangle` values and row_l2[c] the l2 norms
+    of a_i^(1/p) r_i (of r_i at p = inf), the rows of the matrix `hs_uppers` takes.
+    Returns the values and the index in SEARCH_FREE_UPPERS of the upper that gave each: on
+    scalar factor spaces the exact value, "scalar-exact" (on either ball); else the least of
+    "kappa-hs" (`hs_uppers` times hs_to_op_scale, its SVD run only where `_triangle_wins` is
+    false), "triangle" (the p-sum of the triangle values) and, for one pair of l2 bilinear
+    points, "nuclear" (a^(1/p) times the difference's nuclear norm), the first in this order
+    on a tie.  Each value has the bits of a one-configuration call (docs/formats.md)."""
+    if math.prod(dims) == 1:
+        return power_sums(rows[:, :, 0], weights, p)[0], np.zeros(len(rows), dtype=int)
+    value = power_sums(triangle, weights, p)[0]
+    won = np.full(len(value), 2)  # indices into SEARCH_FREE_UPPERS: "triangle" so far
+    kappa = hs_to_op_scale(dims, norms)
+    svd = ~_triangle_wins(value, kappa, row_l2, p)
+    if svd.any():
+        hs, tri = kappa * hs_uppers(rows[svd], weights, p), value[svd]
+        value[svd] = np.minimum(tri, hs)  # the same float on a tie
+        won[svd] = 2 - (hs <= tri)
+    if rows.shape[1] == 1 and len(dims) == 2 and norms.factors == (2.0, 2.0):
+        a0 = 1.0 if math.isinf(p) else float(weights[0] ** (1.0 / p))
+        nuc = a0 * np.linalg.svd(rows.reshape(-1, *dims), compute_uv=False).sum(axis=1)
+        won = np.where(nuc < value, 3, won)
+        value = np.minimum(value, nuc)
+    return value, won
+
+
+def search_free_floor(rows: np.ndarray, triangle: np.ndarray, y_norms: np.ndarray,
+                      dims: tuple[int, ...], norms: NormSpec) -> float:
+    """A floor, at every p in (1, inf], under search_free_uppers(s_i r_i, s_i t_i) at p' (unit
+    weights) times the p-sum of a_i / s_i over all s_i > 0, with r_i = rows[i], t_i =
+    triangle[i], a_i = y_norms[i]: by Hoelder the least of sum_i t_i a_i, kappa sum_i a_i
+    |r_i . v| (v the top right singular vector of diag(a) R) and, for one l2 bilinear pair,
+    ||r||_2 a; sum_i |r_i| a_i on scalar spaces (docs/formats.md).  0.0 when a row lies
+    within a factor 1e20 of the drop rule, which a rescaling could then cross."""
+    if degenerate_rows(rows * 1e-20).any():
+        return 0.0
+    if math.prod(dims) == 1:
+        return float(np.abs(rows[:, 0]) @ y_norms)
+    v = np.linalg.svd(y_norms[:, None] * rows, full_matrices=False)[2][0]
+    floor = min(triangle @ y_norms, hs_to_op_scale(dims, norms) * (np.abs(rows @ v) @ y_norms))
+    if len(rows) == 1 and norms.factors == (2.0, 2.0):
+        floor = min(floor, vector_norm(rows[0], 2.0) * y_norms[0])
+    return float(floor)
 
 
 def denominator_upper(cfg: PairConfiguration, p: float, norms: NormSpec,
                       ball: str = "op") -> tuple[float, str]:
     """The denominator's cheapest certified upper that needs no search, as (value, method).
-    On the op ball: the least of the `op_ball_uppers` entries and, for a single pair of l2
-    bilinear points, "nuclear" (a^(1/p) times the nuclear norm of the difference).  On the HS
-    ball: `_hs_upper`, exact at p = 2 and p = inf ("hs-exact"), else "hs".  When every factor
-    space is scalar the value is exact, with method "scalar-exact": every form is
-    alpha * z_1...z_n with |alpha| <= 1, on either ball."""
+    On the op ball, and on either ball when every factor space is scalar: the one-row call of
+    `search_free_uppers`.  On the HS ball: `hs_uppers`, exact at p = 2 and p = inf
+    ("hs-exact"), else "hs"."""
     if ball not in ("op", "hs"):
         raise ValueError(f"ball must be 'op' or 'hs', got {ball!r}")
-    weights, deltas = np.asarray(cfg.weights), cfg.rows
-    if math.prod(cfg.dims) == 1:
-        return weighted_power_sum(deltas[:, 0], weights, p), "scalar-exact"
-    if ball == "hs":
-        return _hs_upper(deltas, weights, p), "hs-exact" if p == 2.0 or math.isinf(p) else "hs"
+    weights, deltas, dims = np.asarray(cfg.weights), cfg.rows, cfg.dims
+    if ball == "hs" and math.prod(dims) > 1:
+        upper = float(hs_uppers(deltas[None], weights, p)[0])
+        return upper, "hs-exact" if p == 2.0 or math.isinf(p) else "hs"
     triangle = pair_triangle(pair_factors(cfg.pairs), norms)
-    uppers = op_ball_uppers(deltas, triangle, weights, cfg.dims, norms, p)
-    if len(cfg) == 1 and len(cfg.dims) == 2 and norms.factors == (2.0, 2.0):
-        nuc = float(np.sum(np.linalg.svd(deltas[0].reshape(cfg.dims), compute_uv=False)))
-        a0 = 1.0 if math.isinf(p) else float(weights[0] ** (1.0 / p))
-        uppers["nuclear"] = a0 * nuc
-    method = min(uppers, key=uppers.get)
-    return uppers[method], method
+    row_l2 = row_norms(deltas, 2.0) * (1.0 if math.isinf(p) else weights ** (1.0 / p))
+    value, won = search_free_uppers(deltas[None], triangle[None], row_l2[None], weights, dims,
+                                    norms, p)
+    return float(value[0]), SEARCH_FREE_UPPERS[won[0]]
 
 
 def rank_one_maximizer(

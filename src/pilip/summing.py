@@ -629,9 +629,6 @@ def estimate_pi_lip(
         # Frobenius norm (Khintchine constant 1), so the upper end is certified
         upper = op.kernel.frobenius()
         method = "hs-coincidence(certified-upper)"
-    if math.isfinite(upper):
-        # enforced: certified lower never exceeds the restricted LP constant
-        best_lower = min(best_lower, upper + 1e-6)
     norm_summary = {k: v for k, v in norm_report.to_dict().items() if k != "detail"}
     detail = {
         "certificate": cert,
@@ -815,8 +812,6 @@ def estimate_pi_lip_poly(
         den_upper = min(triangle, denominator_upper(cfg, p, op.norms)[0] / polar)
         if den_upper > 0:
             best_lower = max(best_lower, num / den_upper)
-    if math.isfinite(upper):
-        best_lower = min(best_lower, upper + 1e-6)
     return BoundReport(
         best_lower, upper,
         method="poly-pietsch-lp(restricted-heuristic-upper)",

@@ -23,11 +23,11 @@ from .bounds import BoundReport
 from .formnorm import (
     config_denominator,
     denominator_upper,
-    hs_to_op_scale,
-    hs_uppers,
     pair_triangle,
     power_sums,
     rank_one_norms,
+    search_free_floor,
+    search_free_uppers,
     weighted_power_sum,
 )
 from .rng import child_seed, stream
@@ -45,7 +45,6 @@ from .tensors import (
     pair_factors,
     pair_rows,
     row_norms,
-    vector_norm,
 )
 
 __all__ = [
@@ -99,35 +98,19 @@ class Representation:
         scale = float(np.linalg.norm(target))
         return float(np.linalg.norm(diff)) / (scale if scale > 0 else 1.0)
 
-    def pair_configuration(self) -> PairConfiguration:
-        return PairConfiguration(tuple((p_pt, q_pt) for p_pt, q_pt, _ in self.terms))
-
     def y_vectors(self) -> list[np.ndarray]:
         return [y for _, _, y in self.terms]
 
     def value_floor(self, norms: NormSpec) -> float:
         """A floor under dp_upper's value, at every p in (1, inf], of every rescaling
-        (s_i p_i, s_i q_i, y_i / s_i) of the terms in which no pair is dropped
-        (docs/formats.md).  By Hoelder it is the least of sum_i t_i ||y_i|| (triangle),
-        kappa sum_i ||y_i|| |r_i . v| with v the top right singular vector of diag(||y_i||) R
-        (kappa-hs) and, for one l2 bilinear pair, ||r||_2 ||y|| (nuclear); on scalar spaces it
-        is sum_i |r_i| ||y_i||.  0.0 when a difference row r_i lies within a factor 1e20 of
-        the drop rule (`degenerate_rows`)."""
+        (s_i p_i, s_i q_i, y_i / s_i) of the terms in which no pair is dropped: the
+        `formnorm.search_free_floor` of the pairs charged their y norms (docs/formats.md)."""
         if not self.terms:
             return 0.0
         pairs = [(p_pt, q_pt) for p_pt, q_pt, _ in self.terms]
-        rows = pair_rows(pairs)
-        if degenerate_rows(rows * 1e-20).any():
-            return 0.0
         a = row_norms(np.array(self.y_vectors(), dtype=float), norms.codomain)
-        if rows.shape[1] == 1:
-            return float(np.abs(rows[:, 0]) @ a)
-        v = np.linalg.svd(a[:, None] * rows, full_matrices=False)[2][0]
-        kappa = hs_to_op_scale(self.terms[0][0].dims, norms)
-        floor = min(pair_triangle(pair_factors(pairs), norms) @ a, kappa * (np.abs(rows @ v) @ a))
-        if len(rows) == 1 and norms.factors == (2.0, 2.0):
-            floor = min(floor, vector_norm(rows[0], 2.0) * a[0])
-        return float(floor)
+        return search_free_floor(pair_rows(pairs), pair_triangle(pair_factors(pairs), norms), a,
+                                 self.terms[0][0].dims, norms)
 
 
 @dataclass(frozen=True)
@@ -149,7 +132,12 @@ def delta_p_norm(ys: Sequence[np.ndarray], p: float, codomain: float = 2.0) -> f
 # ---------------------------------------------------------------------------
 
 
-def _elementary_factors(w: np.ndarray, tol: float = 1e-10) -> list[np.ndarray] | None:
+ELEMENTARY_TOL = 1e-10  # the relative second singular value below which a flattening is rank one
+RANK_ONE_SWEEPS = 30  # the alternating sweeps of _leading_rank_one
+RANDOM_WITNESSES = 12  # the random rank-one witnesses of dp_lower_dual
+
+
+def _elementary_factors(w: np.ndarray) -> list[np.ndarray] | None:
     """Factor w as an elementary tensor, or None.  Scale rides on factor 0."""
     if w.ndim == 1:
         return [w.copy()]
@@ -157,9 +145,9 @@ def _elementary_factors(w: np.ndarray, tol: float = 1e-10) -> list[np.ndarray] |
     u, s, vt = np.linalg.svd(mat, full_matrices=False)
     if s[0] == 0:
         return None
-    if len(s) > 1 and s[1] > tol * s[0]:
+    if len(s) > 1 and s[1] > ELEMENTARY_TOL * s[0]:
         return None
-    rest = _elementary_factors((s[0] * vt[0]).reshape(w.shape[1:]), tol)
+    rest = _elementary_factors((s[0] * vt[0]).reshape(w.shape[1:]))
     if rest is None:
         return None
     return [u[:, 0]] + rest
@@ -234,20 +222,6 @@ def _perturbed(rep: Representation, rng: np.random.Generator, scale: float) -> l
     return pairs
 
 
-def _triangle_wins(tri: np.ndarray, kappa: float, row_l2: np.ndarray, pp: float) -> np.ndarray:
-    """Whether the triangle upper tri[c] of candidate c's unit-weight pairs lies below their
-    "kappa-hs" upper, so that min(op_ball_uppers(...).values()) is tri[c] itself and the SVD
-    can be skipped; one flag per candidate.
-
-    row_l2[c] holds the l2 norms of candidate c's difference rows and kappa is hs_to_op_scale.
-    The HS upper's sigma_max is at least every row norm, and at p' < 2 it is multiplied by
-    K^(1/p' - 1/2) for K rows; the factor 1 - 1e-9 covers the rounding of both sides."""
-    bound = row_l2.max(axis=-1)
-    if pp < 2.0:
-        bound = bound * row_l2.shape[-1] ** (1.0 / pp - 0.5)
-    return tri < kappa * bound * (1.0 - 1e-9)
-
-
 SCALES = (0.5, 0.75, 1.5, 2.0)  # the rescalings _rebalance tries on each term, in order
 
 
@@ -267,17 +241,18 @@ def _scaled_terms(stacks: Sequence[list[np.ndarray]], ys: Sequence[np.ndarray],
     Y = np.array(ys, dtype=float) / np.array(scales)[:, None]
     E = elementary_rows(slots)
     rows = E[:C] - E[C:]
-    row_l2 = np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])  # one BLAS dot per row
-    parts = (rows, pair_triangle(slots, norms), row_norms(Y, norms.codomain), row_l2,
-             ~degenerate_rows(rows))
+    parts = (rows, pair_triangle(slots, norms), row_norms(Y, norms.codomain),
+             row_norms(rows, 2.0), ~degenerate_rows(rows))
     return [([S[c::C] for S in slots], Y[c], *(part[c] for part in parts)) for c in range(C)]
 
 
-def _rebalance(rep: Representation, z: MixedTensor, p: float, pp: float) -> Representation:
+def _rebalance(rep: Representation, z: MixedTensor, p: float,
+               pp: float) -> tuple[Representation, float]:
     """Per-term scale sweeps: move mass between a pair and its y (tensor fixed).
+    Returns the best representation and its value.
 
-    A representation's value is the certified search-free op-ball upper of its
-    pairs times the p-sum of its y norms.  Each term's pricing parts are kept
+    A representation's value is `formnorm.search_free_uppers` of its kept pairs
+    at p' times the p-sum of all its y norms.  Each term's pricing parts are kept
     in a cache.  A term's candidates depend only on its own factors, which
     change only at its own visit, so each sweep first builds, in one stack, the
     SCALES of every term not yet tried from its current factors.  At each visit
@@ -286,24 +261,17 @@ def _rebalance(rep: Representation, z: MixedTensor, p: float, pp: float) -> Repr
     loop over the scales would accept, as nothing it reads changes before it;
     the scales after it are built and priced again from the new factors.
     SegrePoints are built only for the terms that changed."""
-    norms = z.norms
-    kappa = hs_to_op_scale(z.dims, norms)
+    dims, norms, ones = z.dims, z.norms, np.ones(len(rep.terms))
 
     def prices(rows, tri, y_norms, row_l2, kept):
         """The value of every candidate c from row c of the (C, K[, D]) arrays; the
-        candidates share the keep flags `kept`.  The SVD of the HS upper runs only for the
-        candidates whose triangle upper does not win outright (`_triangle_wins`)."""
+        candidates share the keep flags `kept`."""
         if not kept.all():
             rows, tri, row_l2 = rows[:, kept], tri[:, kept], row_l2[:, kept]
             if not kept.any():
                 raise ValueError("configuration is empty after dropping degenerate pairs")
-        ones = np.ones(tri.shape[1])
-        den = power_sums(tri, ones, pp)[0]
-        svd = ~_triangle_wins(den, kappa, row_l2, pp)
-        if svd.any():
-            hs, tri_sum = kappa * hs_uppers(rows[svd], ones, pp), den[svd]
-            den[svd] = np.where(tri_sum < hs, tri_sum, hs)  # min(hs, tri_sum), as min takes it
-        return den * power_sums(y_norms, np.ones(y_norms.shape[1]), p)[0]
+        den = search_free_uppers(rows, tri, row_l2, ones[:tri.shape[1]], dims, norms, pp)[0]
+        return den * power_sums(y_norms, ones, p)[0]
 
     stacks = [[np.stack(fs) for fs in zip(p_pt.factors, q_pt.factors)]
               for p_pt, q_pt, _ in rep.terms]
@@ -359,11 +327,11 @@ def _rebalance(rep: Representation, z: MixedTensor, p: float, pp: float) -> Repr
         if not improved:
             break
     if not changed:
-        return rep
+        return rep, best_val
     return Representation(tuple(
         (SegrePoint(tuple(X[0] for X in st)), SegrePoint(tuple(X[1] for X in st)), y)
         if i in changed else term
-        for i, (term, st, y) in enumerate(zip(rep.terms, stacks, ys))))
+        for i, (term, st, y) in enumerate(zip(rep.terms, stacks, ys)))), best_val
 
 
 def dp_upper(
@@ -441,12 +409,9 @@ def dp_upper(
             continue
         if best_val < math.inf and cand.value_floor(z.norms) * (1 - 1e-9) >= best_val:
             continue  # no rescaling of cand can price below the best
-        cand = _rebalance(cand, unit, p, pp)
+        cand, value = _rebalance(cand, unit, p, pp)
         diff = cand.reconstruct(unit.dims, unit.m) - unit.kernel.array
-        slack = float(np.sum(np.abs(diff)))  # each basis elementary has value <= 1
-        cfg = cand.pair_configuration()
-        den = denominator_upper(cfg, pp, z.norms)[0]
-        value = den * delta_p_norm(cand.y_vectors(), p, z.norms.codomain) + slack
+        value = value + float(np.sum(np.abs(diff)))  # each basis elementary has value <= 1
         if value < best_val:
             best_val, best_rep, best_res = value, cand, res
     if best_rep is None:
@@ -476,12 +441,11 @@ def _pairing(witness: MultilinearOperator, z: MixedTensor) -> float:
     return float(np.dot(witness.kernel.data, z.kernel.data))
 
 
-def _rank_one_witnesses(z: MixedTensor, seed: int,
-                        count: int = 12) -> tuple[np.ndarray, np.ndarray]:
+def _rank_one_witnesses(z: MixedTensor, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Scalar-type witnesses phi (x) y*: exact norm product, hence certified.  Up to three from
-    the leading singular pairs of z's ({factors},{codomain}) flattening, then `count` random ones
-    from stream(seed, 22), built in one stack: returns their flattened kernels as rows and their
-    pi uppers, leaving out every witness whose pi upper is not positive."""
+    the leading singular pairs of z's ({factors},{codomain}) flattening, then RANDOM_WITNESSES
+    random ones from stream(seed, 22), built in one stack: returns their flattened kernels as
+    rows and their pi uppers, leaving out every witness whose pi upper is not positive."""
     dims, m = z.dims, z.m
     norms = z.norms
     s_dual = dual_exponent(norms.codomain)
@@ -496,7 +460,7 @@ def _rank_one_witnesses(z: MixedTensor, seed: int,
         vecs.append(fac if fac is not None else _leading_rank_one(w))
         gs.append(vt[l])
     rng = stream(seed, 22)
-    for _ in range(count):
+    for _ in range(RANDOM_WITNESSES):
         vecs.append([rng.standard_normal(d) for d in dims])
         gs.append(rng.standard_normal(m))
     lam = [norming_rows(np.array(col), dual_exponent(r))
@@ -507,11 +471,11 @@ def _rank_one_witnesses(z: MixedTensor, seed: int,
     return elementary_rows(lam + [ystar])[keep], pi[keep]
 
 
-def _leading_rank_one(w: np.ndarray, sweeps: int = 30) -> list[np.ndarray]:
+def _leading_rank_one(w: np.ndarray) -> list[np.ndarray]:
     """Alternating power iteration for the best rank-one fit of a tensor."""
     dims = w.shape
     vecs = [np.ones(d) / math.sqrt(d) for d in dims]
-    for _ in range(sweeps):
+    for _ in range(RANK_ONE_SWEEPS):
         for k in range(len(dims)):
             operands: list = [w, list(range(len(dims)))]
             for j in range(len(dims)):

@@ -179,9 +179,6 @@ class MultilinearOperator:
     def __call__(self, x: "SegrePoint") -> np.ndarray:
         return eval_operator(self, x)
 
-    def codomain_norm(self, y: np.ndarray) -> float:
-        return vector_norm(y, self.norms.codomain)
-
     def is_form(self) -> bool:
         return self.m == 1
 
@@ -209,9 +206,6 @@ class SegrePoint:
     @property
     def dims(self) -> tuple[int, ...]:
         return tuple(f.size for f in self.factors)
-
-    def factor_norms(self, spec: NormSpec) -> tuple[float, ...]:
-        return tuple(vector_norm(f, r) for f, r in zip(self.factors, spec.factors))
 
     def scale(self, t: float) -> "SegrePoint":
         """Scale every factor by t (the tensor scales by t^n)."""

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 
@@ -11,13 +12,17 @@ from pilip.formnorm import (
     ASCENT_MAX_ITERS,
     ASCENT_TOL,
     ENUMERATION_CAP,
+    SEARCH_FREE_UPPERS,
     config_denominator,
     denominator_upper,
     hs_to_op_scale,
+    hs_uppers,
     operator_norm,
     pair_triangle,
     rank_one_form,
     rank_one_norm,
+    search_free_uppers,
+    weighted_power_sum,
 )
 from pilip.tensors import (
     MultilinearOperator,
@@ -283,7 +288,7 @@ def test_full_kernel_candidates_need_no_operator_norm_search():
 
 
 def test_denominator_upper_on_the_hs_ball_is_config_denominators_upper():
-    # the HS ball: _hs_upper, exact at p = 2 and p = inf; "scalar-exact" first on either ball
+    # the HS ball: hs_uppers, exact at p = 2 and p = inf; "scalar-exact" first on either ball
     rng = stream(15, 9)
     for p in (1.0, 1.5, 2.0, 3.0, math.inf):
         cfg = random_pairs((2, 3), 4, rng)
@@ -316,6 +321,57 @@ def test_denominator_upper_of_scalar_spaces_is_exact():
         rep = config_denominator(cfg, p, "op", NormSpec((1.0, math.inf), 2.0))
         assert denominator_upper(cfg, p, NormSpec((1.0, math.inf), 2.0)) == (
             rep.certified_upper, "scalar-exact")
+
+
+def _search_free_reference(cfg, p, norms):
+    """The least search-free op-ball upper of cfg as (value, method): each upper computed on
+    its own and the first least one in the order of SEARCH_FREE_UPPERS, as a min over a dict."""
+    weights, deltas = np.asarray(cfg.weights), cfg.rows
+    if math.prod(cfg.dims) == 1:
+        return weighted_power_sum(deltas[:, 0], weights, p), "scalar-exact"
+    uppers = {"kappa-hs": hs_to_op_scale(cfg.dims, norms) * float(hs_uppers(deltas[None], weights,
+                                                                            p)[0]),
+              "triangle": weighted_power_sum(pair_triangle(pair_factors(cfg.pairs), norms),
+                                             weights, p)}
+    if len(cfg) == 1 and len(cfg.dims) == 2 and norms.factors == (2.0, 2.0):
+        nuc = float(np.sum(np.linalg.svd(deltas[0].reshape(cfg.dims), compute_uv=False)))
+        uppers["nuclear"] = (1.0 if math.isinf(p) else float(weights[0] ** (1.0 / p))) * nuc
+    method = min(uppers, key=uppers.get)
+    return uppers[method], method
+
+
+def test_search_free_uppers_of_a_stack_are_the_one_configuration_min():
+    # every configuration of a stack gets the bits and the method of the one-configuration
+    # min over the uppers, computed on its own; denominator_upper is the one-row call
+    rng = stream(17)
+    methods = collections.Counter()
+    for dims, factors in (((1, 1), (1.0, 2.0)), ((1, 1, 1), (math.inf, 2.0, 1.0)),
+                          ((3, 2), (2.0, 2.0)), ((2, 2), (2.0, 2.0)), ((3, 2), (1.0, math.inf)),
+                          ((2, 3), (math.inf, 2.0)), ((2, 2, 2), (math.inf, 1.0, 2.0)),
+                          ((4,), (2.0,))):
+        norms = NormSpec(factors, 2.0)
+        for p, count in itertools.product((1.0, 1.5, 2.0, 3.0, math.inf), (1, 3)):
+            weights = tuple(rng.uniform(0.5, 2.0, count))
+
+            def point():
+                return SegrePoint(tuple(math.exp(rng.standard_normal()) * rng.standard_normal(d)
+                                        for d in dims))
+
+            cfgs = [PairConfiguration(tuple(
+                (point(), SegrePoint.zero(dims) if rng.random() < 0.5 else point())
+                for _ in range(count)), weights) for _ in range(6)]
+            w2 = np.ones(count) if math.isinf(p) else np.asarray(weights) ** (1.0 / p)
+            values, won = search_free_uppers(
+                np.array([c.rows for c in cfgs]),
+                np.array([pair_triangle(pair_factors(c.pairs), norms) for c in cfgs]),
+                np.array([[np.linalg.norm(r) for r in c.rows * w2[:, None]] for c in cfgs]),
+                np.asarray(weights), dims, norms, p)
+            for cfg, value, w in zip(cfgs, values.tolist(), won):
+                want = _search_free_reference(cfg, p, norms)
+                assert (value, SEARCH_FREE_UPPERS[w]) == want
+                assert denominator_upper(cfg, p, norms) == want
+                methods[want[1]] += 1
+    assert set(methods) == set(SEARCH_FREE_UPPERS), methods
 
 
 def test_denominator_hs_below_op_upper():

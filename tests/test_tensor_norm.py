@@ -22,10 +22,12 @@ from pilip.tensor_norm import (
     epsilon_norm_diff,
 )
 from pilip.formnorm import (
+    SEARCH_FREE_UPPERS,
     config_denominator,
     denominator_upper,
     hs_to_op_scale,
-    op_ball_uppers,
+    hs_uppers,
+    search_free_uppers,
     weighted_power_sum,
 )
 from pilip.tensors import (
@@ -299,15 +301,17 @@ def test_delta_epsilon_random_instances():
         assert report["passed"], report
 
 
-def _rep_value_reference(rep, p, pp, norms):
-    """The representation value through a PairConfiguration, as _rebalance once computed it."""
+def _pair_configuration(rep):
+    """The PairConfiguration of rep's pairs, without the warnings of the pairs it drops."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegeneratePairWarning)
-        cfg = rep.pair_configuration()
-    deltas = cfg.rows
-    triangle = [math.prod(u.factor_norms(norms)) + math.prod(v.factor_norms(norms))
-                for u, v in cfg.pairs]
-    den = min(op_ball_uppers(deltas, triangle, np.asarray(cfg.weights), cfg.dims, norms, pp).values())
+        return PairConfiguration(tuple((p_pt, q_pt) for p_pt, q_pt, _ in rep.terms))
+
+
+def _rep_value_reference(rep, p, pp, norms):
+    """The representation value through a PairConfiguration, one candidate at a time:
+    `denominator_upper` of its kept pairs at p' times the p-sum of all its y norms."""
+    den = denominator_upper(_pair_configuration(rep), pp, norms)[0]
     return den * delta_p_norm(rep.y_vectors(), p, norms.codomain)
 
 
@@ -354,16 +358,18 @@ EXPONENTS = (1.0, 2.0, math.inf)
 
 def _compare_rebalance_with_rebuild(n, codomain, p, monkeypatch):
     """Assert _rebalance bitwise equal to the whole rebuild on uneven representations over
-    every factor-norm combination; returns how many moved, how many candidates skipped the
-    SVD (True) or needed it (False), and how many stacks were built again after an accepted
-    scale that was not the last of its stack."""
+    every factor-norm combination, its value too; returns how many moved, how many of
+    _rebalance's candidates skipped the SVD (True) or needed it (False), and how many stacks
+    were built again after an accepted scale that was not the last of its stack."""
     dims = (3, 2, 2)[:n]
     moved, paths, restacks = 0, collections.Counter(), 0
-    wins, scaled = tensor_norm._triangle_wins, tensor_norm._scaled_terms
+    wins, scaled = formnorm._triangle_wins, tensor_norm._scaled_terms
+    counting = False  # the reference prices through the same seam: count only _rebalance
 
     def counted(*args):
         out = wins(*args)
-        paths.update(np.atleast_1d(out).tolist())  # one flag per stacked candidate
+        if counting:
+            paths.update(np.atleast_1d(out).tolist())  # one flag per stacked candidate
         return out
 
     def built(stacks, ys, scales, norms):
@@ -374,7 +380,7 @@ def _compare_rebalance_with_rebuild(n, codomain, p, monkeypatch):
         restacks += scales[0] in tensor_norm.SCALES[1:]
         return scaled(stacks, ys, scales, norms)
 
-    monkeypatch.setattr(tensor_norm, "_triangle_wins", counted)
+    monkeypatch.setattr(formnorm, "_triangle_wins", counted)
     monkeypatch.setattr(tensor_norm, "_scaled_terms", built)
     for c, factors in enumerate(itertools.product(EXPONENTS, repeat=n)):
         if n == 3 and c % 4:  # a third of the 27 combinations keeps the test short
@@ -384,7 +390,11 @@ def _compare_rebalance_with_rebuild(n, codomain, p, monkeypatch):
         rep = _uneven_representation(dims, 2, rng)
         z = MixedTensor.from_array(rep.reconstruct(dims, 2), norms)
         pp = conjugate_exponent(p)
-        got, want = _rebalance(rep, z, p, pp), _rebalance_reference(rep, z, p, pp)
+        counting = True
+        got, value = _rebalance(rep, z, p, pp)
+        counting = False
+        want = _rebalance_reference(rep, z, p, pp)
+        assert value == _rep_value_reference(want, p, pp, z.norms)
         assert len(got.terms) == len(want.terms)
         for (gp, gq, gy), (wp, wq, wy) in zip(got.terms, want.terms):
             assert all(np.array_equal(a, b) for a, b in zip(gp.factors + gq.factors,
@@ -421,20 +431,106 @@ def test_triangle_wins_only_where_the_min_is_the_triangle():
             count = int(rng.integers(1, 7))
             rows = rng.standard_normal((count, math.prod(dims)))
             rows *= np.exp(rng.standard_normal((count, 1)))
-            row_l2 = np.array([np.linalg.norm(r) for r in rows])
+            weights = np.ones(count) if trial % 4 < 2 else np.exp(rng.standard_normal(count))
+            row_l2 = np.array([np.linalg.norm(r) for r in rows]) * weights ** (1.0 / pp)
             kappa = hs_to_op_scale(dims, norms)
             tri = row_l2 * rng.uniform(0.1, 3.0, size=count)
             if trial % 2:  # move the triangle sum next to the skip threshold
-                bound = float(np.max(row_l2)) * (count ** (1.0 / pp - 0.5) if pp < 2 else 1.0)
+                bound = float(np.max(row_l2))
+                bound *= count ** (1.0 / pp - 0.5) if pp < 2 else 1.0
                 tri *= kappa * bound * rng.uniform(0.999, 1.001) / weighted_power_sum(
-                    tri, np.ones(count), pp)
-            tri_sum = weighted_power_sum(tri, np.ones(count), pp)
-            wins = tensor_norm._triangle_wins(tri_sum, kappa, row_l2, pp)
+                    tri, weights, pp)
+            tri_sum = weighted_power_sum(tri, weights, pp)
+            wins = formnorm._triangle_wins(tri_sum, kappa, row_l2, pp)
             paths[wins] += 1
             if wins:
-                uppers = op_ball_uppers(rows, tri, np.ones(count), dims, norms, pp)
+                uppers = {"kappa-hs": kappa * float(hs_uppers(rows[None], weights, pp)[0]),
+                          "triangle": tri_sum}
                 assert min(uppers.values()) == tri_sum, (pp, uppers, tri_sum)
+                value, won = search_free_uppers(rows[None], tri[None], row_l2[None], weights,
+                                                dims, norms, pp)
+                method = SEARCH_FREE_UPPERS[won[0]]  # one l2 bilinear pair may price "nuclear"
+                assert method in ("triangle", "nuclear") and value[0] <= tri_sum
+                assert bool(value[0] == tri_sum) is (method == "triangle")
     assert paths[True] > 0 and paths[False] > 0, paths
+
+
+def _rebalance_cases():
+    """(rep, norms, p) with the pricing paths that _rebalance once lacked or priced apart from
+    dp_upper: scalar factor spaces ("scalar-exact"), one pair of l2 bilinear points
+    ("nuclear"), l1/linf mixes, and uneven representations with a degenerate term."""
+    rng = stream(95)
+    shapes = [((1, 1), (1.0, 2.0), 3), ((1, 1, 1), (math.inf, 2.0, 1.0), 2),
+              ((3, 2), (2.0, 2.0), 1), ((2, 2), (2.0, 2.0), 1), ((3, 2), (1.0, math.inf), 4),
+              ((2, 3), (math.inf, 1.0), 3), ((2, 2, 2), (math.inf, 1.0, 1.0), 3)]
+    for p in (1.5, 2.0, 3.0, math.inf):
+        for (dims, factors, count), codomain in itertools.product(shapes, EXPONENTS):
+            def point():
+                return SegrePoint(tuple(math.exp(rng.standard_normal()) * rng.standard_normal(d)
+                                        for d in dims))
+
+            yield Representation(tuple(
+                (point(), SegrePoint.zero(dims) if j % 2 else point(),
+                 math.exp(1.5 * rng.standard_normal()) * rng.standard_normal(2))
+                for j in range(count))), NormSpec(factors, codomain), p
+        for factors in ((1.0, math.inf), (math.inf, 1.0), (2.0, 2.0)):
+            yield _uneven_representation((3, 2), 2, rng), NormSpec(factors, 2.0), p
+
+
+def test_rebalance_value_is_the_one_candidate_price():
+    # the value _rebalance returns is, bit for bit, denominator_upper of the returned
+    # representation's kept pairs at p' times the p-sum of all its y norms
+    moved = cases = 0
+    for rep, norms, p in _rebalance_cases():
+        dims = rep.terms[0][0].dims
+        z = MixedTensor.from_array(rep.reconstruct(dims, 2), norms)
+        out, value = _rebalance(rep, z, p, conjugate_exponent(p))
+        assert value == _rep_value_reference(out, p, conjugate_exponent(p), norms)
+        moved += out is not rep
+        cases += 1
+    assert cases == 4 * (7 * 3 + 3) and moved > 0
+
+
+def test_rebalance_value_is_the_one_candidate_price_inside_dp_upper(monkeypatch):
+    # the same on the candidates dp_upper rebalances, scalar and nuclear ones included
+    seen = []
+    rebalance = tensor_norm._rebalance
+
+    def spy(rep, z, p, pp):
+        out, value = rebalance(rep, z, p, pp)
+        seen.append((out, value, z.norms, p))
+        return out, value
+
+    monkeypatch.setattr(tensor_norm, "_rebalance", spy)
+    for i, (z, p, budget) in enumerate(itertools.islice(_skip_cases(), 0, None, 2)):
+        dp_upper(z, p, budget=budget, seed=i)
+    scalar = 0
+    for out, value, norms, p in seen:
+        assert value == _price(out, norms, p)
+        scalar += math.prod(out.terms[0][0].dims) == 1
+    assert scalar > 0
+
+
+def test_dp_upper_prices_each_candidate_once(monkeypatch):
+    # dp_upper reads each candidate's value from _rebalance: no PairConfiguration, no
+    # denominator_upper and no delta_p_norm per candidate
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dp_upper priced a candidate a second time")
+
+    monkeypatch.setattr(PairConfiguration, "__post_init__", forbidden)
+    monkeypatch.setattr(tensor_norm, "denominator_upper", forbidden)
+    monkeypatch.setattr(formnorm, "denominator_upper", forbidden)
+    monkeypatch.setattr(tensor_norm, "delta_p_norm", forbidden)
+    z = random_mixed((3, 3, 2), 2, stream(0, 30, 0))
+    assert repr(dp_upper(z, 3.0, seed=0, budget=Budget(restarts=2)).certified_upper) == (
+        "18.098757597842127")
+    z = random_mixed((1, 1), 2, stream(0, 61))
+    assert repr(dp_upper(z, 2.0, seed=0, budget=Budget(restarts=2)).certified_upper) == (
+        "0.9527727590565715")
+    rng = stream(96)
+    vecs = [rng.standard_normal(d) for d in (3, 2, 2)]
+    z = MixedTensor.from_array(np.einsum("i,j,k->ijk", *vecs))
+    assert dp_upper(z, 2.0, seed=0).detail["terms"] == 1  # one l2 bilinear pair: "nuclear"
 
 
 def test_rebalance_of_all_degenerate_pairs_raises():
@@ -497,11 +593,7 @@ def test_dp_upper_default_k_covers_the_svd_construction():
 
 def _price(rep, norms, p):
     """dp_upper's value of rep without its reconstruction slack (which is >= 0)."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegeneratePairWarning)
-        cfg = rep.pair_configuration()
-    den = denominator_upper(cfg, conjugate_exponent(p), norms)[0]
-    return den * delta_p_norm(rep.y_vectors(), p, norms.codomain)
+    return _rep_value_reference(rep, p, conjugate_exponent(p), norms)
 
 
 def _skip_cases():
@@ -569,7 +661,7 @@ def test_value_floor_lies_below_every_rebalanced_price(monkeypatch):
 
     def spy(rep, z, p, pp):
         out = rebalance(rep, z, p, pp)
-        seen.append((rep, out, z.norms, p))
+        seen.append((rep, out[0], z.norms, p))
         return out
 
     monkeypatch.setattr(tensor_norm, "_rebalance", spy)
