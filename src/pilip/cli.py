@@ -65,10 +65,8 @@ class RunConfig:
 def _config(args: argparse.Namespace) -> RunConfig:
     """The run configuration of a subcommand; an invalid budget or tolerance is an input error."""
     try:
-        budget = None
-        if "budget_rounds" in vars(args):  # a subcommand that reads a budget
-            budget = Budget(restarts=args.budget_restarts, max_pairs=args.budget_pairs,
-                            max_dictionary=args.budget_dict, rounds=args.budget_rounds)
+        given = {k[len("budget_"):]: v for k, v in vars(args).items() if k.startswith("budget_")}
+        budget = Budget(**given) if given else None  # None where the subcommand reads none
         return RunConfig(args.seed, budget, vars(args).get("tol"), vars(args).get("input"))
     except ValueError as exc:
         raise SchemaError(str(exc)) from None
@@ -87,11 +85,15 @@ def _add_common(sub: argparse.ArgumentParser, with_input: bool = True) -> None:
     sub.add_argument("--json-out", default=None, help="write the report here")
 
 
-def _add_budget(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--budget-restarts", type=int, default=64)
-    sub.add_argument("--budget-pairs", type=int, default=24)
-    sub.add_argument("--budget-dict", type=int, default=48)
-    sub.add_argument("--budget-rounds", type=int, default=8)
+_BUDGET_FLAGS = {"restarts": "--budget-restarts", "max_pairs": "--budget-pairs",
+                 "max_dictionary": "--budget-dict", "rounds": "--budget-rounds"}
+
+
+def _add_budget(sub: argparse.ArgumentParser, *fields: str) -> None:
+    """The --budget-* flags of the given `Budget` fields, with Budget's defaults."""
+    for name in fields:
+        sub.add_argument(_BUDGET_FLAGS[name], dest=f"budget_{name}", type=int,
+                         default=getattr(Budget, name))
 
 
 def _load_json(path: str) -> object:
@@ -268,8 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_po.set_defaults(func=_cmd_poly)
     for sp in (p_sum, p_hs, p_dn, p_po):  # the subcommands that read --p
         sp.add_argument("--p", type=float, default=2.0)
-    for sp in (p_norm, p_sum, p_hs, p_dn, p_po):  # the subcommands that read a budget
-        _add_budget(sp)
+    for sp in (p_sum, p_hs, p_po):  # hs and poly keep two they never read, which perfbench passes
+        _add_budget(sp, *_BUDGET_FLAGS)
+    for sp in (p_norm, p_dn):  # these read only its restarts
+        _add_budget(sp, "restarts")
 
     p_ve = sub.add_parser("verify", help="run the randomized property suite")
     _add_common(p_ve, with_input=False)

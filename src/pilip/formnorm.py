@@ -300,7 +300,11 @@ def hs_uppers(deltas: np.ndarray, weights: np.ndarray, p: float) -> np.ndarray:
     usual count factor k^(1/p - 1/2)).  LAPACK takes the stacked SVD one
     matrix at a time, so every value has the bits of a one-matrix call."""
     if math.isinf(p):
-        return np.linalg.norm(deltas, axis=2).max(axis=1)
+        nrm = np.linalg.norm(deltas, axis=2)
+        odd = ((nrm == 0.0) | (nrm == math.inf)) & deltas.any(axis=2)
+        if odd.any():  # a nonzero row whose plain norm under- or overflowed, as `row_norms`
+            nrm[odd] = row_norms(deltas[odd], 2.0)
+        return nrm.max(axis=1)
     w2 = weights ** (1.0 / p)
     sigma = np.linalg.svd(deltas * w2[:, None], compute_uv=False)[:, 0]
     if p >= 2.0:
@@ -709,7 +713,6 @@ def config_denominator(
     *,
     seed: int = 0,
     restarts: int = DEFAULT_RESTARTS,
-    max_iters: int = ASCENT_MAX_ITERS,
     extra_rank_one_starts: Sequence[Sequence[np.ndarray]] | None = None,
     extra_kernels: Sequence[np.ndarray] | None = None,
 ) -> BoundReport:
@@ -745,13 +748,12 @@ def config_denominator(
         cands = _hs_values(np.vstack([vt[0], deltas]), deltas, weights, p)
         draws = np.array([stream(seed, 1, i).standard_normal(deltas.shape[1])
                           for i in range(restarts)]).reshape(restarts, deltas.shape[1])
-        ends = _hs_ascent(deltas, weights, p, draws, max_iters, ASCENT_TOL)
+        ends = _hs_ascent(deltas, weights, p, draws, ASCENT_MAX_ITERS, ASCENT_TOL)
         lower = max([0.0, *cands.tolist(), *ends.tolist()])
         return BoundReport(lower, max(upper, lower), method="hs-ascent", detail=detail)
 
     # operator ball
     certified, best_lams = rank_one_maximizer(cfg, p, norms, seed=seed, restarts=restarts,
-                                              max_iters=max_iters,
                                               extra_starts=extra_rank_one_starts)
 
     # full-kernel candidates: the HS geometry maximizer, the per-pair

@@ -48,6 +48,7 @@ from .formnorm import (
 from .rng import child_seed, stream
 from .simplex import solve_lp
 from .tensors import (
+    DenseTensor,
     MultilinearOperator,
     NormSpec,
     PairConfiguration,
@@ -238,25 +239,27 @@ def lower_bound_config(
 # ---------------------------------------------------------------------------
 
 
-def _certified_form_scale(form: MultilinearOperator, ball: str) -> float:
-    if ball == "hs":
-        return form.kernel.frobenius()
-    return operator_norm(form, restarts=0).certified_upper
+@dataclass(frozen=True)
+class _UnitForm(MultilinearOperator):
+    """A dictionary form of certified norm at most 1 on `ball`, made only by `_unit_form`."""
+
+    ball: str
 
 
-def _normalize_dictionary(
-    dictionary: Sequence[MultilinearOperator], ball: str
-) -> list[MultilinearOperator]:
-    out = []
-    for form in dictionary:
-        if not form.is_form():
-            raise ValueError("dictionary entries must be scalar-valued forms")
-        scale = _certified_form_scale(form, ball)
-        if scale > 1.0 + 1e-12:
-            form = MultilinearOperator.from_array(form.kernel.array / scale, form.norms)
-        if np.any(form.kernel.data):
-            out.append(form)
-    return out
+def _unit_form(form: MultilinearOperator, ball: str, scale: float | None = None) -> _UnitForm:
+    """The form divided by `scale`, a certified upper of its norm on `ball` ("op", "hs" or
+    "poly"): by default its Frobenius norm on "hs" and operator_norm's search-free upper
+    otherwise, which majorizes the polynomial norm too.  A form already made for `ball` comes
+    back unchanged, so each form is priced once; a zero form stays zero."""
+    if isinstance(form, _UnitForm) and form.ball == ball:
+        return form
+    if not form.is_form():
+        raise ValueError("dictionary entries must be scalar-valued forms")
+    if scale is None:
+        scale = (form.kernel.frobenius() if ball == "hs"
+                 else operator_norm(form, restarts=0).certified_upper)
+    array = form.kernel.array / scale if scale > 0 else form.kernel.array
+    return _UnitForm(DenseTensor.from_array(array), form.norms, ball)
 
 
 def _pietsch_lp(
@@ -312,7 +315,9 @@ def pietsch_upper_lp(
 ) -> PietschCertificate:
     """Best domination constant for the given pairs over the given dictionary.
 
-    One LP (``_pietsch_lp``): the best weighted configuration against the
+    Forms made for `ball` by `_unit_form` enter as they are; the others are
+    priced and scaled by it here, and zero forms are dropped.  One LP
+    (``_pietsch_lp``): the best weighted configuration against the
     dictionary, whose row multipliers are the optimal mixture w.  The
     constant is recomputed from w; the LP value is kept as
     detail["dual_constant"] and the configuration weights as
@@ -322,7 +327,7 @@ def pietsch_upper_lp(
     """
     if p < 1 or math.isinf(p):
         raise ValueError("p must be finite and >= 1")
-    forms = _normalize_dictionary(dictionary, ball)
+    forms = [f for f in (_unit_form(g, ball) for g in dictionary) if np.any(f.kernel.data)]
     diffs = row_norms(eval_differences(op, pairset.pairs), op.norms.codomain)
     t = np.array([x ** p for x in diffs.tolist()])  # a scalar power each
     Dm = pairset.rows
@@ -455,12 +460,10 @@ def _violation_search(
     return results
 
 
-def _unit_rank_one(vecs, norms: NormSpec, ball: str) -> MultilinearOperator:
-    form = rank_one_form(vecs, norms)
-    scale = form.kernel.frobenius() if ball == "hs" else rank_one_norm(vecs, norms)
-    if scale <= 0:
-        return form
-    return MultilinearOperator.from_array(form.kernel.array / scale, form.norms)
+def _unit_rank_one(vecs, norms: NormSpec, ball: str) -> _UnitForm:
+    """lam_1 (x) ... (x) lam_n over its exact norm on "op", its Frobenius norm on "hs"."""
+    return _unit_form(rank_one_form(vecs, norms), ball,
+                      rank_one_norm(vecs, norms) if ball == "op" else None)
 
 
 def initial_dictionary(
@@ -471,13 +474,12 @@ def initial_dictionary(
     ball: str,
 ) -> list[MultilinearOperator]:
     """Rank-one forms norming the pair factors, up to GAUSSIAN_FORMS random
-    Gaussian forms, and (for scalar-valued T) the normalized operator itself."""
+    Gaussian forms, and (for nonzero scalar-valued T) the normalized operator itself,
+    each made by `_unit_form` for `ball`."""
     norms = op.norms
     forms: list[MultilinearOperator] = []
-    if op.is_form():
-        scale = _certified_form_scale(op, ball)
-        if scale > 0:
-            forms.append(MultilinearOperator.from_array(op.kernel.array / scale, norms))
+    if op.is_form() and np.any(op.kernel.data):
+        forms.append(_unit_form(op, ball))
     for u, v in pairs:
         for point in (u, v):
             if not all(np.any(f) for f in point.factors):
@@ -491,10 +493,7 @@ def initial_dictionary(
         if len(forms) >= max_dictionary:
             break
         kernel = rng.standard_normal(op.dims + (1,))
-        form = MultilinearOperator.from_array(kernel, norms)
-        scale = _certified_form_scale(form, ball)
-        if scale > 0:
-            forms.append(MultilinearOperator.from_array(kernel / scale, norms))
+        forms.append(_unit_form(MultilinearOperator.from_array(kernel, norms), ball))
     return forms
 
 
@@ -559,7 +558,7 @@ def estimate_pi_lip(
         v = SegrePoint.zero(op.dims) if rng.random() < 0.5 else _random_segre(op.dims, op.norms, rng)
         pairs.append((u, v))
 
-    dictionary = list(extra_dictionary or [])
+    dictionary = [_unit_form(f, ball) for f in extra_dictionary or []]
     dictionary += initial_dictionary(op, pairs, seed, budget.max_dictionary, ball)
     dictionary = _dedup_forms(dictionary, budget.max_dictionary)
 
@@ -729,13 +728,10 @@ def symmetrize_kernel(kernel: np.ndarray) -> np.ndarray:
     return acc / count
 
 
-def _diag_power_form(lam: np.ndarray, n: int, norms: NormSpec) -> MultilinearOperator:
+def _diag_power_form(lam: np.ndarray, n: int, norms: NormSpec) -> _UnitForm:
     """q(x) = <lam, x>^n scaled to exact polynomial norm 1 = ||lam||_(r')^n."""
-    form = rank_one_form([lam] * n, norms)
-    scale = vector_norm(lam, dual_exponent(norms.factors[0])) ** n
-    if scale > 0:
-        form = MultilinearOperator.from_array(form.kernel.array / scale, form.norms)
-    return form
+    return _unit_form(rank_one_form([lam] * n, norms), "poly",
+                      vector_norm(lam, dual_exponent(norms.factors[0])) ** n)
 
 
 def estimate_pi_lip_poly(
@@ -773,11 +769,7 @@ def estimate_pi_lip_poly(
     diag_pairs += [(points[i], points[i + 1]) for i in range(0, len(points) - 1, 2)]
     diag_pairs = diag_pairs[: budget.max_pairs]
 
-    forms: list[MultilinearOperator] = []
-    if op.is_form():
-        up = operator_norm(op, restarts=0).certified_upper  # majorizes the poly norm
-        if up > 0:
-            forms.append(MultilinearOperator.from_array(kernel / up, op.norms))
+    forms = [_unit_form(op, "poly")] if op.is_form() else []
     for e in np.eye(d):
         forms.append(_diag_power_form(e, n, op.norms))
     for x, _ in diag_pairs[:8]:

@@ -153,7 +153,9 @@ REMOVED_FLAGS = ([f"{c} --ball op" for c in ("norm", "hs", "dnorm", "restrict", 
                  + [f"{c} --p 2" for c in ("norm", "restrict", "verify")]
                  + [f"{c} {flag}" for c in ("restrict", "verify")
                     for flag in ("--budget-restarts 3", "--budget-pairs 3", "--budget-dict 3",
-                                 "--budget-rounds 2")])
+                                 "--budget-rounds 2")]
+                 + [f"{c} {flag}" for c in ("norm", "dnorm")
+                    for flag in ("--budget-pairs 3", "--budget-dict 3", "--budget-rounds 2")])
 
 
 def test_budget_is_echoed_where_it_is_read_and_null_elsewhere(lambda2_path, tmp_path, capsys):

@@ -468,6 +468,30 @@ def test_denominator_of_a_tiny_pair_does_not_underflow():
     assert exact * (1 - 1e-12) <= rep.certified_upper <= exact * (1 + 1e-12)
 
 
+def test_hs_upper_at_p_inf_of_a_tiny_pair_does_not_underflow():
+    # factors of size 1e-85: the plain l2 norm of Delta underflows to 0
+    u = SegrePoint((1e-85 * np.array([1.0, 2.0]), 1e-85 * np.array([0.5, 1.0])))
+    cfg = PairConfiguration(((u, SegrePoint.zero((2, 2))),))
+    assert denominator_upper(cfg, math.inf, NormSpec.all_l2(2), "hs") == (2.5e-170, "hs-exact")
+    rep = config_denominator(cfg, math.inf, "hs")
+    assert rep.certified_lower == rep.certified_upper == 2.5e-170
+    # on the op ball, one pair of l2 bilinear points: D = the nuclear norm of Delta
+    v = SegrePoint((1e-85 * np.array([1.0, 2.0]), 1e-85 * np.array([0.5, 1.1])))
+    cfg = PairConfiguration(((u, v),))
+    exact = math.sqrt(5.0) * 1e-171  # Delta = 1e-171 (1, 2) (x) (0, -1)
+    assert float(hs_uppers(cfg.rows[None], np.ones(1), math.inf)[0]) == pytest.approx(exact,
+                                                                                        rel=1e-15)
+    value, method = denominator_upper(cfg, math.inf, NormSpec.all_l2(2))
+    assert value == pytest.approx(exact, rel=1e-15) and method in ("kappa-hs", "nuclear")
+
+
+def test_hs_upper_at_p_inf_keeps_the_plain_norm_elsewhere():
+    deltas = stream(0, 48).standard_normal((5, 4, 6))
+    deltas[1, 2] = 0.0  # a zero row keeps its plain norm 0
+    assert np.array_equal(hs_uppers(deltas, np.ones(4), math.inf),
+                          np.linalg.norm(deltas, axis=2).max(axis=1))
+
+
 def test_rank_one_ascent_of_a_tiny_pair_does_not_underflow():
     # p = 4 on factors of size 1e-60: the plain power sum of every rank-one value underflows
     u = SegrePoint((1e-60 * np.array([1.0, 2.0, 0.5]), 1e-60 * np.array([1.0, -1.0, 3.0])))

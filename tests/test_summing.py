@@ -174,6 +174,63 @@ def test_lp_rejects_vector_valued_dictionary():
         pietsch_upper_lp(op, cfg, [random_operator((2, 2), 2, stream(7))], 2.0)
 
 
+def test_rank_one_form_enters_the_lp_as_made():
+    # a generic (l-inf, l2) rank-one form has exact norm 1 after _unit_rank_one; operator_norm's
+    # search-free upper is larger, and the LP must not shrink the form by it
+    norms = NormSpec((math.inf, 2.0), 2.0)
+    rng = stream(0, 45)
+    form = summing._unit_rank_one([rng.standard_normal(2), rng.standard_normal(3)], norms, "op")
+    assert operator_norm(form, restarts=0).certified_upper > 1.0 + 1e-12
+    op = random_operator((2, 3), 2, rng, norms)
+    cert = pietsch_upper_lp(op, random_pairs((2, 3), 4, rng), [form], 2.0)
+    assert cert.dictionary[0] is form
+
+
+def test_raw_form_is_divided_by_its_certified_scale():
+    # a form of certified norm 0.5 is scaled up to its unit multiple, not left as it is
+    unit = MultilinearOperator.from_array(np.eye(2)[:, :, None])
+    half = MultilinearOperator.from_array(0.5 * np.eye(2)[:, :, None])
+    op = random_operator((2, 2), 2, stream(0, 46))
+    cfg = random_pairs((2, 2), 5, stream(0, 47))
+    cert, ref = (pietsch_upper_lp(op, cfg, [f], 2.0) for f in (half, unit))
+    assert np.array_equal(cert.dictionary[0].kernel.data, unit.kernel.data)
+    assert cert.constant == ref.constant
+
+
+def test_estimate_prices_each_form_once(monkeypatch):
+    # operator_norm(., restarts=0) runs once per form made without a given scale (rank-one
+    # forms bring their exact one), and never inside the Pietsch LP
+    priced, made, in_lp = [], [], []
+    real_norm, real_unit, real_lp = summing.operator_norm, summing._unit_form, pietsch_upper_lp
+
+    def norm_spy(op, **kwargs):
+        if kwargs.get("restarts") == 0:
+            priced.append(op)
+        return real_norm(op, **kwargs)
+
+    def unit_spy(form, ball, scale=None):
+        out = real_unit(form, ball, scale)
+        if out is not form and scale is None:
+            made.append(out)
+        return out
+
+    def lp_spy(*args, **kwargs):
+        before = len(priced)
+        cert = real_lp(*args, **kwargs)
+        in_lp.append(len(priced) - before)
+        return cert
+
+    monkeypatch.setattr(summing, "operator_norm", norm_spy)
+    monkeypatch.setattr(summing, "_unit_form", unit_spy)
+    monkeypatch.setattr(summing, "pietsch_upper_lp", lp_spy)
+    op = random_operator((2, 3), 2, stream(0, 44), NormSpec((math.inf, 2.0), 2.0))
+    budget = Budget(restarts=8, max_pairs=10, max_dictionary=48, rounds=2)
+    rep = estimate_pi_lip(op, 2.0, budget, seed=0)
+    assert rep.detail["rounds"] == 2 and in_lp == [0, 0]
+    assert len(priced) == len(made) > 0
+    assert not any(isinstance(f, summing._UnitForm) for f in priced)
+
+
 @pytest.mark.parametrize(
     "solve",
     [
@@ -355,11 +412,15 @@ def test_estimate_linear_map_recovers_hilbert_schmidt():
     [
         (None, (2, 2), 2, [2.645348304368268, 2.7581849530849714]),
         (NormSpec((1.0, math.inf), 1.0), (2, 2), 3, [6.700912154033279, 7.205296846901654]),
+        # its rank-one forms enter the LP at their exact scale, which the relaxed operator norm
+        # of an l-inf slot would shrink by up to sqrt(2)
+        (NormSpec((math.inf, 2.0), 2.0), (2, 3), 2, [3.9880584233210747, 4.544205847335004]),
     ],
 )
 def test_estimate_pi_lip_pinned_values(norms, dims, m, expected):
-    # both run a violation search (two rounds): its result feeds the second LP
-    op = random_operator(dims, m, stream(0, 40 if norms is None else 43), norms)
+    # each runs a violation search (two rounds): its result feeds the second LP
+    stream_id = 40 if norms is None else 43 if norms.codomain == 1.0 else 44
+    op = random_operator(dims, m, stream(0, stream_id), norms)
     budget = Budget(restarts=8, max_pairs=10, max_dictionary=48, rounds=2)
     rep = estimate_pi_lip(op, 2.0, budget, seed=0)
     assert rep.detail["rounds"] == 2
