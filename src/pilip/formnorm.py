@@ -12,9 +12,11 @@ Two nonconvex suprema live here:
 * ``config_denominator``: sup over a unit ball of forms of the weighted
   p-sum (sum_i a_i |phi(Delta_i)|^p)^(1/p), where Delta_i is the
   elementary-tensor difference of pair i.  The Hilbert-Schmidt ball at
-  p = 2 has an exact SVD value; the operator ball is bracketed between
-  rank-one ascent (whose normalization is exact) and a menu of certified
-  relaxations.
+  p = 2 has an exact SVD value; so has the operator ball of l1/linf
+  products (vertex enumeration) and of l2 bilinear forms at p = 1 and
+  p = inf (nuclear norms).  Elsewhere the operator ball is bracketed
+  between rank-one ascent (whose normalization is exact) and a menu of
+  certified relaxations.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ __all__ = [
     "operator_norm",
     "config_denominator",
     "denominator_upper",
+    "exact_op_denominator",
     "rank_one_maximizer",
     "rank_one_form",
     "rank_one_norm",
@@ -394,20 +397,22 @@ def halving_trials(step: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarr
     so step[i] * 2^-j is bit for bit the step after j losses.
     """
     tries = step[:, None] * 0.5 ** np.arange(_LINE_TRIALS)
-    rows, js = np.nonzero(tries > floor)
-    index = np.zeros(tries.shape, dtype=int)
-    index[rows, js] = np.arange(len(rows))
+    above = tries > floor
+    rows = np.nonzero(above)[0]
+    # the steps fall with j, so the trials of a row are j = 0..count - 1, from its offset on
+    count = above.sum(axis=1)
+    offset = np.cumsum(count) - count
 
     def pick(gain: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         hit = np.zeros(tries.shape, dtype=bool)
-        hit[rows, js] = gain
+        hit[above] = gain
         took = hit.any(axis=1)
         first = np.argmax(hit, axis=1)  # the first gain of each row
         next_step = np.where(took, tries[np.arange(len(step)), first] * 1.5,
                              step * 0.5**_LINE_TRIALS)
-        return took, index[took, first[took]], next_step
+        return took, (offset + first)[took], next_step
 
-    return rows, tries[rows, js], pick
+    return rows, tries[above], pick
 
 
 def lockstep_ascent(
@@ -431,22 +436,23 @@ def lockstep_ascent(
     """
     step = np.full(len(value), step)
     left = np.full(len(value), iters)        # gradient evaluations left
-    moved = np.ones(len(value), dtype=bool)  # needs a gradient at its new point
     running = np.ones(len(value), dtype=bool)
+    due = np.arange(len(value))              # running starts that need a gradient where they moved
     grads = [np.zeros_like(X) for X in points]
     gn = np.ones(len(value))
-    while running.any():
-        due = np.flatnonzero(running & moved)
+    while True:
         done = (left[due] == 0) | np.isinf(value[due])
-        running[due[done]] = False
-        due = due[~done]
+        if done.any():
+            running[due[done]] = False
+            due = due[~done]
         if due.size:
             left[due] -= 1
             g, gn[due], stop = gradient([X[due] for X in points], [E[due] for E in state],
                                         value[due])
             for G, g_k in zip(grads, g):
                 G[due] = g_k
-            running[due[stop]] = False
+            if stop.any():
+                running[due[stop]] = False
         running &= step > floor
 
         live = np.flatnonzero(running)
@@ -461,9 +467,12 @@ def lockstep_ascent(
         for X, C in zip(points + state, cand + cand_state):
             X[better] = C[chosen]
         gained = cand_val[chosen]
-        running[better[gained <= value[better] * (1.0 + tol)]] = False
+        halt = gained <= value[better] * (1.0 + tol)
         value[better] = gained
-        moved[live] = took
+        due = better
+        if halt.any():
+            running[better[halt]] = False
+            due = better[~halt]
 
 
 def _by_norm(f: Callable, X: np.ndarray, exps: tuple) -> np.ndarray:
@@ -669,6 +678,8 @@ def denominator_upper(cfg: PairConfiguration, p: float, norms: NormSpec,
     On the op ball, and on either ball when every factor space is scalar: the one-row call of
     `search_free_uppers`.  On the HS ball: `hs_uppers`, exact at p = 2 and p = inf
     ("hs-exact"), else "hs"."""
+    if not p >= 1:
+        raise ValueError("p must be >= 1")
     if ball not in ("op", "hs"):
         raise ValueError(f"ball must be 'op' or 'hs', got {ball!r}")
     weights, deltas, dims = np.asarray(cfg.weights), cfg.rows, cfg.dims
@@ -680,6 +691,58 @@ def denominator_upper(cfg: PairConfiguration, p: float, norms: NormSpec,
     value, won = search_free_uppers(deltas[None], triangle[None], row_l2[None], weights, dims,
                                     norms, p)
     return float(value[0]), SEARCH_FREE_UPPERS[won[0]]
+
+
+def exact_op_denominator(cfg: PairConfiguration, p: float,
+                         norms: NormSpec) -> tuple[float, str] | None:
+    """The op-ball denominator D exactly, as (D, method), where D is a maximum over at most
+    ENUMERATION_CAP candidates; None elsewhere, and on scalar factor spaces.  D is convex in
+    phi, so it is attained at an extreme point of the ball.
+
+    "vertex-exact": every factor is l1 but at most one slot k, which is linf (k is the last
+    slot when all are l1).  Then ||phi||_op is the largest dual norm of phi(e_I, .) over the
+    basis tuples e_I of the l1 slots, so the ball is a product of M = prod_(j != k) d_j dual
+    balls of slot k: l1 balls (vertices +-e_j) when it is linf, cubes (sign vectors) when it
+    is l1.  Every vertex, one global sign fixed, is priced against the difference rows.
+    "nuclear-exact": l2 bilinear forms at p = 1, where D is the largest nuclear norm of
+    sum_i e_i a_i Delta_i over signs e with e_1 = 1, and at p = inf, where it is the largest
+    ||Delta_i||_*.  The candidates' values are sums built one slot block or one pair at a
+    time, with no BLAS product, so that D does not depend on the BLAS kernel."""
+    weights, dims, factors = np.asarray(cfg.weights), cfg.dims, norms.factors
+    K = len(cfg.rows)
+    if math.prod(dims) == 1:
+        return None
+    if factors == (2.0, 2.0) and (p == 1.0 or math.isinf(p)):
+        if (K if math.isinf(p) else 2 ** (K - 1)) > ENUMERATION_CAP:
+            return None
+        terms = cfg.rows.reshape(K, *dims)
+        if p == 1.0:
+            terms = weights[:, None, None] * terms
+            sums = terms[:1]
+            for t in terms[1:]:
+                sums = np.concatenate([sums + t, sums - t])
+            terms = sums
+        return float(np.linalg.svd(terms, compute_uv=False).sum(axis=1).max()), "nuclear-exact"
+    rest = [j for j, r in enumerate(factors) if r != 1.0]
+    if len(rest) > 1 or (rest and factors[rest[0]] != math.inf):
+        return None
+    k = rest[0] if rest else len(dims) - 1
+    d = dims[k]
+    M = math.prod(dims) // d
+    per_block = 2 * d if rest else 2**d
+    if per_block**M // 2 > ENUMERATION_CAP:
+        return None
+    # blocks[I, :, i] = Delta_i(e_I, .), slot k last; vals[I, v, i] = its value at vertex v
+    blocks = np.moveaxis(cfg.rows.reshape(K, *dims), k + 1, -1).reshape(K, M, d).transpose(1, 2, 0)
+    if rest:
+        vals = np.concatenate([blocks, -blocks], axis=1)
+    else:  # every sign vector, those of the first half starting with +1
+        signs = 1.0 - 2.0 * ((np.arange(2**d)[:, None] >> np.arange(d - 1, -1, -1)) & 1)
+        vals = (signs[None, :, :, None] * blocks[:, None]).sum(axis=2)
+    sums = vals[0, :per_block // 2]  # the first block's vertex keeps its sign
+    for block in vals[1:]:
+        sums = (sums[:, None] + block[None]).reshape(-1, K)
+    return float(power_sums(sums, weights, p)[0].max()), "vertex-exact"
 
 
 def rank_one_maximizer(
@@ -719,8 +782,9 @@ def config_denominator(
     """Bracket D = sup over the chosen unit ball of (sum_i a_i|phi(Delta_i)|^p)^(1/p).
 
     ball "hs": forms with Frobenius norm <= 1 (exact at p = 2 and p = inf).
-    ball "op": forms with operator norm <= 1 for the factor norms in `norms`.
-    On either ball the certified upper is `denominator_upper` (raised to the
+    ball "op": forms with operator norm <= 1 for the factor norms in `norms`
+    (exact where `exact_op_denominator` gives a value).
+    Elsewhere the certified upper is `denominator_upper` (raised to the
     certified lower where that is larger); the op ball's certified lower comes
     from `rank_one_maximizer` and from full-kernel candidates (exact norms).
 
@@ -728,7 +792,7 @@ def config_denominator(
     (e.g. the maximizers found on a sub-configuration), which keeps the
     lower endpoints monotone when pairs are added.
     """
-    if p < 1:
+    if not p >= 1:
         raise ValueError("p must be >= 1")
     if norms is None:
         norms = NormSpec.all_l2(len(cfg.dims))
@@ -738,6 +802,9 @@ def config_denominator(
     weights = np.asarray(cfg.weights)
     deltas = cfg.rows
     detail: dict = {"seed": seed, "restarts": restarts, "ball": ball, "p": p}
+    exact = exact_op_denominator(cfg, p, norms) if ball == "op" else None
+    if exact is not None:
+        return BoundReport(exact[0], exact[0], method=exact[1], detail=detail)
     upper, method_up = denominator_upper(cfg, p, norms, ball)
     if method_up in ("scalar-exact", "hs-exact"):
         return BoundReport(upper, upper, method=method_up, detail=detail)

@@ -57,7 +57,7 @@ def hs_norm(op: MultilinearOperator) -> float:
 def khintchine_constant(p: float) -> KhintchineConstant:
     """B_p = 1 for p <= 2; the sharp Gaussian-moment value for p > 2:
     sqrt(2) * (Gamma((p+1)/2) / sqrt(pi))^(1/p)."""
-    if p < 1 or math.isinf(p):
+    if not p >= 1 or math.isinf(p):
         raise ValueError("p must be finite and >= 1")
     if p <= 2:
         return KhintchineConstant(p, 1.0)

@@ -215,7 +215,7 @@ def lower_bound_config(
     only this configuration's ratio, not the norm.  A denominator whose
     upper end is 0 under a positive N is a numerical failure and raises.
     """
-    if p < 1:
+    if not p >= 1:
         raise ValueError("p must be >= 1")
     if cfg.dims != op.dims:
         raise ShapeError("configuration dims do not match the operator")
@@ -325,7 +325,7 @@ def pietsch_upper_lp(
     every j the dictionary cannot dominate it and the certificate is
     flagged infeasible (constant = inf).
     """
-    if p < 1 or math.isinf(p):
+    if not p >= 1 or math.isinf(p):
         raise ValueError("p must be finite and >= 1")
     forms = [f for f in (_unit_form(g, ball) for g in dictionary) if np.any(f.kernel.data)]
     diffs = row_norms(eval_differences(op, pairset.pairs), op.norms.codomain)
@@ -540,6 +540,8 @@ def estimate_pi_lip(
     and keeps the LP constant above every lower bound produced here.  The
     final certificate sits in detail["certificate"].
     """
+    if not p >= 1:
+        raise ValueError("p must be >= 1")
     budget = budget or Budget()
     if not np.any(op.kernel.data):
         return BoundReport(0.0, 0.0, method="zero", detail={"certificate": None, "seed": seed})

@@ -15,11 +15,13 @@ from pilip.formnorm import (
     SEARCH_FREE_UPPERS,
     config_denominator,
     denominator_upper,
+    exact_op_denominator,
     hs_to_op_scale,
     hs_uppers,
     operator_norm,
     pair_triangle,
     rank_one_form,
+    rank_one_maximizer,
     rank_one_norm,
     search_free_uppers,
     weighted_power_sum,
@@ -206,22 +208,38 @@ def test_denominator_nuclear_single_pair_is_exact_l2():
 @pytest.mark.parametrize("factors", [(1.0, 1.0), (2.0, 2.0), (math.inf, math.inf), (1.0, math.inf),
                                      (1.0, 1.0, 1.0), (2.0, 2.0, 2.0), (math.inf, 1.0, 2.0)])
 def test_denominator_upper_is_the_search_free_end_of_config_denominator(factors):
-    # config_denominator's upper is denominator_upper's unless its ascent lower lies above it
+    # config_denominator's upper is denominator_upper's unless its ascent lower lies above it;
+    # where exact_op_denominator gives D, both ends are D, between the ascent and that upper
     dims, norms = (2, 3, 2)[:len(factors)], NormSpec(factors, 2.0)
-    rng, unclamped = stream(15, len(factors), int(1.0 in factors)), 0
+    rng, unclamped, exact = stream(15, len(factors), int(1.0 in factors)), 0, 0
     for p in (1.0, 1.5, 2.0, 3.0, math.inf):
         for count, zero in itertools.product((1, 4), (0.0, 1.0)):
             cfg = random_pairs(dims, count, rng, zero_fraction=zero)
             cfg = PairConfiguration(cfg.pairs, tuple(rng.uniform(0.5, 2.0, count)))
             value, method = denominator_upper(cfg, p, norms)
             rep = config_denominator(cfg, p, "op", norms, seed=1, restarts=4)
+            if exact_op_denominator(cfg, p, norms) is not None:
+                exact += 1
+                assert rep.method == EXACT_METHOD[factors]
+                assert rep.certified_lower == rep.certified_upper <= value * (1 + 1e-12)
+                ascent = rank_one_maximizer(cfg, p, norms, seed=1, restarts=4)[0]
+                assert ascent <= rep.certified_lower * (1 + 1e-12)
+                continue
             assert rep.method == f"rank-one-ascent/{method}"
             if rep.certified_lower <= value:
                 unclamped += 1
                 assert rep.certified_upper == value
             else:
                 assert rep.certified_upper == rep.certified_lower <= value * (1 + 1e-14)
-    assert unclamped >= 10  # of 20: on one l2 pair the ascent can end ulps above the nuclear upper
+    # 20 cases: the l1 products are exact at every p, the l2 forms at p = 1 and p = inf
+    assert exact == {(1.0, 1.0): 20, (2.0, 2.0): 8, (1.0, math.inf): 20,
+                     (1.0, 1.0, 1.0): 20}.get(factors, 0)
+    # on one l2 pair the ascent can end ulps above the nuclear upper
+    assert unclamped >= (20 - exact) / 2
+
+
+EXACT_METHOD = {(1.0, 1.0): "vertex-exact", (2.0, 2.0): "nuclear-exact",
+                (1.0, math.inf): "vertex-exact", (1.0, 1.0, 1.0): "vertex-exact"}
 
 
 def _searched_op_ball_ends(cfg, p, norms, seed, restarts):
@@ -259,12 +277,12 @@ def _searched_op_ball_ends(cfg, p, norms, seed, restarts):
 
 
 def test_full_kernel_candidates_need_no_operator_norm_search():
-    # dividing each full-kernel candidate by operator_norm's search-free upper gives the ends
-    # that an operator_norm search per candidate gave, bit for bit
+    # on the ascent path, dividing each full-kernel candidate by operator_norm's search-free
+    # upper gives the ends that an operator_norm search per candidate gave, bit for bit
     mixes = {2: [(2.0, 2.0), (math.inf, 2.0), (1.0, math.inf), (1.0, 2.0), (math.inf, math.inf)],
              3: [(2.0, 2.0, 2.0), (math.inf, 1.0, 2.0), (1.0, 1.0, 2.0), (math.inf, math.inf, 2.0),
                  (1.0, math.inf, 1.0)]}
-    cases, beaten = 0, []
+    cases, exact, beaten = 0, 0, []
     for n, factors_list in mixes.items():
         dims = (3, 3) if n == 2 else (2, 2, 2)
         for i, factors in enumerate(factors_list):
@@ -275,11 +293,22 @@ def test_full_kernel_candidates_need_no_operator_norm_search():
                     cfg = random_pairs(dims, count, rng, zero_fraction=zero)
                     lower, upper, beat = _searched_op_ball_ends(cfg, p, norms, seed=7, restarts=8)
                     rep = config_denominator(cfg, p, "op", norms, seed=7, restarts=8)
-                    assert (rep.certified_lower, rep.certified_upper) == (lower, upper)
-                    cases += 1
                     if beat:
                         beaten.append((factors, p, count, zero))
-    assert cases == 150
+                    if exact_op_denominator(cfg, p, norms) is not None:
+                        # D exactly, between the searched lower and the search-free upper
+                        exact += 1
+                        assert rep.method == ("nuclear-exact" if factors == (2.0, 2.0)
+                                              else "vertex-exact")
+                        assert rep.certified_lower == rep.certified_upper
+                        assert lower <= rep.certified_lower * (1 + 1e-12)
+                        search_free = denominator_upper(cfg, p, norms)[0]
+                        assert rep.certified_upper <= search_free * (1 + 1e-12)
+                        continue
+                    assert (rep.certified_lower, rep.certified_upper) == (lower, upper)
+                    cases += 1
+    # 150 cases: (l2, l2) at p = 1 and p = inf, (l1, linf) and (l1, linf, l1) are exact
+    assert (cases, exact) == (114, 36)
     # On a single pair against 0 the l2 kernel is rank one and its relaxed upper is its exact
     # norm; in these three cases the search ended an ulp above that upper, which it then
     # replaced.  The rank-one ascent reached at least the same lower in each, so no end moved;
@@ -621,6 +650,152 @@ def test_weighted_denominator_matches_grid():
     rep = config_denominator(cfg, 2.0, "op", seed=3, restarts=16)
     assert rep.certified_lower <= oracle * (1 + 1e-6)
     assert rep.certified_upper >= oracle * (1 - 1e-6)
+
+
+# --------------------------------------------------------------------------
+# exact op-ball denominators against brute-force vertex lists
+# --------------------------------------------------------------------------
+
+
+def _vertex_oracle(cfg, p, kernels):
+    """max over the given kernels phi of (sum_i a_i |<phi, Delta_i>|^p)^(1/p), term by term."""
+    weights, best = np.asarray(cfg.weights), 0.0
+    for phi in kernels:
+        t = np.abs(cfg.rows @ np.asarray(phi, dtype=float).reshape(-1))
+        value = float(t.max()) if math.isinf(p) else float(np.sum(weights * t**p) ** (1 / p))
+        best = max(best, value)
+    return best
+
+
+def _signs(d):
+    return [np.array(s, dtype=float) for s in itertools.product((-1.0, 1.0), repeat=d)]
+
+
+def _signed_basis(d):
+    return [s * e for e in np.eye(d) for s in (1.0, -1.0)]
+
+
+def _fibers(choices, count, shape, axis):
+    """Every kernel of the given shape whose `count` fibers along `axis` each take one of
+    `choices`: the vertices of a product of dual balls."""
+    for pick in itertools.product(choices, repeat=count):
+        yield np.moveaxis(np.array(pick).reshape(*np.delete(shape, axis), shape[axis]), -1, axis)
+
+
+VERTEX_CASES = [  # (factor norms, dims, the vertices of the op ball)
+    ((1.0,), (4,), lambda: _signs(4)),
+    ((math.inf,), (4,), lambda: _signed_basis(4)),
+    ((1.0, 1.0), (2, 3), lambda: [s.reshape(2, 3) for s in _signs(6)]),
+    ((1.0, math.inf), (2, 3), lambda: _fibers(_signed_basis(3), 2, (2, 3), 1)),
+    ((math.inf, 1.0), (3, 2), lambda: _fibers(_signed_basis(3), 2, (3, 2), 0)),
+    ((1.0, 1.0, math.inf), (2, 2, 2), lambda: _fibers(_signed_basis(2), 4, (2, 2, 2), 2)),
+]
+
+
+@pytest.mark.parametrize("factors, dims, vertices", VERTEX_CASES)
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0, math.inf])
+def test_vertex_exact_denominator_matches_every_vertex(factors, dims, vertices, p):
+    rng = stream(40, len(factors), p if math.isfinite(p) else 99)
+    for count in (1, 3, 6):
+        cfg = random_pairs(dims, count, rng)
+        cfg = PairConfiguration(cfg.pairs, tuple(rng.uniform(0.5, 2.0, count)))
+        value, method = exact_op_denominator(cfg, p, NormSpec(factors, 2.0))
+        assert method == "vertex-exact"
+        np.testing.assert_allclose(value, _vertex_oracle(cfg, p, vertices()), rtol=1e-12)
+
+
+def test_nuclear_exact_denominator_matches_a_grid_over_o2():
+    # the extreme points of the spectral ball on 2 x 2 are the rotations and reflections
+    theta = np.linspace(0.0, 2 * math.pi, 2**18, endpoint=False)
+    c, s = np.cos(theta), np.sin(theta)
+    grid = np.concatenate([np.stack([c, -s, s, c], axis=1), np.stack([c, s, s, -c], axis=1)])
+    rng = stream(41)
+    for count in (1, 2, 5):
+        cfg = random_pairs((2, 2), count, rng)
+        cfg = PairConfiguration(cfg.pairs, tuple(rng.uniform(0.5, 2.0, count)))
+        value, method = exact_op_denominator(cfg, 1.0, NormSpec.all_l2(2))
+        oracle = float(np.max(np.abs(grid @ cfg.rows.T) @ np.asarray(cfg.weights)))
+        assert method == "nuclear-exact"
+        assert oracle <= value * (1 + 1e-12) and value <= oracle * (1 + 1e-4)
+        nuclear = max(np.linalg.svd(r.reshape(2, 2), compute_uv=False).sum() for r in cfg.rows)
+        inf_value = exact_op_denominator(cfg, math.inf, NormSpec.all_l2(2))[0]
+        np.testing.assert_allclose(inf_value, nuclear, rtol=1e-14)
+
+
+EXACT_MIXES = [  # (factor norms, dims, exponents on which D is exact)
+    ((1.0,), (5,), (1.0, 1.5, 2.0, 3.0, 4.0, math.inf)),
+    ((math.inf,), (5,), (1.0, 1.5, 2.0, 3.0, 4.0, math.inf)),
+    ((1.0, 1.0), (3, 3), (1.0, 1.5, 2.0, 3.0, 4.0, math.inf)),
+    ((1.0, math.inf), (3, 3), (1.0, 1.5, 2.0, 3.0, 4.0, math.inf)),
+    ((1.0, math.inf, 1.0), (2, 2, 2), (1.0, 1.5, 2.0, 3.0, 4.0, math.inf)),
+    ((2.0, 2.0), (3, 3), (1.0, math.inf)),
+]
+
+
+@pytest.mark.parametrize("factors, dims, exponents", EXACT_MIXES)
+def test_exact_denominator_lies_between_the_ascent_and_the_search_free_upper(
+        factors, dims, exponents):
+    norms, rng = NormSpec(factors, 2.0), stream(42, len(factors), int(1.0 in factors))
+    for p in exponents:
+        for count in (1, 6):
+            cfg = random_pairs(dims, count, rng, zero_fraction=0.5)
+            cfg = PairConfiguration(cfg.pairs, tuple(rng.uniform(0.5, 2.0, count)))
+            value = exact_op_denominator(cfg, p, norms)[0]
+            ascent = rank_one_maximizer(cfg, p, norms, seed=3, restarts=8)[0]
+            assert ascent <= value * (1 + 1e-12)
+            assert value <= denominator_upper(cfg, p, norms)[0] * (1 + 1e-12)
+            rep = config_denominator(cfg, p, "op", norms, seed=3, restarts=8)
+            assert rep.certified_lower == rep.certified_upper == value
+
+
+@pytest.mark.parametrize("factors, dims, exponents", EXACT_MIXES)
+@pytest.mark.parametrize("t", [2.75, 1e-85])
+def test_exact_denominator_is_homogeneous_and_does_not_underflow(factors, dims, exponents, t):
+    # scaling every factor by t scales D by t^n; at t = 1e-85 the plain p-sums underflow
+    norms, rng = NormSpec(factors, 2.0), stream(43, len(factors))
+    cfg = random_pairs(dims, 4, rng)
+    for p in exponents:
+        value = exact_op_denominator(cfg, p, norms)[0]
+        scaled = exact_op_denominator(cfg.scaled(t), p, norms)[0]
+        assert scaled > 0.0
+        np.testing.assert_allclose(scaled, t ** len(dims) * value, rtol=1e-12)
+
+
+def test_past_the_enumeration_cap_the_ascent_runs():
+    # l1^d prices 2^(d-1) sign vectors, (l2, l2) at p = 1 2^(K-1) sign patterns
+    rng = stream(44)
+    for cases, norms, p in (([random_pairs((13,), 2, rng), random_pairs((14,), 2, rng)],
+                             NormSpec((1.0,), 2.0), 2.0),
+                            ([random_pairs((2, 2), 13, rng), random_pairs((2, 2), 14, rng)],
+                             NormSpec.all_l2(2), 1.0)):
+        at_cap, past = cases
+        assert exact_op_denominator(at_cap, p, norms) is not None
+        assert exact_op_denominator(past, p, norms) is None
+        rep = config_denominator(past, p, "op", norms, restarts=4)
+        assert rep.method.startswith("rank-one-ascent/")
+    assert ENUMERATION_CAP == 2**12
+
+
+def test_exact_denominator_declines_other_geometries():
+    rng = stream(45)
+    cfg, scalar = random_pairs((2, 2), 3, rng), random_pairs((1, 1), 2, rng)
+    for factors, p in (((2.0, 2.0), 2.0), ((math.inf, math.inf), 1.0), ((1.0, 2.0), 1.0),
+                       ((math.inf, 1.0, 2.0), 1.0)):
+        one = cfg if len(factors) == 2 else random_pairs((2, 2, 2), 3, rng)
+        assert exact_op_denominator(one, p, NormSpec(factors, 2.0)) is None
+    # scalar factor spaces keep their own exact method
+    assert exact_op_denominator(scalar, 2.0, NormSpec((1.0, 1.0), 2.0)) is None
+    assert config_denominator(scalar, 2.0, "op", NormSpec((1.0, 1.0), 2.0)).method == (
+        "scalar-exact")
+
+
+@pytest.mark.parametrize("call", [
+    lambda cfg: config_denominator(cfg, math.nan, "op"),
+    lambda cfg: denominator_upper(cfg, math.nan, NormSpec.all_l2(2)),
+])
+def test_a_nan_exponent_is_rejected(call):
+    with pytest.raises(ValueError, match="p must be >= 1"):
+        call(random_pairs((2, 2), 2, stream(46)))
 
 
 # --------------------------------------------------------------------------

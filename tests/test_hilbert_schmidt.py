@@ -80,6 +80,11 @@ def test_khintchine_edges():
         khintchine_constant(math.inf)
 
 
+def test_khintchine_rejects_a_nan_exponent():
+    with pytest.raises(ValueError, match="p must be finite and >= 1"):
+        khintchine_constant(math.nan)
+
+
 def test_basis_lower_identity_form():
     eye = MultilinearOperator.from_array(np.eye(2)[:, :, None])
     np.testing.assert_allclose(basis_config_lower(eye), math.sqrt(2.0), rtol=1e-12)

@@ -100,6 +100,18 @@ def test_lower_raises_on_a_zero_denominator_upper(monkeypatch):
         lower_bound_config(random_operator((2, 2), 2, stream(1)), cfg, 2.0)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda op, cfg: lower_bound_config(op, cfg, math.nan), "p must be >= 1"),
+    (lambda op, cfg: pietsch_upper_lp(op, cfg, [op], math.nan), "p must be finite and >= 1"),
+    (lambda op, cfg: estimate_pi_lip(op, math.nan, FAST), "p must be >= 1"),
+])
+def test_a_nan_exponent_is_rejected(call, message):
+    # NaN passes every p < 1 guard; each entry point rejects it before any search or LP
+    op = random_operator((2, 2), 1, stream(2))
+    with pytest.raises(ValueError, match=message):
+        call(op, random_pairs((2, 2), 3, stream(3)))
+
+
 # --------------------------------------------------------------------------
 # pietsch_upper_lp
 # --------------------------------------------------------------------------
