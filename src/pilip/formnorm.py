@@ -15,7 +15,8 @@ Two nonconvex suprema live here:
   p = 2 has an exact SVD value; so has the operator ball of l1/linf
   products (vertex enumeration) and of l2 bilinear forms at p = 1 and
   p = inf (nuclear norms).  Elsewhere the operator ball is bracketed
-  between rank-one ascent (whose normalization is exact) and a menu of
+  between the best rank-one form (whose normalization is exact; found by
+  enumeration where at most one slot is l2, else by ascent) and a menu of
   certified relaxations.
 """
 
@@ -52,6 +53,7 @@ __all__ = [
     "config_denominator",
     "denominator_upper",
     "exact_op_denominator",
+    "exact_rank_one_maximizer",
     "rank_one_maximizer",
     "rank_one_form",
     "rank_one_norm",
@@ -171,32 +173,38 @@ def _alternating_max(
     return best, factors
 
 
-def _extreme_sets(op: MultilinearOperator) -> list[list[np.ndarray]] | None:
-    """Per-factor extreme points with one global sign fixed per factor.
+def _vertex_count(d: int, r: float) -> int | None:
+    """The number of rows of `_vertices(d, r)`, or None for an l2 ball of dimension >= 2."""
+    if d == 1:
+        return 1
+    if r == 1.0:
+        return d
+    return 2 ** (d - 1) if r == math.inf else None
+
+
+def _vertices(d: int, r: float) -> np.ndarray:
+    """The extreme points of the unit l_r ball of R^d with one sign fixed, as rows: [1] at
+    d = 1 (every norm of R^1 is |x|), e_1, ..., e_d for l1 and, for linf, the sign vectors
+    with first entry +1, the others in the order of np.ndindex (-1 before +1)."""
+    if d == 1:
+        return np.ones((1, 1))
+    if r == 1.0:
+        return np.eye(d)
+    bits = (np.arange(2 ** (d - 1))[:, None] >> np.arange(d - 2, -1, -1)) & 1
+    return np.hstack([np.ones((len(bits), 1)), 2.0 * bits - 1.0])
+
+
+def _extreme_sets(op: MultilinearOperator) -> list[np.ndarray] | None:
+    """Per-factor extreme points with one global sign fixed per factor (`_vertices`).
 
     Flipping the sign of any single factor only flips the sign of T(x), so
     the enumeration may pin one sign per slot.  Returns None when a factor
     has an l2 ball of dimension >= 2 or the tuple count exceeds ENUMERATION_CAP.
     """
-    sets: list[list[np.ndarray]] = []
-    total = 1
-    for d, r in zip(op.dims, op.norms.factors):
-        if d == 1:
-            pts = [np.array([1.0])]
-        elif r == 1.0:
-            pts = [e for e in np.eye(d)]
-        elif r == math.inf:
-            pts = [
-                np.concatenate(([1.0], np.array(bits, dtype=float) * 2 - 1))
-                for bits in np.ndindex(*(2,) * (d - 1))
-            ]
-        else:
-            return None
-        total *= len(pts)
-        if total > ENUMERATION_CAP:
-            return None
-        sets.append(pts)
-    return sets
+    counts = [_vertex_count(d, r) for d, r in zip(op.dims, op.norms.factors)]
+    if None in counts or math.prod(counts) > ENUMERATION_CAP:
+        return None
+    return [_vertices(d, r) for d, r in zip(op.dims, op.norms.factors)]
 
 
 def _enumeration_max(op: MultilinearOperator) -> tuple[float, SegrePoint] | None:
@@ -693,6 +701,16 @@ def denominator_upper(cfg: PairConfiguration, p: float, norms: NormSpec,
     return float(value[0]), SEARCH_FREE_UPPERS[won[0]]
 
 
+def _signed_sums(terms: np.ndarray) -> np.ndarray:
+    """sum_i e_i terms[i] over every sign vector e with e_1 = 1, along the first axis, built
+    one term at a time: 2^(K-1) sums, the one at index j taking -terms[i] where bit i - 1 of
+    j is set."""
+    sums = terms[:1]
+    for t in terms[1:]:
+        sums = np.concatenate([sums + t, sums - t])
+    return sums
+
+
 def exact_op_denominator(cfg: PairConfiguration, p: float,
                          norms: NormSpec) -> tuple[float, str] | None:
     """The op-ball denominator D exactly, as (D, method), where D is a maximum over at most
@@ -700,10 +718,11 @@ def exact_op_denominator(cfg: PairConfiguration, p: float,
     phi, so it is attained at an extreme point of the ball.
 
     "vertex-exact": every factor is l1 but at most one slot k, which is linf (k is the last
-    slot when all are l1).  Then ||phi||_op is the largest dual norm of phi(e_I, .) over the
-    basis tuples e_I of the l1 slots, so the ball is a product of M = prod_(j != k) d_j dual
-    balls of slot k: l1 balls (vertices +-e_j) when it is linf, cubes (sign vectors) when it
-    is l1.  Every vertex, one global sign fixed, is priced against the difference rows.
+    slot when all are l1); a slot of dimension 1 counts as l1 whatever its label.  Then
+    ||phi||_op is the largest dual norm of phi(e_I, .) over the basis tuples e_I of the l1
+    slots, so the ball is a product of M = prod_(j != k) d_j dual balls of slot k: l1 balls
+    (vertices +-e_j) when it is linf, cubes (sign vectors) when it is l1.  Every vertex, one
+    global sign fixed, is priced against the difference rows.
     "nuclear-exact": l2 bilinear forms at p = 1, where D is the largest nuclear norm of
     sum_i e_i a_i Delta_i over signs e with e_1 = 1, and at p = inf, where it is the largest
     ||Delta_i||_*.  The candidates' values are sums built one slot block or one pair at a
@@ -717,13 +736,9 @@ def exact_op_denominator(cfg: PairConfiguration, p: float,
             return None
         terms = cfg.rows.reshape(K, *dims)
         if p == 1.0:
-            terms = weights[:, None, None] * terms
-            sums = terms[:1]
-            for t in terms[1:]:
-                sums = np.concatenate([sums + t, sums - t])
-            terms = sums
+            terms = _signed_sums(weights[:, None, None] * terms)
         return float(np.linalg.svd(terms, compute_uv=False).sum(axis=1).max()), "nuclear-exact"
-    rest = [j for j, r in enumerate(factors) if r != 1.0]
+    rest = [j for j, r in enumerate(factors) if r != 1.0 and dims[j] > 1]
     if len(rest) > 1 or (rest and factors[rest[0]] != math.inf):
         return None
     k = rest[0] if rest else len(dims) - 1
@@ -745,6 +760,67 @@ def exact_op_denominator(cfg: PairConfiguration, p: float,
     return float(power_sums(sums, weights, p)[0].max()), "vertex-exact"
 
 
+def exact_rank_one_maximizer(cfg: PairConfiguration, p: float,
+                             norms: NormSpec) -> tuple[float, list[np.ndarray] | None] | None:
+    """The op-ball denominator's best rank-one form lam_1 (x) ... (x) lam_n exactly, as
+    (value, [lam_k]), or (0.0, None) when no value is positive; None where it does not apply.
+
+    It applies when every slot of dimension > 1 is l1 or linf but at most one l2 slot, and
+    then p is 1, 2 or inf (any p >= 1 without an l2 slot).  The ratio is invariant under
+    scaling lam_k and its numerator is convex in lam_k, so some maximizer has every other slot
+    at a vertex of its dual ball, one sign fixed (`_vertices`: e_j for linf, sign vectors with first
+    entry +1 for l1).  For each vertex tuple V the l2 slot sees the rows c_i =
+    u_i^(l2) prod_k <V_k, u_ik> - v_i^(l2) prod_k <V_k, v_ik> and takes: at p = 2 the top
+    right singular vector of diag(a^(1/2)) C (all tuples in one stacked SVD); at p = 1 the
+    normalized largest sum_i e_i a_i c_i over e with e_1 = 1 (`_signed_sums`); at p = inf
+    the largest row, normalized.  The candidates (tuples, times 2^(K-1) at p = 1) must number
+    at most ENUMERATION_CAP.  The first best candidate wins, tuples in itertools.product order
+    over the slots, then the sign patterns or rows in their order; its value is the ratio
+    evaluated at the form it returns.  The vertex products are elementwise sums, with no
+    BLAS product.  Unlike `rank_one_maximizer` it takes no starts."""
+    dims, weights, K = cfg.dims, np.asarray(cfg.weights), len(cfg)
+    duals = [dual_exponent(r) for r in norms.factors]
+    counts = [_vertex_count(d, r) for d, r in zip(dims, duals)]
+    free = [k for k, c in enumerate(counts) if c is None]
+    if len(free) > 1 or (free and p not in (1.0, 2.0, math.inf)):
+        return None
+    per = 2 ** (K - 1) if free and p == 1.0 else 1
+    if math.prod(c for c in counts if c is not None) * per > ENUMERATION_CAP:
+        return None
+    F = pair_factors(cfg.pairs)
+    fixed = [k for k in range(len(dims)) if k not in free]
+    sets = [_vertices(dims[k], duals[k]) for k in fixed]
+    # W[:, t] = prod_k <V_k, x_k> over the fixed slots of tuple t, for the u's over the v's
+    W = np.ones((2 * K, 1))
+    for k, V in zip(fixed, sets):
+        W = (W[:, :, None] * (F[k][:, None, :] * V).sum(axis=2)[:, None, :]).reshape(2 * K, -1)
+    if free:
+        f = free[0]
+        C = F[f][:K, None, :] * W[:K, :, None] - F[f][K:, None, :] * W[K:, :, None]
+        if p == 2.0:
+            s, vt = np.linalg.svd(np.sqrt(weights)[None, :, None] * C.transpose(1, 0, 2),
+                                  full_matrices=False)[1:]
+            t = int(np.argmax(s[:, 0]))  # the first maximum
+            lam = vt[t, 0]
+        else:  # every tuple's sign patterns (p = 1) or rows (p = inf), tuple by tuple
+            cand = _signed_sums(weights[:, None, None] * C) if p == 1.0 else C
+            cand = cand.transpose(1, 0, 2).reshape(-1, dims[f])
+            score = row_norms(cand, 2.0)
+            i = int(np.argmax(score))
+            t = i // (len(cand) // W.shape[1])
+            lam = cand[i] / score[i] if score[i] > 0.0 else cand[i]
+    else:
+        t = int(np.argmax(power_sums((W[:K] - W[K:]).T, weights, p)[0]))
+    lams = [V[j] for V, j in zip(sets, np.unravel_index(t, [len(V) for V in sets]))]
+    if free:
+        lams.insert(f, lam)
+    # the ratio at the form: its slot evaluations as elementwise sums, multiplied left to right
+    ev = _prod((X * x).sum(axis=1) for X, x in zip(F, lams))
+    num, scale = power_sums((ev[:K] - ev[K:])[None], weights, p)[0][0], rank_one_norm(lams, norms)
+    value = float(num / scale) if scale > 0.0 else 0.0
+    return (value, lams) if value > 0.0 else (0.0, None)
+
+
 def rank_one_maximizer(
     cfg: PairConfiguration, p: float, norms: NormSpec, *, seed: int = 0,
     restarts: int = DEFAULT_RESTARTS, max_iters: int = ASCENT_MAX_ITERS,
@@ -753,7 +829,10 @@ def rank_one_maximizer(
     """The op-ball denominator's best rank-one form lam_1 (x) ... (x) lam_n from
     `_rank_one_ascent`, as (value, [lam_k]), a certified lower (exact normalization), or
     (0.0, None) when no value is positive.  Starts: `extra_starts`, the dual norming vectors
-    of the u and the v of the first max(1, restarts // 4) pairs, then stream(seed, 2, i)."""
+    of the u and the v of the first max(1, restarts // 4) pairs, then stream(seed, 2, i).
+    It always searches, also where `exact_rank_one_maximizer` applies (which
+    `config_denominator` takes there instead): the dictionary growth of `estimate_pi_lip`
+    calls it as it is."""
     starts = [[np.asarray(v, dtype=float) for v in s] for s in (extra_starts or [])]
     for u, v in cfg.pairs[: max(1, restarts // 4)]:
         starts.append([dual_norming_vector(f, r) for f, r in zip(u.factors, norms.factors)])
@@ -785,12 +864,16 @@ def config_denominator(
     ball "op": forms with operator norm <= 1 for the factor norms in `norms`
     (exact where `exact_op_denominator` gives a value).
     Elsewhere the certified upper is `denominator_upper` (raised to the
-    certified lower where that is larger); the op ball's certified lower comes
-    from `rank_one_maximizer` and from full-kernel candidates (exact norms).
+    certified lower where that is larger); the op ball's certified lower is the
+    best rank-one form and the full-kernel candidates (exact norms).  The best
+    rank-one form comes from `exact_rank_one_maximizer` where it applies
+    (method "rank-one-exact/<upper>", no ascent runs) and from
+    `rank_one_maximizer` otherwise ("rank-one-ascent/<upper>").
 
     `extra_rank_one_starts` / `extra_kernels` inject known good candidates
     (e.g. the maximizers found on a sub-configuration), which keeps the
-    lower endpoints monotone when pairs are added.
+    lower endpoints monotone when pairs are added.  The exact rank-one path
+    needs no starts and does not read `extra_rank_one_starts`.
     """
     if not p >= 1:
         raise ValueError("p must be >= 1")
@@ -820,8 +903,12 @@ def config_denominator(
         return BoundReport(lower, max(upper, lower), method="hs-ascent", detail=detail)
 
     # operator ball
-    certified, best_lams = rank_one_maximizer(cfg, p, norms, seed=seed, restarts=restarts,
-                                              extra_starts=extra_rank_one_starts)
+    rank_one = exact_rank_one_maximizer(cfg, p, norms)
+    searched = rank_one is None
+    if searched:
+        rank_one = rank_one_maximizer(cfg, p, norms, seed=seed, restarts=restarts,
+                                      extra_starts=extra_rank_one_starts)
+    certified, best_lams = rank_one
 
     # full-kernel candidates: the HS geometry maximizer, the per-pair
     # spectral-ball norming kernels U V^T (which attain the nuclear pairing
@@ -850,5 +937,5 @@ def config_denominator(
     detail["full_kernel_candidate"] = vt[0].reshape(cfg.dims)
     return BoundReport(
         certified, max(upper, certified),
-        method=f"rank-one-ascent/{method_up}", detail=detail,
+        method=f"rank-one-{'ascent' if searched else 'exact'}/{method_up}", detail=detail,
     )

@@ -16,6 +16,7 @@ from pilip.formnorm import (
     config_denominator,
     denominator_upper,
     exact_op_denominator,
+    exact_rank_one_maximizer,
     hs_to_op_scale,
     hs_uppers,
     operator_norm,
@@ -208,32 +209,41 @@ def test_denominator_nuclear_single_pair_is_exact_l2():
 @pytest.mark.parametrize("factors", [(1.0, 1.0), (2.0, 2.0), (math.inf, math.inf), (1.0, math.inf),
                                      (1.0, 1.0, 1.0), (2.0, 2.0, 2.0), (math.inf, 1.0, 2.0)])
 def test_denominator_upper_is_the_search_free_end_of_config_denominator(factors):
-    # config_denominator's upper is denominator_upper's unless its ascent lower lies above it;
-    # where exact_op_denominator gives D, both ends are D, between the ascent and that upper
+    # config_denominator's upper is denominator_upper's unless its rank-one lower lies above
+    # it; where exact_op_denominator gives D, both ends are D, between the ascent and that
+    # upper; where exact_rank_one_maximizer applies, its lower is at least the ascent's
     dims, norms = (2, 3, 2)[:len(factors)], NormSpec(factors, 2.0)
-    rng, unclamped, exact = stream(15, len(factors), int(1.0 in factors)), 0, 0
+    rng, unclamped, exact, rank_one = stream(15, len(factors), int(1.0 in factors)), 0, 0, 0
     for p in (1.0, 1.5, 2.0, 3.0, math.inf):
         for count, zero in itertools.product((1, 4), (0.0, 1.0)):
             cfg = random_pairs(dims, count, rng, zero_fraction=zero)
             cfg = PairConfiguration(cfg.pairs, tuple(rng.uniform(0.5, 2.0, count)))
             value, method = denominator_upper(cfg, p, norms)
             rep = config_denominator(cfg, p, "op", norms, seed=1, restarts=4)
+            ascent = rank_one_maximizer(cfg, p, norms, seed=1, restarts=4)[0]
             if exact_op_denominator(cfg, p, norms) is not None:
                 exact += 1
                 assert rep.method == EXACT_METHOD[factors]
                 assert rep.certified_lower == rep.certified_upper <= value * (1 + 1e-12)
-                ascent = rank_one_maximizer(cfg, p, norms, seed=1, restarts=4)[0]
                 assert ascent <= rep.certified_lower * (1 + 1e-12)
                 continue
-            assert rep.method == f"rank-one-ascent/{method}"
+            if exact_rank_one_maximizer(cfg, p, norms) is not None:
+                rank_one += 1
+                assert rep.method == f"rank-one-exact/{method}"
+                assert ascent <= rep.certified_lower * (1 + 1e-12)
+            else:
+                assert rep.method == f"rank-one-ascent/{method}"
             if rep.certified_lower <= value:
                 unclamped += 1
                 assert rep.certified_upper == value
             else:
                 assert rep.certified_upper == rep.certified_lower <= value * (1 + 1e-14)
-    # 20 cases: the l1 products are exact at every p, the l2 forms at p = 1 and p = inf
+    # 20 cases: the l1 products are exact at every p, the l2 forms at p = 1 and p = inf;
+    # the best rank-one form is exact at every p on (linf, linf), at p = 1, 2, inf on
+    # (linf, l1, l2)
     assert exact == {(1.0, 1.0): 20, (2.0, 2.0): 8, (1.0, math.inf): 20,
                      (1.0, 1.0, 1.0): 20}.get(factors, 0)
+    assert rank_one == {(math.inf, math.inf): 20, (math.inf, 1.0, 2.0): 12}.get(factors, 0)
     # on one l2 pair the ascent can end ulps above the nuclear upper
     assert unclamped >= (20 - exact) / 2
 
@@ -282,7 +292,7 @@ def test_full_kernel_candidates_need_no_operator_norm_search():
     mixes = {2: [(2.0, 2.0), (math.inf, 2.0), (1.0, math.inf), (1.0, 2.0), (math.inf, math.inf)],
              3: [(2.0, 2.0, 2.0), (math.inf, 1.0, 2.0), (1.0, 1.0, 2.0), (math.inf, math.inf, 2.0),
                  (1.0, math.inf, 1.0)]}
-    cases, exact, beaten = 0, 0, []
+    cases, exact, rank_one, beaten, clamped = 0, 0, 0, [], []
     for n, factors_list in mixes.items():
         dims = (3, 3) if n == 2 else (2, 2, 2)
         for i, factors in enumerate(factors_list):
@@ -305,10 +315,25 @@ def test_full_kernel_candidates_need_no_operator_norm_search():
                         search_free = denominator_upper(cfg, p, norms)[0]
                         assert rep.certified_upper <= search_free * (1 + 1e-12)
                         continue
+                    if exact_rank_one_maximizer(cfg, p, norms) is not None:
+                        # the best rank-one form exactly: no ascent, a lower at least as high
+                        rank_one += 1
+                        assert rep.method.startswith("rank-one-exact/")
+                        assert lower <= rep.certified_lower * (1 + 1e-12)
+                        if rep.certified_upper != upper:  # the clamp to the lower end fired
+                            clamped.append((count, zero))
+                            assert rep.certified_upper == rep.certified_lower <= upper * (1 + 1e-15)
+                        continue
                     assert (rep.certified_lower, rep.certified_upper) == (lower, upper)
                     cases += 1
-    # 150 cases: (l2, l2) at p = 1 and p = inf, (l1, linf) and (l1, linf, l1) are exact
-    assert (cases, exact) == (114, 36)
+    # 150 cases: (l2, l2) at p = 1 and p = inf, (l1, linf) and (l1, linf, l1) are exact; the
+    # best rank-one form is exact on (linf, linf) at every p and on the one-l2 mixes at
+    # p = 1, 2, inf
+    assert (cases, exact, rank_one) == (54, 36, 60)
+    # On a single pair against 0 the triangle upper is D, which a rank-one form attains; in 10
+    # of those 20 cases the exact value evaluates 1-2 ulps above that upper, which the clamp
+    # then raises to it (the ascent had stopped below)
+    assert clamped == [(1, 1.0)] * 10
     # On a single pair against 0 the l2 kernel is rank one and its relaxed upper is its exact
     # norm; in these three cases the search ended an ulp above that upper, which it then
     # replaced.  The rank-one ascent reached at least the same lower in each, so no end moved;
@@ -787,6 +812,184 @@ def test_exact_denominator_declines_other_geometries():
     assert exact_op_denominator(scalar, 2.0, NormSpec((1.0, 1.0), 2.0)) is None
     assert config_denominator(scalar, 2.0, "op", NormSpec((1.0, 1.0), 2.0)).method == (
         "scalar-exact")
+
+
+@pytest.mark.parametrize("factors, n1_factor", [((2.0, 1.0), 1.0), ((math.inf, math.inf), math.inf),
+                                                ((2.0, math.inf), math.inf)])
+def test_exact_denominator_ignores_slots_of_dimension_one(factors, n1_factor):
+    # every norm of R^1 is |x|: on dims (1, 3) the op ball is that of the n = 1 problem whose
+    # pairs fold the scalar factor into the other
+    def fold(x):
+        return SegrePoint((x.factors[0][0] * x.factors[1],))
+
+    rng = stream(47)
+    for p in (1.0, 2.0, 3.0, math.inf):
+        cfg = random_pairs((1, 3), 4, rng)
+        cfg = PairConfiguration(cfg.pairs, tuple(rng.uniform(0.5, 2.0, 4)))
+        folded = PairConfiguration(tuple((fold(u), fold(v)) for u, v in cfg.pairs), cfg.weights)
+        value, method = exact_op_denominator(cfg, p, NormSpec(factors, 2.0))
+        assert method == "vertex-exact"
+        assert value == exact_op_denominator(folded, p, NormSpec((n1_factor,), 2.0))[0]
+        assert config_denominator(cfg, p, "op", NormSpec(factors, 2.0)).method == "vertex-exact"
+
+
+# --------------------------------------------------------------------------
+# the exact best rank-one form against brute-force vertex tuples and an l2 grid
+# --------------------------------------------------------------------------
+
+
+def _dual_vertices(d, r):
+    """Every extreme point of the dual ball of slot l_r^d, both signs: +-e_j for linf, the
+    sign vectors for l1."""
+    return _signed_basis(d) if r == math.inf else _signs(d)
+
+
+def _rank_one_oracle(cfg, p, norms, angles=2**16):
+    """The largest ratio over the rank-one forms whose l1 and linf slots take every vertex of
+    their dual balls and whose l2 slot of R^2 (if any) takes every point of an `angles`-point
+    grid on the unit circle; each form is a kernel paired with the difference rows.  Every
+    such form has unit dual norms, so the ratio is the weighted p-sum."""
+    weights, dims = np.asarray(cfg.weights), cfg.dims
+    theta = np.linspace(0.0, 2 * math.pi, angles, endpoint=False)
+    circle = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    choices = [[None] if r == 2.0 else _dual_vertices(d, r) for d, r in zip(dims, norms.factors)]
+    best = 0.0
+    for tup in itertools.product(*choices):
+        lams = [circle if v is None else np.asarray(v)[None] for v in tup]
+        kernels = lams[0]
+        for lam in lams[1:]:
+            rows = max(len(kernels), len(lam))
+            kernels = (kernels[:, :, None] * lam[:, None, :]).reshape(rows, -1)
+        t = np.abs(kernels @ cfg.rows.T)
+        values = t.max(axis=1) if math.isinf(p) else (t**p @ weights) ** (1 / p)
+        best = max(best, float(values.max()))
+    return best
+
+
+def _assert_is_a_rank_one_maximizer(cfg, p, norms, value, lams):
+    # every non-l2 slot sits at a vertex with its sign fixed, the l2 slot on the unit sphere,
+    # and the value is the ratio at that form
+    for lam, d, r in zip(lams, cfg.dims, norms.factors):
+        if d > 1 and r == math.inf:
+            assert sorted(lam.tolist()) == [0.0] * (d - 1) + [1.0]
+        elif d > 1 and r == 1.0:
+            assert lam[0] == 1.0 and set(lam.tolist()) <= {-1.0, 1.0}
+        else:
+            assert vector_norm(lam, 2.0) == pytest.approx(1.0, rel=1e-14)
+    form = rank_one_form(lams, norms).kernel.array.reshape(-1)
+    ratio = weighted_power_sum(cfg.rows @ form, np.asarray(cfg.weights), p)
+    ratio /= rank_one_norm(lams, norms)
+    np.testing.assert_allclose(value, ratio, rtol=1e-13)
+
+
+L2_MIXES = [  # (factor norms, dims), the l2 slot of dimension 2
+    ((math.inf, 2.0), (3, 2)),
+    ((1.0, 2.0), (3, 2)),
+    ((math.inf, 1.0, 2.0), (2, 2, 2)),
+    ((1.0, 1.0, 2.0), (2, 3, 2)),
+    ((2.0, math.inf), (2, 3)),
+]
+
+
+@pytest.mark.parametrize("factors, dims", L2_MIXES)
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+def test_exact_rank_one_maximizer_matches_vertices_and_an_l2_grid(factors, dims, p):
+    norms, rng = NormSpec(factors, 2.0), stream(48, len(factors), int(p) if p < 3 else 9)
+    for count in (1, 3, 6):
+        cfg = random_pairs(dims, count, rng)
+        cfg = PairConfiguration(cfg.pairs, tuple(rng.uniform(0.5, 2.0, count)))
+        value, lams = exact_rank_one_maximizer(cfg, p, norms)
+        oracle = _rank_one_oracle(cfg, p, norms)
+        # the grid's spacing of 1e-4 rad costs the oracle at most ~1.2e-9 relative
+        assert oracle <= value * (1 + 1e-12) and value <= oracle * (1 + 1e-8)
+        _assert_is_a_rank_one_maximizer(cfg, p, norms, value, lams)
+
+
+@pytest.mark.parametrize("factors, dims", [((math.inf, math.inf), (3, 3)),
+                                           ((1.0, math.inf, math.inf), (2, 2, 3))])
+@pytest.mark.parametrize("p", [1.0, 1.5, 3.0, 4.0])
+def test_exact_rank_one_maximizer_matches_every_vertex_tuple(factors, dims, p):
+    norms, rng = NormSpec(factors, 2.0), stream(49, len(factors), int(2 * p))
+    for count in (1, 3, 6):
+        cfg = random_pairs(dims, count, rng)
+        cfg = PairConfiguration(cfg.pairs, tuple(rng.uniform(0.5, 2.0, count)))
+        value, lams = exact_rank_one_maximizer(cfg, p, norms)
+        np.testing.assert_allclose(value, _rank_one_oracle(cfg, p, norms), rtol=1e-12)
+        _assert_is_a_rank_one_maximizer(cfg, p, norms, value, lams)
+
+
+RANK_ONE_MIXES = [  # (factor norms, dims, exponents on which the best rank-one form is exact)
+    ((2.0,), (4,), (1.0, 2.0, math.inf)),
+    ((math.inf, 2.0), (3, 3), (1.0, 2.0, math.inf)),
+    ((2.0, 1.0), (3, 3), (1.0, 2.0, math.inf)),
+    ((math.inf, 1.0, 2.0), (2, 2, 2), (1.0, 2.0, math.inf)),
+    ((1.0, 2.0, 1.0), (2, 3, 2), (1.0, 2.0, math.inf)),
+    ((math.inf, math.inf), (3, 3), (1.0, 1.5, 2.0, 3.0, math.inf)),
+    ((1.0, math.inf, math.inf), (2, 2, 2), (1.0, 1.5, 2.0, 3.0, math.inf)),
+]
+
+
+@pytest.mark.parametrize("factors, dims, exponents", RANK_ONE_MIXES)
+def test_exact_rank_one_maximizer_lies_between_the_ascent_and_the_search_free_upper(
+        factors, dims, exponents):
+    norms, rng = NormSpec(factors, 2.0), stream(50, len(factors), int(1.0 in factors))
+    for p in exponents:
+        for count, zero in ((1, 0.0), (3, 0.5), (6, 0.0)):
+            cfg = random_pairs(dims, count, rng, zero_fraction=zero)
+            cfg = PairConfiguration(cfg.pairs, tuple(rng.uniform(0.5, 2.0, count)))
+            value = exact_rank_one_maximizer(cfg, p, norms)[0]
+            ascent = rank_one_maximizer(cfg, p, norms, seed=3, restarts=8)[0]
+            assert ascent <= value * (1 + 1e-12)
+            assert value <= denominator_upper(cfg, p, norms)[0] * (1 + 1e-12)
+            rep = config_denominator(cfg, p, "op", norms, seed=3, restarts=8)
+            assert rep.method.startswith("rank-one-exact/") and rep.certified_lower >= value
+
+
+@pytest.mark.parametrize("factors, dims, exponents", RANK_ONE_MIXES)
+@pytest.mark.parametrize("t", [2.75, 1e-85])
+def test_exact_rank_one_maximizer_is_homogeneous_and_does_not_underflow(
+        factors, dims, exponents, t):
+    # scaling every factor by t scales each ratio by t^n; at t = 1e-85 the plain p-sums,
+    # and at n = 3 the plain l2 norms, underflow
+    norms, rng = NormSpec(factors, 2.0), stream(51, len(factors))
+    cfg = random_pairs(dims, 4, rng)
+    for p in exponents:
+        value = exact_rank_one_maximizer(cfg, p, norms)[0]
+        scaled = exact_rank_one_maximizer(cfg.scaled(t), p, norms)[0]
+        assert scaled > 0.0
+        np.testing.assert_allclose(scaled, t ** len(dims) * value, rtol=1e-12)
+
+
+def test_exact_rank_one_maximizer_enumeration_cap_boundary():
+    # the candidates are the vertex tuples, times the 2^(K-1) sign patterns at p = 1
+    rng = stream(52)
+    for norms, (at_cap, past), p in (
+            (NormSpec((1.0, 2.0), 2.0), [random_pairs((13, 2), 2, rng),
+                                         random_pairs((14, 2), 2, rng)], 2.0),
+            (NormSpec((math.inf, 2.0), 2.0), [random_pairs((4, 2), 11, rng),
+                                              random_pairs((4, 2), 12, rng)], 1.0),
+            (NormSpec((math.inf, math.inf), 2.0), [random_pairs((64, 64), 2, rng),
+                                                   random_pairs((64, 65), 2, rng)], 3.0)):
+        assert exact_rank_one_maximizer(at_cap, p, norms) is not None
+        assert exact_rank_one_maximizer(past, p, norms) is None
+        assert config_denominator(past, p, "op", norms, restarts=2).method.startswith(
+            "rank-one-ascent/")
+    # at p = inf each tuple's rows are priced, not sign patterns
+    assert exact_rank_one_maximizer(random_pairs((4, 2), 12, rng), math.inf,
+                                    NormSpec((math.inf, 2.0), 2.0)) is not None
+
+
+def test_exact_rank_one_maximizer_declines_two_l2_slots_and_other_exponents():
+    rng = stream(53)
+    for factors, dims, p in (((2.0, 2.0), (2, 2), 2.0), ((2.0, math.inf, 2.0), (2, 2, 2), 1.0),
+                             ((math.inf, 2.0), (3, 3), 3.0), ((1.0, 2.0), (3, 3), 1.5)):
+        cfg = random_pairs(dims, 3, rng)
+        norms = NormSpec(factors, 2.0)
+        assert exact_rank_one_maximizer(cfg, p, norms) is None
+        assert config_denominator(cfg, p, "op", norms, restarts=2).method.startswith(
+            "rank-one-ascent/")
+    # an l2 slot of dimension 1 is no l2 slot
+    assert exact_rank_one_maximizer(random_pairs((1, 3), 3, rng), 2.0, NormSpec.all_l2(2))
 
 
 @pytest.mark.parametrize("call", [
