@@ -3,11 +3,12 @@
 Two nonconvex suprema live here:
 
 * ``operator_norm``: sup of ||T(x1,...,xn)||_Y over the factor unit balls.
-  Lower bounds come from multi-start alternating maximization (every slot
-  update is a dual-norming step, so every iterate is feasible); the upper
-  bound is exact where the geometry allows it (extreme-point enumeration
-  for l1/linf balls, SVD for bilinear l2 forms) and a scaled
-  Hilbert-Schmidt relaxation otherwise.
+  One rule makes it exact (`_vertex_max`): the l1/linf slots take the
+  extreme points of their balls, and what is left, at most one l2 ball
+  (two into R^1), has a closed form (an SVD or a largest row).  Elsewhere
+  the lower end comes from multi-start alternating maximization (every
+  slot update is a dual-norming step, so every iterate is feasible) and
+  the upper end from a scaled Hilbert-Schmidt relaxation.
 
 * ``config_denominator``: sup over a unit ball of forms of the weighted
   p-sum (sum_i a_i |phi(Delta_i)|^p)^(1/p), where Delta_i is the
@@ -15,9 +16,9 @@ Two nonconvex suprema live here:
   p = 2 has an exact SVD value; so has the operator ball of l1/linf
   products (vertex enumeration) and of l2 bilinear forms at p = 1 and
   p = inf (nuclear norms).  Elsewhere the operator ball is bracketed
-  between the best rank-one form (whose normalization is exact; found by
-  enumeration where at most one slot is l2, else by ascent) and a menu of
-  certified relaxations.
+  between the best rank-one form (whose normalization is exact; the
+  operator norm of the difference map by the same rule where that
+  applies, else by ascent) and a menu of certified relaxations.
 """
 
 from __future__ import annotations
@@ -182,52 +183,76 @@ def _vertex_count(d: int, r: float) -> int | None:
     return 2 ** (d - 1) if r == math.inf else None
 
 
+@functools.lru_cache(maxsize=64)
 def _vertices(d: int, r: float) -> np.ndarray:
     """The extreme points of the unit l_r ball of R^d with one sign fixed, as rows: [1] at
     d = 1 (every norm of R^1 is |x|), e_1, ..., e_d for l1 and, for linf, the sign vectors
-    with first entry +1, the others in the order of np.ndindex (-1 before +1)."""
+    with first entry +1, the others in the order of np.ndindex (-1 before +1).  Cached, and
+    so read-only: the pricing loops ask for the same few balls once per form."""
     if d == 1:
-        return np.ones((1, 1))
-    if r == 1.0:
-        return np.eye(d)
-    bits = (np.arange(2 ** (d - 1))[:, None] >> np.arange(d - 2, -1, -1)) & 1
-    return np.hstack([np.ones((len(bits), 1)), 2.0 * bits - 1.0])
+        V = np.ones((1, 1))
+    elif r == 1.0:
+        V = np.eye(d)
+    else:
+        bits = (np.arange(2 ** (d - 1))[:, None] >> np.arange(d - 2, -1, -1)) & 1
+        V = np.hstack([np.ones((len(bits), 1)), 2.0 * bits - 1.0])
+    V.flags.writeable = False
+    return V
 
 
-def _extreme_sets(op: MultilinearOperator) -> list[np.ndarray] | None:
-    """Per-factor extreme points with one global sign fixed per factor (`_vertices`).
+def _vertex_max(kernel: np.ndarray, factors: Sequence[float],
+                r: float) -> tuple[float | None, list[np.ndarray]] | None:
+    """A maximizer x of ||T(x_1, ..., x_n)||_r over the unit l_(factors[k]) balls, for T with
+    the dense kernel (d_1, ..., d_n, m), as (sigma, [x_k]); None where it has no closed form.
 
-    Flipping the sign of any single factor only flips the sign of T(x), so
-    the enumeration may pin one sign per slot.  Returns None when a factor
-    has an l2 ball of dimension >= 2 or the tuple count exceeds ENUMERATION_CAP.
-    """
-    counts = [_vertex_count(d, r) for d, r in zip(op.dims, op.norms.factors)]
-    if None in counts or math.prod(counts) > ENUMERATION_CAP:
+    ||T(x)|| is convex in each x_k, so every slot with few extreme points (l1, linf, dimension
+    1) takes one of its `_vertices`, one sign fixed: a sign flip of x_k flips T(x).  The vertex
+    tuples, in itertools.product order over those slots, are contracted with the kernel
+    (einsum, no BLAS product), and what remains is solved in closed form, the first maximum
+    winning.  With no l2 slot left: the l_r norm of each tuple's image.  With one l2 slot, the
+    image is M^T x for the tuple's (d, m) matrix M, its rows the l2 slot: sigma_max(M) at r = 2
+    (x = u[:, 0]); else the largest l2 norm of a column of M (r = inf, or m = 1) or of a signed
+    sum of its columns with first sign + (r = 1, `_signed_sums`), x that vector normalized.
+    With two l2 slots and m = 1: sigma_max of the (d_a, d_b) matrix (u[:, 0] and vt[0]).
+    sigma is that largest singular value where an SVD answered, else None: evaluate T at x.
+    None where more l2 slots are left, or more than ENUMERATION_CAP tuples (times 2^(m - 1)
+    for the signed sums).  A single point needs no contraction, and with no slot to
+    enumerate the kernel itself goes into the closed form."""
+    dims, m = kernel.shape[:-1], kernel.shape[-1]
+    counts = [_vertex_count(d, q) for d, q in zip(dims, factors)]
+    free = [k for k, c in enumerate(counts) if c is None]
+    if len(free) > 2 or (free and m > 1 and (len(free) == 2 or r not in (1.0, 2.0, math.inf))):
         return None
-    return [_vertices(d, r) for d, r in zip(op.dims, op.norms.factors)]
-
-
-def _enumeration_max(op: MultilinearOperator) -> tuple[float, SegrePoint] | None:
-    """The largest ||T(x)|| over the extreme tuples and its first maximizer, with every tuple
-    evaluated in one `eval_rows` call."""
-    sets = _extreme_sets(op)
-    if sets is None:
+    signed = len(free) == 1 and r == 1.0
+    tuples = math.prod(c for c in counts if c is not None)
+    if tuples * (2 ** (m - 1) if signed else 1) > ENUMERATION_CAP:
         return None
-    combos = list(itertools.product(*sets))
-    values = row_norms(eval_rows(op, [np.array(X) for X in zip(*combos)]), op.norms.codomain)
-    i = int(np.argmax(values))  # the first maximum
-    return float(values[i]), SegrePoint(combos[i])
-
-
-def _svd_argmax(op: MultilinearOperator) -> tuple[float, SegrePoint] | None:
-    kernel = op.kernel.array
-    if op.n == 2 and op.m == 1 and op.norms.factors == (2.0, 2.0):
-        u, s, vt = np.linalg.svd(kernel[:, :, 0])
-        return float(s[0]), SegrePoint((u[:, 0], vt[0]))
-    if op.n == 1 and op.norms.factors == (2.0,) and op.norms.codomain == 2.0:
-        u, s, vt = np.linalg.svd(kernel)
-        return float(s[0]), SegrePoint((u[:, 0],))
-    return None
+    fixed = [k for k, c in enumerate(counts) if c is not None]
+    sets = [_vertices(dims[k], factors[k]) for k in fixed]
+    if not free and tuples == 1:
+        return None, [V[0] for V in sets]
+    # A[t]: the kernel contracted with vertex tuple t in the fixed slots (einsum: no BLAS)
+    A = kernel.transpose(*fixed, *free, len(dims))[None]
+    for V in sets:
+        A = np.einsum("td...,vd->tv...", A, V).reshape(-1, *A.shape[2:])
+    sigma, x = None, []
+    if not free:
+        t = int(np.argmax(power_sums(A, np.ones(m), r)[0]))
+    elif r == 2.0 or len(free) == 2:
+        u, s, vt = np.linalg.svd(A.reshape(len(A), dims[free[0]], -1))
+        t = int(np.argmax(s[:, 0]))
+        sigma, x = float(s[t, 0]), [u[t, :, 0], vt[t, 0]][:len(free)]
+    else:  # one l2 slot: the columns of each tuple's M, or their signed sums, tuple by tuple
+        cols = np.moveaxis(A, 2, 0)
+        cand = (_signed_sums(cols) if signed else cols).transpose(1, 0, 2).reshape(-1, A.shape[1])
+        score = row_norms(cand, 2.0)
+        i = int(np.argmax(score))
+        t = i // (len(cand) // len(A))
+        x = [cand[i] / score[i] if score[i] > 0.0 else cand[i]]
+    out = [V[j] for V, j in zip(sets, np.unravel_index(t, [len(V) for V in sets]))]
+    for k, f in zip(free, x):
+        out.insert(k, f)
+    return sigma, out
 
 
 def _relaxed_upper(op: MultilinearOperator) -> float:
@@ -247,36 +272,31 @@ def operator_norm(
 ) -> BoundReport:
     """Bracket ||T|| = sup over the factor unit balls of ||T(x)||_Y.
 
-    certified_lower is the best feasible point actually evaluated (the
-    bracket has zero width on the enumeration and SVD paths, where that
-    point attains the supremum); otherwise the lower end comes from
-    multi-start alternating maximization and the upper end from the
-    scaled-HS relaxation, tagged "relaxed".  With restarts = 0 no search
-    runs, and certified_upper is the certified upper alone; off the
-    enumeration path T is not evaluated either, so the lower ends are 0
-    and argmax is None.
+    Exact where `_vertex_max` applies (the l1/linf factors enumerated, at
+    most one l2 factor of dimension >= 2 left, or two into R^1): "svd" when
+    its answer is a largest singular value, the upper end, with T evaluated
+    at its maximizer as the lower end; "enumeration" otherwise, with T at
+    the maximizer as both ends.
+    Elsewhere the lower end is the best point of a multi-start alternating
+    maximization and the upper end the scaled-HS relaxation, tagged
+    "relaxed".  With restarts = 0 no search runs and certified_upper is
+    the certified upper alone; off the enumeration path T is not evaluated
+    either, so the lower end is 0 and argmax is None.
     """
     kernel = op.kernel.array
     if not np.any(kernel):
         return BoundReport(0.0, 0.0, method="zero")
 
-    enum = _enumeration_max(op)
-    if enum is not None:
-        value, argmax = enum
+    exact = _vertex_max(kernel, op.norms.factors, op.norms.codomain)
+    if exact is not None:
+        sigma, x = exact
+        # with restarts = 0 the SVD path evaluates nothing: the upper end alone
+        argmax = SegrePoint(tuple(x)) if sigma is None or restarts > 0 else None
+        attained = 0.0 if argmax is None else vector_norm(eval_operator(op, argmax),
+                                                          op.norms.codomain)
         return BoundReport(
-            value, value, method="enumeration",
-            detail={"argmax": argmax, "seed": seed},
-        )
-    svd = _svd_argmax(op)
-    if svd is not None:
-        sigma, argmax = svd
-        attained = 0.0
-        if restarts > 0:
-            attained = vector_norm(eval_operator(op, argmax), op.norms.codomain)
-        else:  # no evaluation: the upper end alone, as on the relaxed path
-            argmax = None
-        return BoundReport(
-            attained, sigma, method="svd",
+            attained, attained if sigma is None else sigma,
+            method="enumeration" if sigma is None else "svd",
             detail={"argmax": argmax, "seed": seed},
         )
 
@@ -744,17 +764,13 @@ def exact_op_denominator(cfg: PairConfiguration, p: float,
     k = rest[0] if rest else len(dims) - 1
     d = dims[k]
     M = math.prod(dims) // d
-    per_block = 2 * d if rest else 2**d
-    if per_block**M // 2 > ENUMERATION_CAP:
+    V = _vertices(d, dual_exponent(factors[k]))
+    if (2 * len(V))**M // 2 > ENUMERATION_CAP:
         return None
     # blocks[I, :, i] = Delta_i(e_I, .), slot k last; vals[I, v, i] = its value at vertex v
     blocks = np.moveaxis(cfg.rows.reshape(K, *dims), k + 1, -1).reshape(K, M, d).transpose(1, 2, 0)
-    if rest:
-        vals = np.concatenate([blocks, -blocks], axis=1)
-    else:  # every sign vector, those of the first half starting with +1
-        signs = 1.0 - 2.0 * ((np.arange(2**d)[:, None] >> np.arange(d - 1, -1, -1)) & 1)
-        vals = (signs[None, :, :, None] * blocks[:, None]).sum(axis=2)
-    sums = vals[0, :per_block // 2]  # the first block's vertex keeps its sign
+    vals = (np.vstack([V, -V])[None, :, :, None] * blocks[:, None]).sum(axis=2)
+    sums = vals[0, :len(V)]  # the first block's vertex keeps its sign
     for block in vals[1:]:
         sums = (sums[:, None] + block[None]).reshape(-1, K)
     return float(power_sums(sums, weights, p)[0].max()), "vertex-exact"
@@ -763,59 +779,25 @@ def exact_op_denominator(cfg: PairConfiguration, p: float,
 def exact_rank_one_maximizer(cfg: PairConfiguration, p: float,
                              norms: NormSpec) -> tuple[float, list[np.ndarray] | None] | None:
     """The op-ball denominator's best rank-one form lam_1 (x) ... (x) lam_n exactly, as
-    (value, [lam_k]), or (0.0, None) when no value is positive; None where it does not apply.
+    (value, [lam_k]), or (0.0, None) when no value is positive; None where `_vertex_max` does
+    not apply.
 
-    It applies when every slot of dimension > 1 is l1 or linf but at most one l2 slot, and
-    then p is 1, 2 or inf (any p >= 1 without an l2 slot).  The ratio is invariant under
-    scaling lam_k and its numerator is convex in lam_k, so some maximizer has every other slot
-    at a vertex of its dual ball, one sign fixed (`_vertices`: e_j for linf, sign vectors with first
-    entry +1 for l1).  For each vertex tuple V the l2 slot sees the rows c_i =
-    u_i^(l2) prod_k <V_k, u_ik> - v_i^(l2) prod_k <V_k, v_ik> and takes: at p = 2 the top
-    right singular vector of diag(a^(1/2)) C (all tuples in one stacked SVD); at p = 1 the
-    normalized largest sum_i e_i a_i c_i over e with e_1 = 1 (`_signed_sums`); at p = inf
-    the largest row, normalized.  The candidates (tuples, times 2^(K-1) at p = 1) must number
-    at most ENUMERATION_CAP.  The first best candidate wins, tuples in itertools.product order
-    over the slots, then the sign patterns or rows in their order; its value is the ratio
-    evaluated at the form it returns.  The vertex products are elementwise sums, with no
-    BLAS product.  Unlike `rank_one_maximizer` it takes no starts."""
-    dims, weights, K = cfg.dims, np.asarray(cfg.weights), len(cfg)
-    duals = [dual_exponent(r) for r in norms.factors]
-    counts = [_vertex_count(d, r) for d, r in zip(dims, duals)]
-    free = [k for k, c in enumerate(counts) if c is None]
-    if len(free) > 1 or (free and p not in (1.0, 2.0, math.inf)):
+    The best rank-one form is the operator norm of the difference map Phi(lam)_i =
+    a_i^(1/p) (lam(u_i) - lam(v_i)) from the product of the dual balls (l_(r_k')) into
+    l_p^K, whose kernel is (rows * a^(1/p))^T; `_vertex_max` finds its maximizer.  So it
+    applies when every slot of dimension > 1 is l1 or linf but at most one l2 slot, and then
+    p is 1, 2 or inf or there is one pair, or when there are two l2 slots and one pair; the
+    vertex tuples (times 2^(K-1) at p = 1 with an l2 slot) number at most ENUMERATION_CAP.
+    The value is the ratio evaluated at the form it returns.  Unlike `rank_one_maximizer` it
+    takes no starts."""
+    weights, duals = np.asarray(cfg.weights), [dual_exponent(r) for r in norms.factors]
+    phi = (cfg.rows * (weights ** (1.0 / p))[:, None]).T.reshape(*cfg.dims, len(cfg))
+    exact = _vertex_max(phi, duals, p)
+    if exact is None:
         return None
-    per = 2 ** (K - 1) if free and p == 1.0 else 1
-    if math.prod(c for c in counts if c is not None) * per > ENUMERATION_CAP:
-        return None
-    F = pair_factors(cfg.pairs)
-    fixed = [k for k in range(len(dims)) if k not in free]
-    sets = [_vertices(dims[k], duals[k]) for k in fixed]
-    # W[:, t] = prod_k <V_k, x_k> over the fixed slots of tuple t, for the u's over the v's
-    W = np.ones((2 * K, 1))
-    for k, V in zip(fixed, sets):
-        W = (W[:, :, None] * (F[k][:, None, :] * V).sum(axis=2)[:, None, :]).reshape(2 * K, -1)
-    if free:
-        f = free[0]
-        C = F[f][:K, None, :] * W[:K, :, None] - F[f][K:, None, :] * W[K:, :, None]
-        if p == 2.0:
-            s, vt = np.linalg.svd(np.sqrt(weights)[None, :, None] * C.transpose(1, 0, 2),
-                                  full_matrices=False)[1:]
-            t = int(np.argmax(s[:, 0]))  # the first maximum
-            lam = vt[t, 0]
-        else:  # every tuple's sign patterns (p = 1) or rows (p = inf), tuple by tuple
-            cand = _signed_sums(weights[:, None, None] * C) if p == 1.0 else C
-            cand = cand.transpose(1, 0, 2).reshape(-1, dims[f])
-            score = row_norms(cand, 2.0)
-            i = int(np.argmax(score))
-            t = i // (len(cand) // W.shape[1])
-            lam = cand[i] / score[i] if score[i] > 0.0 else cand[i]
-    else:
-        t = int(np.argmax(power_sums((W[:K] - W[K:]).T, weights, p)[0]))
-    lams = [V[j] for V, j in zip(sets, np.unravel_index(t, [len(V) for V in sets]))]
-    if free:
-        lams.insert(f, lam)
+    lams, K = exact[1], len(cfg)
     # the ratio at the form: its slot evaluations as elementwise sums, multiplied left to right
-    ev = _prod((X * x).sum(axis=1) for X, x in zip(F, lams))
+    ev = _prod((X * x).sum(axis=1) for X, x in zip(pair_factors(cfg.pairs), lams))
     num, scale = power_sums((ev[:K] - ev[K:])[None], weights, p)[0][0], rank_one_norm(lams, norms)
     value = float(num / scale) if scale > 0.0 else 0.0
     return (value, lams) if value > 0.0 else (0.0, None)

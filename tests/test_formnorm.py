@@ -240,10 +240,12 @@ def test_denominator_upper_is_the_search_free_end_of_config_denominator(factors)
                 assert rep.certified_upper == rep.certified_lower <= value * (1 + 1e-14)
     # 20 cases: the l1 products are exact at every p, the l2 forms at p = 1 and p = inf;
     # the best rank-one form is exact at every p on (linf, linf), at p = 1, 2, inf on
-    # (linf, l1, l2)
+    # (linf, l1, l2), and on a single pair (K = 1) also at p = 1.5 and 3 on (linf, l1, l2)
+    # and at p = 1.5, 2, 3 on (l2, l2)
     assert exact == {(1.0, 1.0): 20, (2.0, 2.0): 8, (1.0, math.inf): 20,
                      (1.0, 1.0, 1.0): 20}.get(factors, 0)
-    assert rank_one == {(math.inf, math.inf): 20, (math.inf, 1.0, 2.0): 12}.get(factors, 0)
+    assert rank_one == {(2.0, 2.0): 6, (math.inf, math.inf): 20,
+                        (math.inf, 1.0, 2.0): 16}.get(factors, 0)
     # on one l2 pair the ascent can end ulps above the nuclear upper
     assert unclamped >= (20 - exact) / 2
 
@@ -327,13 +329,13 @@ def test_full_kernel_candidates_need_no_operator_norm_search():
                     assert (rep.certified_lower, rep.certified_upper) == (lower, upper)
                     cases += 1
     # 150 cases: (l2, l2) at p = 1 and p = inf, (l1, linf) and (l1, linf, l1) are exact; the
-    # best rank-one form is exact on (linf, linf) at every p and on the one-l2 mixes at
-    # p = 1, 2, inf
-    assert (cases, exact, rank_one) == (54, 36, 60)
-    # On a single pair against 0 the triangle upper is D, which a rank-one form attains; in 10
-    # of those 20 cases the exact value evaluates 1-2 ulps above that upper, which the clamp
+    # best rank-one form is exact on (linf, linf) at every p, on the one-l2 mixes at
+    # p = 1, 2, inf and on every single pair (K = 1) with at most two l2 slots
+    assert (cases, exact, rank_one) == (28, 36, 86)
+    # On a single pair against 0 the triangle upper is D, which a rank-one form attains; in 16
+    # of those 34 cases the exact value evaluates 1-2 ulps above that upper, which the clamp
     # then raises to it (the ascent had stopped below)
-    assert clamped == [(1, 1.0)] * 10
+    assert clamped == [(1, 1.0)] * 16
     # On a single pair against 0 the l2 kernel is rank one and its relaxed upper is its exact
     # norm; in these three cases the search ended an ulp above that upper, which it then
     # replaced.  The rank-one ascent reached at least the same lower in each, so no end moved;
@@ -1365,10 +1367,10 @@ def test_operator_norm_starts_are_the_one_start_draws(monkeypatch):
     alternating_max = formnorm._alternating_max
     monkeypatch.setattr(formnorm, "_alternating_max", spy)
     rng = stream(82)
-    # an l2 first slot of dimension >= 2 and m = 2 keep every operator on the relaxed path
-    for dims in ((3, 3), (2, 1), (2, 1, 3), (4, 2, 2)):
+    # two l2 first slots of dimension >= 2 and m = 2 keep every operator on the relaxed path
+    for dims in ((3, 3), (2, 2, 1), (2, 3, 1, 3), (4, 2, 2)):
         for rest in (2.0, 1.0, math.inf):
-            factors = (2.0,) + (rest,) * (len(dims) - 1)
+            factors = (2.0, 2.0) + (rest,) * (len(dims) - 2)
             op = MultilinearOperator.from_array(rng.standard_normal(dims + (2,)),
                                                 NormSpec(factors, 1.0))
             for seed, restarts in ((0, 1), (3, 2), (7, 9)):
@@ -1382,11 +1384,13 @@ def test_operator_norm_starts_are_the_one_start_draws(monkeypatch):
 
 
 def test_operator_norm_takes_the_first_maximum():
-    # a {-1, 0, 1} kernel on l2 x l1 x l1 factors: many restarts reach the same
-    # value exactly, at different maximizers
+    # a {-1, 0, 1} kernel on l2 x l1 x l1 factors, and a second l2 slot read through its first
+    # coordinate only, which keeps the search: many restarts reach the same value exactly, at
+    # different maximizers
     rng = stream(79)
-    kernel = rng.integers(-1, 2, size=(3, 3, 3, 2)).astype(float)
-    op = MultilinearOperator.from_array(kernel, NormSpec((2.0, 1.0, 1.0), 2.0))
+    kernel = np.zeros((3, 2, 3, 3, 2))
+    kernel[:, 0] = rng.integers(-1, 2, size=(3, 3, 3, 2))
+    op = MultilinearOperator.from_array(kernel, NormSpec((2.0, 2.0, 1.0, 1.0), 2.0))
     starts = [_alternating_start(op, None if i == 0 else stream(5, 0, i))
               for i in range(16)]
     values, factors = formnorm._alternating_max(
@@ -1427,7 +1431,8 @@ def test_operator_norm_pinned_values():
     op = random_operator((2, 3), 2, stream(0, 3), NormSpec((math.inf, 2.0), 2.0))
     rep = operator_norm(op, seed=0, restarts=8)
     assert repr([rep.certified_lower, rep.certified_upper]) == repr(
-        [3.6644274890840927, 4.237541798334501])
+        [3.664427489084091, 3.664427489084092])
+    assert rep.method == "svd"
 
 
 # --------------------------------------------------------------------------
@@ -1438,9 +1443,7 @@ def test_operator_norm_pinned_values():
 def _serial_enumeration_max(op):
     """The enumeration one tuple at a time, keeping the first strictly larger value: the
     oracle of the batched enumeration."""
-    sets = formnorm._extreme_sets(op)
-    if sets is None:
-        return None
+    sets = [formnorm._vertices(d, r) for d, r in zip(op.dims, op.norms.factors)]
     best, arg = -1.0, None
     for combo in itertools.product(*sets):
         value = vector_norm(eval_operator(op, SegrePoint(combo)), op.norms.codomain)
@@ -1450,11 +1453,14 @@ def _serial_enumeration_max(op):
 
 
 def _assert_enumeration_matches_serial(op):
-    got, want = formnorm._enumeration_max(op), _serial_enumeration_max(op)
-    assert want is not None
-    assert got[0] == want[0]
-    assert all(np.array_equal(a, b) for a, b in zip(got[1].factors, want[1].factors))
-    return got
+    sigma, x = formnorm._vertex_max(op.kernel.array, op.norms.factors, op.norms.codomain)
+    want = _serial_enumeration_max(op)
+    assert sigma is None
+    assert all(np.array_equal(a, b) for a, b in zip(x, want[1].factors))
+    rep = operator_norm(op, restarts=0)
+    assert rep.method == "enumeration"
+    assert rep.certified_lower == rep.certified_upper == want[0]
+    return want
 
 
 def test_batched_enumeration_is_bitwise_the_serial_loop():
@@ -1492,10 +1498,83 @@ def test_enumeration_cap_boundary():
     over_cap = MultilinearOperator.from_array(rng.standard_normal((17, 241, 1)), l1)
     for op in (at_cap, linf_at_cap):  # 16 * 256 = 2^12 = 4096 tuples
         _assert_enumeration_matches_serial(op)
-        assert operator_norm(op, restarts=0).method == "enumeration"
-    assert formnorm._extreme_sets(over_cap) is None  # 17 * 241 = 4097 tuples
-    assert formnorm._enumeration_max(over_cap) is None
+    assert formnorm._vertex_max(over_cap.kernel.array, (1.0, 1.0), 2.0) is None  # 4097 tuples
     assert operator_norm(over_cap, restarts=0).method == "relaxed"
+    # into l1 with an l2 slot left, each tuple counts 2^(m - 1) signed sums: 4 * 2^10 = 4096
+    norms = NormSpec((math.inf, 2.0), 1.0)
+    for m, method in ((11, "enumeration"), (12, "relaxed")):
+        op = MultilinearOperator.from_array(rng.standard_normal((3, 2, m)), norms)
+        assert operator_norm(op, restarts=0).method == method
+
+
+def _grid_max(op, angles=2000):
+    """The largest ||T(x)|| over every vertex tuple of the l1 and linf slots and an
+    `angles`-point grid on the unit circle of each l2 slot (of dimension 2)."""
+    theta = np.linspace(0.0, 2 * math.pi, angles, endpoint=False)
+    circle = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    slots = [k for k, r in enumerate(op.norms.factors) if r != 2.0]
+    balls = [_dual_vertices(op.dims[k], dual_exponent(op.norms.factors[k])) for k in slots]
+    best = 0.0
+    for tup in itertools.product(*balls):
+        M = op.kernel.array
+        for k, v in reversed(list(zip(slots, tup))):
+            M = np.tensordot(M, np.asarray(v, dtype=float), axes=([k], [0]))
+        if M.ndim == 3:  # two l2 slots into R^1
+            values = np.abs(circle @ M[..., 0] @ circle.T)
+        else:
+            values = np.array([vector_norm(t, op.norms.codomain) for t in circle @ M])
+        best = max(best, float(values.max()))
+    return best
+
+
+EXACT_L2_GEOMETRIES = [  # (factor norms, codomain norm, dims, m, method), l2 slots of R^2
+    ((math.inf, 2.0), 2.0, (3, 2), 3, "svd"),
+    ((1.0, 2.0), math.inf, (3, 2), 3, "enumeration"),
+    ((math.inf, 2.0), 1.0, (3, 2), 3, "enumeration"),
+    ((math.inf, 2.0, 2.0), 2.0, (2, 2, 2), 1, "svd"),
+    ((1.0, math.inf, 2.0), 2.0, (3, 3, 2), 1, "svd"),
+]
+
+
+def test_exact_operator_norm_with_l2_slots_and_the_difference_map():
+    # where at most one l2 slot is left (two into R^1) the norm is exact: at least every
+    # alternating search, at most the relaxed upper, and an l2 grid's maximum within its
+    # spacing (2000 points cost at most ~1.2e-6 relative per circle)
+    rng = stream(86)
+    for factors, codomain, dims, m, method in EXACT_L2_GEOMETRIES:
+        for _ in range(3):
+            op = MultilinearOperator.from_array(rng.standard_normal(dims + (m,)),
+                                                NormSpec(factors, codomain))
+            rep = operator_norm(op, restarts=0)
+            exact = rep.certified_upper
+            assert rep.method == method
+            assert operator_norm(op).certified_lower >= exact * (1 - 1e-14)
+            starts = [_alternating_start(op, None if i == 0 else stream(86, 1, i))
+                      for i in range(64)]
+            searched, _ = formnorm._alternating_max(
+                op, [np.stack([s[k] for s in starts]) for k in range(op.n)])
+            assert (exact >= searched * (1 - 1e-12)).all()
+            assert exact <= formnorm._relaxed_upper(op) * (1 + 1e-12)
+            grid = _grid_max(op)
+            assert grid <= exact * (1 + 1e-12) and exact <= grid * (1 + 1e-5)
+    # the best rank-one form is the norm of the difference map Phi(lam)_i =
+    # a_i^(1/p) (lam(u_i) - lam(v_i)) on the dual balls, into l_p^K
+    for factors in ((math.inf, 2.0), (1.0, 2.0)):
+        norms = NormSpec(factors, 2.0)
+        for p in (1.0, 2.0, math.inf):
+            cfg = random_pairs((3, 2), 5, rng)
+            cfg = PairConfiguration(cfg.pairs, tuple(rng.uniform(0.5, 2.0, 5)))
+            kernel = (cfg.rows * np.asarray(cfg.weights)[:, None] ** (1 / p)).T
+            phi = MultilinearOperator.from_array(
+                kernel.reshape(3, 2, 5), NormSpec(tuple(map(dual_exponent, factors)), p))
+            value = exact_rank_one_maximizer(cfg, p, norms)[0]
+            np.testing.assert_allclose(value, operator_norm(phi).certified_upper, rtol=1e-13)
+    # one pair is Phi with K = 1, into R^1: exact with two l2 slots and at every p
+    cfg = random_pairs((2, 3), 1, rng)
+    for p in (1.5, 3.0):
+        value = exact_rank_one_maximizer(cfg, p, NormSpec.all_l2(2))[0]
+        nuclear = np.linalg.svd(cfg.rows.reshape(2, 3), compute_uv=False)
+        np.testing.assert_allclose(value, nuclear[0], rtol=1e-13)
 
 
 @pytest.mark.parametrize("k", [1, 3, 12])

@@ -187,14 +187,14 @@ def test_lp_rejects_vector_valued_dictionary():
 
 
 def test_rank_one_form_enters_the_lp_as_made():
-    # a generic (l-inf, l2) rank-one form has exact norm 1 after _unit_rank_one; operator_norm's
-    # search-free upper is larger, and the LP must not shrink the form by it
-    norms = NormSpec((math.inf, 2.0), 2.0)
+    # a generic (l-inf, l2, l2, l2) rank-one form has exact norm 1 after _unit_rank_one;
+    # operator_norm's search-free upper is larger, and the LP must not shrink the form by it
+    norms = NormSpec((math.inf, 2.0, 2.0, 2.0), 2.0)
     rng = stream(0, 45)
-    form = summing._unit_rank_one([rng.standard_normal(2), rng.standard_normal(3)], norms, "op")
+    form = summing._unit_rank_one([rng.standard_normal(d) for d in (2, 2, 2, 2)], norms, "op")
     assert operator_norm(form, restarts=0).certified_upper > 1.0 + 1e-12
-    op = random_operator((2, 3), 2, rng, norms)
-    cert = pietsch_upper_lp(op, random_pairs((2, 3), 4, rng), [form], 2.0)
+    op = random_operator((2, 2, 2, 2), 2, rng, norms)
+    cert = pietsch_upper_lp(op, random_pairs((2, 2, 2, 2), 4, rng), [form], 2.0)
     assert cert.dictionary[0] is form
 
 
@@ -424,9 +424,8 @@ def test_estimate_linear_map_recovers_hilbert_schmidt():
     [
         (None, (2, 2), 2, [2.645348304368268, 2.7581849530849714]),
         (NormSpec((1.0, math.inf), 1.0), (2, 2), 3, [6.700912154033279, 7.205296846901654]),
-        # its rank-one forms enter the LP at their exact scale, which the relaxed operator norm
-        # of an l-inf slot would shrink by up to sqrt(2)
-        (NormSpec((math.inf, 2.0), 2.0), (2, 3), 2, [3.9880584233210747, 4.544205847335004]),
+        # its operator norm is exact ("svd"): the l-inf slot is enumerated, the l2 slot an SVD
+        (NormSpec((math.inf, 2.0), 2.0), (2, 3), 2, [3.9880584233210783, 4.13461118624686]),
     ],
 )
 def test_estimate_pi_lip_pinned_values(norms, dims, m, expected):
