@@ -183,27 +183,23 @@ def _vertex_count(d: int, r: float) -> int | None:
     return 2 ** (d - 1) if r == math.inf else None
 
 
-@functools.lru_cache(maxsize=64)
 def _vertices(d: int, r: float) -> np.ndarray:
     """The extreme points of the unit l_r ball of R^d with one sign fixed, as rows: [1] at
     d = 1 (every norm of R^1 is |x|), e_1, ..., e_d for l1 and, for linf, the sign vectors
-    with first entry +1, the others in the order of np.ndindex (-1 before +1).  Cached, and
-    so read-only: the pricing loops ask for the same few balls once per form."""
+    with first entry +1, the others in the order of np.ndindex (-1 before +1)."""
     if d == 1:
-        V = np.ones((1, 1))
-    elif r == 1.0:
-        V = np.eye(d)
-    else:
-        bits = (np.arange(2 ** (d - 1))[:, None] >> np.arange(d - 2, -1, -1)) & 1
-        V = np.hstack([np.ones((len(bits), 1)), 2.0 * bits - 1.0])
-    V.flags.writeable = False
-    return V
+        return np.ones((1, 1))
+    if r == 1.0:
+        return np.eye(d)
+    bits = (np.arange(2 ** (d - 1))[:, None] >> np.arange(d - 2, -1, -1)) & 1
+    return np.hstack([np.ones((len(bits), 1)), 2.0 * bits - 1.0])
 
 
 def _vertex_max(kernel: np.ndarray, factors: Sequence[float],
-                r: float) -> tuple[float | None, list[np.ndarray]] | None:
+                r: float) -> tuple[str, float | None, list[np.ndarray]] | None:
     """A maximizer x of ||T(x_1, ..., x_n)||_r over the unit l_(factors[k]) balls, for T with
-    the dense kernel (d_1, ..., d_n, m), as (sigma, [x_k]); None where it has no closed form.
+    the dense kernel (d_1, ..., d_n, m), as (method, value, [x_k]); None where it has no
+    closed form.
 
     ||T(x)|| is convex in each x_k, so every slot with few extreme points (l1, linf, dimension
     1) takes one of its `_vertices`, one sign fixed: a sign flip of x_k flips T(x).  The vertex
@@ -214,7 +210,8 @@ def _vertex_max(kernel: np.ndarray, factors: Sequence[float],
     (x = u[:, 0]); else the largest l2 norm of a column of M (r = inf, or m = 1) or of a signed
     sum of its columns with first sign + (r = 1, `_signed_sums`), x that vector normalized.
     With two l2 slots and m = 1: sigma_max of the (d_a, d_b) matrix (u[:, 0] and vt[0]).
-    sigma is that largest singular value where an SVD answered, else None: evaluate T at x.
+    method is "svd" where an SVD answered, value then sigma_max, else "enumeration", value
+    then the l2 norm of the largest column or signed sum, or None with no l2 slot: T at x.
     None where more l2 slots are left, or more than ENUMERATION_CAP tuples (times 2^(m - 1)
     for the signed sums).  A single point needs no contraction, and with no slot to
     enumerate the kernel itself goes into the closed form."""
@@ -230,29 +227,29 @@ def _vertex_max(kernel: np.ndarray, factors: Sequence[float],
     fixed = [k for k, c in enumerate(counts) if c is not None]
     sets = [_vertices(dims[k], factors[k]) for k in fixed]
     if not free and tuples == 1:
-        return None, [V[0] for V in sets]
+        return "enumeration", None, [V[0] for V in sets]
     # A[t]: the kernel contracted with vertex tuple t in the fixed slots (einsum: no BLAS)
     A = kernel.transpose(*fixed, *free, len(dims))[None]
     for V in sets:
         A = np.einsum("td...,vd->tv...", A, V).reshape(-1, *A.shape[2:])
-    sigma, x = None, []
+    method, value, x = "enumeration", None, []
     if not free:
         t = int(np.argmax(power_sums(A, np.ones(m), r)[0]))
     elif r == 2.0 or len(free) == 2:
-        u, s, vt = np.linalg.svd(A.reshape(len(A), dims[free[0]], -1))
+        u, s, vt = np.linalg.svd(A.reshape(len(A), dims[free[0]], -1), full_matrices=False)
         t = int(np.argmax(s[:, 0]))
-        sigma, x = float(s[t, 0]), [u[t, :, 0], vt[t, 0]][:len(free)]
+        method, value, x = "svd", float(s[t, 0]), [u[t, :, 0], vt[t, 0]][:len(free)]
     else:  # one l2 slot: the columns of each tuple's M, or their signed sums, tuple by tuple
         cols = np.moveaxis(A, 2, 0)
         cand = (_signed_sums(cols) if signed else cols).transpose(1, 0, 2).reshape(-1, A.shape[1])
         score = row_norms(cand, 2.0)
         i = int(np.argmax(score))
         t = i // (len(cand) // len(A))
-        x = [cand[i] / score[i] if score[i] > 0.0 else cand[i]]
+        value, x = float(score[i]), [cand[i] / score[i] if score[i] > 0.0 else cand[i]]
     out = [V[j] for V, j in zip(sets, np.unravel_index(t, [len(V) for V in sets]))]
     for k, f in zip(free, x):
         out.insert(k, f)
-    return sigma, out
+    return method, value, out
 
 
 def _relaxed_upper(op: MultilinearOperator) -> float:
@@ -276,7 +273,8 @@ def operator_norm(
     most one l2 factor of dimension >= 2 left, or two into R^1): "svd" when
     its answer is a largest singular value, the upper end, with T evaluated
     at its maximizer as the lower end; "enumeration" otherwise, with T at
-    the maximizer as both ends.
+    the maximizer as the lower end and as the upper end, or the closed
+    form's value (a column norm) where that is larger.
     Elsewhere the lower end is the best point of a multi-start alternating
     maximization and the upper end the scaled-HS relaxation, tagged
     "relaxed".  With restarts = 0 no search runs and certified_upper is
@@ -289,16 +287,14 @@ def operator_norm(
 
     exact = _vertex_max(kernel, op.norms.factors, op.norms.codomain)
     if exact is not None:
-        sigma, x = exact
+        method, value, x = exact
         # with restarts = 0 the SVD path evaluates nothing: the upper end alone
-        argmax = SegrePoint(tuple(x)) if sigma is None or restarts > 0 else None
+        argmax = SegrePoint(tuple(x)) if method == "enumeration" or restarts > 0 else None
         attained = 0.0 if argmax is None else vector_norm(eval_operator(op, argmax),
                                                           op.norms.codomain)
-        return BoundReport(
-            attained, attained if sigma is None else sigma,
-            method="enumeration" if sigma is None else "svd",
-            detail={"argmax": argmax, "seed": seed},
-        )
+        if method == "enumeration":  # T at x may sit an ulp below the closed form
+            value = attained if value is None else max(attained, value)
+        return BoundReport(attained, value, method=method, detail={"argmax": argmax, "seed": seed})
 
     best, argmax = 0.0, None
     if restarts > 0:
@@ -764,9 +760,10 @@ def exact_op_denominator(cfg: PairConfiguration, p: float,
     k = rest[0] if rest else len(dims) - 1
     d = dims[k]
     M = math.prod(dims) // d
-    V = _vertices(d, dual_exponent(factors[k]))
-    if (2 * len(V))**M // 2 > ENUMERATION_CAP:
+    dual = dual_exponent(factors[k])
+    if (2 * _vertex_count(d, dual))**M // 2 > ENUMERATION_CAP:  # count before building
         return None
+    V = _vertices(d, dual)
     # blocks[I, :, i] = Delta_i(e_I, .), slot k last; vals[I, v, i] = its value at vertex v
     blocks = np.moveaxis(cfg.rows.reshape(K, *dims), k + 1, -1).reshape(K, M, d).transpose(1, 2, 0)
     vals = (np.vstack([V, -V])[None, :, :, None] * blocks[:, None]).sum(axis=2)
@@ -795,7 +792,7 @@ def exact_rank_one_maximizer(cfg: PairConfiguration, p: float,
     exact = _vertex_max(phi, duals, p)
     if exact is None:
         return None
-    lams, K = exact[1], len(cfg)
+    lams, K = exact[2], len(cfg)
     # the ratio at the form: its slot evaluations as elementwise sums, multiplied left to right
     ev = _prod((X * x).sum(axis=1) for X, x in zip(pair_factors(cfg.pairs), lams))
     num, scale = power_sums((ev[:K] - ev[K:])[None], weights, p)[0][0], rank_one_norm(lams, norms)

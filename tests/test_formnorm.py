@@ -36,6 +36,7 @@ from pilip.tensors import (
     dual_norming_vector,
     eval_operator,
     pair_factors,
+    row_norms,
     vector_norm,
 )
 from pilip.verify import lambda_n, random_pairs
@@ -803,6 +804,26 @@ def test_past_the_enumeration_cap_the_ascent_runs():
     assert ENUMERATION_CAP == 2**12
 
 
+def test_exact_paths_count_vertices_before_building_them(monkeypatch):
+    # an l1^30 op ball has 2^29 sign vertices, about 4 GB as rows: every exact path counts
+    # them against the cap and declines without building them
+    vertices = formnorm._vertices
+
+    def refuse(d, r):
+        assert formnorm._vertex_count(d, r) <= ENUMERATION_CAP, f"built l_{r}^{d}'s vertices"
+        return vertices(d, r)
+
+    monkeypatch.setattr(formnorm, "_vertices", refuse)
+    cfg, norms = random_pairs((30,), 2, stream(48)), NormSpec((1.0,), 2.0)
+    assert exact_op_denominator(cfg, 2.0, norms) is None
+    assert exact_rank_one_maximizer(cfg, 2.0, norms) is None
+    op = MultilinearOperator.from_array(stream(48, 1).standard_normal((30, 2)),
+                                        NormSpec((math.inf,), 2.0))
+    assert operator_norm(op, restarts=0).method == "relaxed"
+    assert config_denominator(cfg, 2.0, "op", norms, restarts=4).method.startswith(
+        "rank-one-ascent/")
+
+
 def test_exact_denominator_declines_other_geometries():
     rng = stream(45)
     cfg, scalar = random_pairs((2, 2), 3, rng), random_pairs((1, 1), 2, rng)
@@ -1453,9 +1474,10 @@ def _serial_enumeration_max(op):
 
 
 def _assert_enumeration_matches_serial(op):
-    sigma, x = formnorm._vertex_max(op.kernel.array, op.norms.factors, op.norms.codomain)
+    method, value, x = formnorm._vertex_max(op.kernel.array, op.norms.factors,
+                                            op.norms.codomain)
     want = _serial_enumeration_max(op)
-    assert sigma is None
+    assert method == "enumeration" and value is None
     assert all(np.array_equal(a, b) for a, b in zip(x, want[1].factors))
     rep = operator_norm(op, restarts=0)
     assert rep.method == "enumeration"
@@ -1557,6 +1579,14 @@ def test_exact_operator_norm_with_l2_slots_and_the_difference_map():
             assert exact <= formnorm._relaxed_upper(op) * (1 + 1e-12)
             grid = _grid_max(op)
             assert grid <= exact * (1 + 1e-12) and exact <= grid * (1 + 1e-5)
+    # one l2 slot into linf: T at the normalized best column can sit an ulp below that
+    # column's norm, so the upper end is the larger of the two
+    for _ in range(50):
+        kernel = rng.standard_normal((3, 4, 3))
+        rep = operator_norm(MultilinearOperator.from_array(kernel, NormSpec((1.0, 2.0), math.inf)),
+                            restarts=0)
+        assert rep.method == "enumeration" and rep.certified_lower <= rep.certified_upper
+        assert rep.certified_upper >= row_norms(kernel.transpose(0, 2, 1).reshape(-1, 4), 2.0).max()
     # the best rank-one form is the norm of the difference map Phi(lam)_i =
     # a_i^(1/p) (lam(u_i) - lam(v_i)) on the dual balls, into l_p^K
     for factors in ((math.inf, 2.0), (1.0, 2.0)):
