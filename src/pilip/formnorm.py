@@ -18,7 +18,8 @@ Two nonconvex suprema live here:
   p = inf (nuclear norms).  Elsewhere the operator ball is bracketed
   between the best rank-one form (whose normalization is exact; the
   operator norm of the difference map by the same rule where that
-  applies, else by ascent) and a menu of certified relaxations.
+  applies, else by ascent) and a menu of certified relaxations, and the
+  HS ball, the l2 ball of R^D, is the operator ball of its flattening.
 """
 
 from __future__ import annotations
@@ -345,30 +346,6 @@ def _hs_values(G: np.ndarray, deltas: np.ndarray, weights: np.ndarray, p: float)
     nrm = row_norms(G, 2.0)
     C = G / np.where(nrm == 0, 1.0, nrm)[:, None]
     return power_sums((deltas @ C[:, :, None])[..., 0], weights, p)[0]
-
-
-def _hs_ascent(
-    deltas: np.ndarray, weights: np.ndarray, p: float, draws: np.ndarray, iters: int, tol: float,
-) -> np.ndarray:
-    """Projected gradient ascent on the Frobenius sphere from each row of `draws` (scaled to
-    unit norm first), for finite p; every iterate is feasible.  Returns the value of each."""
-    G = draws / row_norms(draws, 2.0)[:, None]
-
-    def gradient(points, _, __):
-        X = points[0]
-        s = (deltas @ X[:, :, None])[..., 0]
-        g = ((weights * (np.abs(s) ** (p - 1.0) * np.sign(s)))[:, None, :] @ deltas)[:, 0, :]
-        g = g - (g[:, None, :] @ X[:, :, None])[:, 0] * X  # tangent to the sphere
-        gn = row_norms(g, 2.0)
-        return [g], gn, gn < 1e-15
-
-    def trial(moved):
-        C = moved[0] / row_norms(moved[0], 2.0)[:, None]
-        return [C], [], _hs_values(C, deltas, weights, p)
-
-    value = _hs_values(G, deltas, weights, p)
-    lockstep_ascent([G], [], value, gradient, trial, step=1.0, floor=1e-12, iters=iters, tol=tol)
-    return value
 
 
 def _prod(factors) -> np.ndarray | float:
@@ -839,7 +816,9 @@ def config_denominator(
 ) -> BoundReport:
     """Bracket D = sup over the chosen unit ball of (sum_i a_i|phi(Delta_i)|^p)^(1/p).
 
-    ball "hs": forms with Frobenius norm <= 1 (exact at p = 2 and p = inf).
+    ball "hs": forms with Frobenius norm <= 1 (exact at p = 2 and p = inf;
+    elsewhere the op-ball report of the flattening, the pairs (Delta_i, 0) in
+    l2^D, D = prod d_k, whose one-slot forms are rank one: exact lower at p = 1).
     ball "op": forms with operator norm <= 1 for the factor norms in `norms`
     (exact where `exact_op_denominator` gives a value).
     Elsewhere the certified upper is `denominator_upper` (raised to the
@@ -849,10 +828,10 @@ def config_denominator(
     (method "rank-one-exact/<upper>", no ascent runs) and from
     `rank_one_maximizer` otherwise ("rank-one-ascent/<upper>").
 
-    `extra_rank_one_starts` / `extra_kernels` inject known good candidates
-    (e.g. the maximizers found on a sub-configuration), which keeps the
-    lower endpoints monotone when pairs are added.  The exact rank-one path
-    needs no starts and does not read `extra_rank_one_starts`.
+    `extra_rank_one_starts` / `extra_kernels` inject known good candidates (e.g. the
+    maximizers found on a sub-configuration; an HS start enters as its elementary tensor),
+    which keeps the lower endpoints monotone when pairs are added.  The exact rank-one
+    path needs no starts and does not read `extra_rank_one_starts`.
     """
     if not p >= 1:
         raise ValueError("p must be >= 1")
@@ -871,15 +850,15 @@ def config_denominator(
     if method_up in ("scalar-exact", "hs-exact"):
         return BoundReport(upper, upper, method=method_up, detail=detail)
 
-    if ball == "hs":
-        w2 = weights ** (1.0 / p)
-        _, _, vt = np.linalg.svd(deltas * w2[:, None], full_matrices=False)
-        cands = _hs_values(np.vstack([vt[0], deltas]), deltas, weights, p)
-        draws = np.array([stream(seed, 1, i).standard_normal(deltas.shape[1])
-                          for i in range(restarts)]).reshape(restarts, deltas.shape[1])
-        ends = _hs_ascent(deltas, weights, p, draws, ASCENT_MAX_ITERS, ASCENT_TOL)
-        lower = max([0.0, *cands.tolist(), *ends.tolist()])
-        return BoundReport(lower, max(upper, lower), method="hs-ascent", detail=detail)
+    if ball == "hs":  # the l2 ball of R^D: the op ball of the one-slot flattening
+        flat = PairConfiguration(tuple((SegrePoint((row,)), SegrePoint.zero((row.size,)))
+                                       for row in deltas), cfg.weights)
+        starts = [[elementary_tensor(SegrePoint.of(*s)).array.ravel()]
+                  for s in extra_rank_one_starts or []]
+        rep = config_denominator(flat, p, "op", NormSpec((2.0,), 2.0), seed=seed, restarts=restarts,
+                                 extra_rank_one_starts=starts, extra_kernels=extra_kernels)
+        rep.detail["ball"] = "hs"
+        return rep
 
     # operator ball
     rank_one = exact_rank_one_maximizer(cfg, p, norms)

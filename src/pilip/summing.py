@@ -251,6 +251,8 @@ def _unit_form(form: MultilinearOperator, ball: str, scale: float | None = None)
     "poly"): by default its Frobenius norm on "hs" and operator_norm's search-free upper
     otherwise, which majorizes the polynomial norm too.  A form already made for `ball` comes
     back unchanged, so each form is priced once; a zero form stays zero."""
+    if ball not in ("op", "hs", "poly"):
+        raise ValueError(f"ball must be 'op', 'hs' or 'poly', got {ball!r}")
     if isinstance(form, _UnitForm) and form.ball == ball:
         return form
     if not form.is_form():
@@ -750,6 +752,8 @@ def estimate_pi_lip_poly(
     the single unit ball.  Requires a permutation-symmetric kernel (within
     SYMMETRY_TOL relative).
     """
+    if not p >= 1 or math.isinf(p):
+        raise ValueError("p must be finite and >= 1")
     budget = budget or Budget()
     n, d = op.n, op.dims[0]
     if any(dd != d for dd in op.dims) or any(r != op.norms.factors[0] for r in op.norms.factors):

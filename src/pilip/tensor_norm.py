@@ -178,9 +178,6 @@ def _svd_chunk_representation(z: MixedTensor) -> Representation:
             break
         w = u[:, l].reshape(dims)
         y = s[l] * vt[l]
-        if n == 1:
-            terms.append((SegrePoint((w.reshape(-1),)), zero, y))
-            continue
         if n == 2:
             wu, ws, wvt = np.linalg.svd(w)
             idx = [i for i in range(len(ws)) if ws[i] > rank_tol]
@@ -194,7 +191,7 @@ def _svd_chunk_representation(z: MixedTensor) -> Representation:
                     q_pt = zero
                 terms.append((p_pt, q_pt, y.copy()))
             continue
-        # n >= 3: slice along the first n-1 modes and peel each fiber
+        # n = 1 or n >= 3: slice along the first n-1 modes and peel each fiber
         fac = _elementary_factors(w)
         if fac is not None:
             terms.append((SegrePoint(tuple(fac)), zero, y))

@@ -34,6 +34,7 @@ from pilip.tensors import (
     SegrePoint,
     dual_exponent,
     dual_norming_vector,
+    elementary_tensor,
     eval_operator,
     pair_factors,
     row_norms,
@@ -352,12 +353,58 @@ def test_denominator_upper_on_the_hs_ball_is_config_denominators_upper():
         value, method = denominator_upper(cfg, p, NormSpec.all_l2(2), "hs")
         rep = config_denominator(cfg, p, "hs", restarts=4)
         assert method == ("hs-exact" if p in (2.0, math.inf) else "hs")
-        assert rep.method == ("hs-exact" if method == "hs-exact" else "hs-ascent")
-        assert rep.certified_upper == value and rep.certified_lower <= value
+        assert rep.detail["ball"] == "hs" and rep.certified_lower <= rep.certified_upper
+        if method == "hs-exact":
+            assert rep.method == "hs-exact" and rep.certified_upper == value
+        else:  # the op bracket of the flattening, whose "kappa-hs" upper is hs_uppers
+            assert rep.method in {f"rank-one-{how}/{up}" for how in ("exact", "ascent")
+                                  for up in ("kappa-hs", "triangle")}
+            assert rep.certified_upper <= value
     scalar = random_pairs((1, 1), 2, rng)
     assert denominator_upper(scalar, 3.0, NormSpec.all_l2(2), "hs")[1] == "scalar-exact"
     with pytest.raises(ValueError, match="ball"):
         denominator_upper(cfg, 2.0, NormSpec.all_l2(2), "frobenius")
+
+
+def test_exact_hs_ball_is_the_op_ball_of_the_flattening():
+    # the HS ball of forms is the l2 ball of R^D: at p = 1 its denominator is the largest
+    # ||sum_i e_i a_i Delta_i||_2 over signs e with e_1 = 1, found exactly; elsewhere the HS
+    # bracket is the op bracket of the flattening, bit for bit
+    rng = stream(27, 1)
+    for dims in ((2, 2), (2, 3), (2, 2, 2)):
+        for K in (1, 2, 4, 6):
+            base = random_pairs(dims, K, rng)
+            cfg = PairConfiguration(base.pairs, tuple(rng.uniform(0.2, 2.0, size=K)))
+            rep = config_denominator(cfg, 1.0, "hs", restarts=4)
+            weighted = np.asarray(cfg.weights)[:, None] * cfg.rows
+            brute = max(np.linalg.norm(weighted[0] + np.array(signs) @ weighted[1:])
+                        for signs in itertools.product((1.0, -1.0), repeat=K - 1))
+            assert rep.method.startswith("rank-one-exact/"), rep.method
+            assert rep.certified_lower == pytest.approx(brute, rel=1e-12, abs=0.0)
+            assert rep.certified_lower <= rep.certified_upper
+            flat = PairConfiguration(tuple((SegrePoint((row,)), SegrePoint.zero((row.size,)))
+                                           for row in cfg.rows), cfg.weights)
+            for p in (1.5, 3.0):
+                for seed, restarts in ((0, 4), (3, 16)):
+                    hs = config_denominator(cfg, p, "hs", seed=seed, restarts=restarts)
+                    op = config_denominator(flat, p, "op", NormSpec((2.0,), 2.0), seed=seed,
+                                            restarts=restarts)
+                    assert hs.detail["ball"] == "hs" and hs.method == op.method
+                    assert (hs.certified_lower, hs.certified_upper) == (
+                        op.certified_lower, op.certified_upper)
+            # warm starts: a start on cfg's slots enters as its elementary tensor, and the HS
+            # report's own maximizer fed back keeps the lower end
+            start = [rng.standard_normal(d) for d in dims]
+            warm = config_denominator(cfg, 1.5, "hs", restarts=2, extra_rank_one_starts=[start])
+            want = config_denominator(flat, 1.5, "op", NormSpec((2.0,), 2.0), restarts=2,
+                                      extra_rank_one_starts=[[elementary_tensor(
+                                          SegrePoint(tuple(start))).array.reshape(-1)]])
+            assert warm.certified_lower == want.certified_lower
+            again = config_denominator(
+                cfg, 1.5, "hs", restarts=2,
+                extra_rank_one_starts=[warm.detail["rank_one_maximizer"]],
+                extra_kernels=[warm.detail["full_kernel_candidate"]])
+            assert again.certified_lower >= warm.certified_lower * (1.0 - 1e-12)
 
 
 def test_ball_inclusion_property_checks_the_search_free_upper(monkeypatch):
@@ -1176,7 +1223,7 @@ def test_lockstep_ascent_stationary_start_stops_at_once(p):
 
 
 # --------------------------------------------------------------------------
-# lockstep HS-ball ascent against the one-start loop, bit for bit
+# the HS-ball objective against the one-kernel version, bit for bit
 # --------------------------------------------------------------------------
 
 
@@ -1187,63 +1234,6 @@ def _hs_value(G, deltas, weights, p):
     if nrm == 0:
         return 0.0
     return _one_vector_power_sum(deltas @ (G / nrm), weights, p)
-
-
-def _reference_hs_ascent(deltas, weights, p, rng, iters, tol, halvings=None):
-    """Projected gradient ascent on the Frobenius sphere from one start, run on its own, one
-    line-search trial at a time: the oracle for the batch.  Each line search appends to
-    `halvings` ("gain" or "floor", its losses)."""
-    G = rng.standard_normal(deltas.shape[1])
-    G /= np.linalg.norm(G)
-    value = _hs_value(G, deltas, weights, p)
-    step = 1.0
-    for _ in range(iters):
-        s = deltas @ G
-        mag = np.abs(s) ** (p - 1.0) * np.sign(s)
-        grad = (weights * mag) @ deltas
-        grad = grad - np.dot(grad, G) * G
-        gn = np.linalg.norm(grad)
-        if gn < 1e-15:
-            break
-        improved, losses = False, 0
-        while step > 1e-12:
-            cand = G + step * grad / gn
-            cand /= np.linalg.norm(cand)
-            cand_val = _hs_value(cand, deltas, weights, p)
-            if cand_val > value:
-                G, improved = cand, True
-                if halvings is not None:
-                    halvings.append(("gain", losses))
-                if cand_val <= value * (1.0 + tol):
-                    return cand_val
-                value = cand_val
-                step *= 1.5
-                break
-            step *= 0.5
-            losses += 1
-        if not improved:
-            if halvings is not None:
-                halvings.append(("floor", losses))
-            break
-    return value
-
-
-def test_lockstep_hs_ascent_is_bitwise_the_one_start_loop():
-    rng = stream(81)
-    halvings = []
-    for case, p in enumerate((1.0, 1.25, 1.5, 3.0, 4.0)):
-        for count in (1, 3, 12):  # 12 pairs reach numpy's pairwise summation
-            for dim in range(1, 10):
-                deltas = rng.standard_normal((count, dim))
-                weights = rng.uniform(0.2, 2.0, size=count)
-                draws = np.array([stream(case, dim, i).standard_normal(dim) for i in range(5)])
-                for iters, tol in ((1, ASCENT_TOL), (2, ASCENT_TOL), (ASCENT_MAX_ITERS, ASCENT_TOL),
-                                   (ASCENT_MAX_ITERS, 0.0)):
-                    values = formnorm._hs_ascent(deltas, weights, p, draws, iters, tol)
-                    want = [_reference_hs_ascent(deltas, weights, p, stream(case, dim, i), iters,
-                                                 tol, halvings) for i in range(5)]
-                    assert list(values) == want, (p, count, dim, iters, tol)
-    assert_covers_four_trial_rounds(halvings)
 
 
 def test_hs_values_match_the_one_kernel_version():

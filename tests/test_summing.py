@@ -900,6 +900,24 @@ def test_restriction_norm_bound_property():
     assert low.certified_lower <= cert.constant + 1e-6
 
 
+def _never(*_args, **_kwargs):
+    raise AssertionError("called")
+
+
+def test_an_unknown_ball_is_rejected_before_any_lp(monkeypatch):
+    # _unit_form gives every dictionary form its ball; a name outside op/hs/poly is an error
+    # there, before any form is priced as an op form or any LP runs
+    monkeypatch.setattr(summing, "solve_lp", _never)
+    op = random_operator((2, 2), 1, stream(2))
+    cfg = random_pairs((2, 2), 3, stream(3))
+    with pytest.raises(ValueError, match="ball must be 'op', 'hs' or 'poly', got 'frobenius'"):
+        pietsch_upper_lp(op, cfg, [op], 2.0, ball="frobenius")
+    with pytest.raises(ValueError, match="ball must be"):
+        estimate_pi_lip(op, 2.0, FAST, ball="frobenius")
+    with pytest.raises(ValueError, match="ball must be"):
+        initial_dictionary(op, list(cfg.pairs), 0, 4, "spectral")
+
+
 # --------------------------------------------------------------------------
 # polynomials
 # --------------------------------------------------------------------------
@@ -966,6 +984,16 @@ def test_poly_runs_no_denominator_search(monkeypatch):
     kernel = symmetrize_kernel(stream(0, 60, 0).standard_normal((3, 3, 2)))
     rep = estimate_pi_lip_poly(MultilinearOperator.from_array(kernel), 2.0, FAST, seed=3)
     assert repr(rep.certified_lower) == "2.661445645974273"
+
+
+@pytest.mark.parametrize("p", [0.5, math.inf, math.nan])
+def test_poly_rejects_a_bad_exponent_before_any_work(monkeypatch, p):
+    # an input error, not a solver failure: rejected before the LP or any dictionary form
+    monkeypatch.setattr(summing, "_unit_form", _never)
+    monkeypatch.setattr(summing, "solve_lp", _never)
+    kernel = symmetrize_kernel(stream(0, 60, 0).standard_normal((3, 3, 1)))
+    with pytest.raises(ValueError, match="p must be finite and >= 1"):
+        estimate_pi_lip_poly(MultilinearOperator.from_array(kernel), p, FAST)
 
 
 def test_poly_rejects_asymmetric_kernel():
