@@ -16,9 +16,9 @@ Two nonconvex suprema live here:
   p = 2 has an exact SVD value; so has the operator ball of l1/linf
   products (vertex enumeration) and of l2 bilinear forms at p = 1 and
   p = inf (nuclear norms).  Elsewhere the operator ball is bracketed
-  between the best rank-one form (whose normalization is exact; the
-  operator norm of the difference map by the same rule where that
-  applies, else by ascent) and a menu of certified relaxations, and the
+  between the best rank-one form (exact normalization; the operator norm
+  of the difference map, by the same rule where that applies, else by
+  alternating maximization) and a menu of certified relaxations, and the
   HS ball, the l2 ball of R^D, is the operator ball of its flattening.
 """
 
@@ -74,8 +74,7 @@ __all__ = [
 ]
 
 DEFAULT_RESTARTS = 64
-ASCENT_TOL = 1e-9
-ASCENT_MAX_ITERS = 10_000
+ASCENT_MAX_ITERS = 10_000  # sweeps per start of the rank-one search
 ENUMERATION_CAP = 4096
 _LINE_TRIALS = 4  # line-search trials per start in one round of a lockstep ascent
 
@@ -147,24 +146,36 @@ def slot_gradient(kernel: np.ndarray, factors: list[np.ndarray], y: np.ndarray, 
     return np.einsum(*operands, [..., k])
 
 
+def _codomain_norms(t: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """The l_r norm of every row of t and a norming functional of it, a maximizer of <y, t>
+    over the dual ball up to a positive factor: `norming_rows` at r in {1, 2, inf}, else
+    sign(t) (|t| / max|t|)^(r - 1), whose division keeps a tiny row from underflowing."""
+    if r in (1.0, 2.0, math.inf):
+        return row_norms(t, r), norming_rows(t, dual_exponent(r))
+    top = np.abs(t).max(axis=1, keepdims=True)
+    y = np.sign(t) * (np.abs(t) / np.where(top > 0.0, top, 1.0)) ** (r - 1.0)
+    return power_sums(t, np.ones(t.shape[1]), r)[0], y
+
+
 def _alternating_max(
-    op: MultilinearOperator, factors: list[np.ndarray], max_sweeps: int = 200
+    op: MultilinearOperator, factors: list[np.ndarray], max_sweeps: int = 200,
+    r: float | None = None,
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Alternating maximization from all starts in lockstep, one (starts, d_k) array per
-    slot; each start stops on its own and does the same floating-point operations as a
-    run on its own (docs/formats.md).  Returns the value and the maximizer of each start."""
+    """Alternating maximization of ||T(x)||_r (r >= 1, the codomain norm unless given) from all
+    starts in lockstep, one (starts, d_k) array per slot.  A sweep moves each slot in turn to
+    the norming vector of <y, T(...)>, y normed on the last image, so no sweep lowers the
+    value.  Each start stops on its own and does the same floating-point operations as a run
+    on its own (docs/formats.md).  Returns the value and the maximizer of each start."""
     kernel, n = op.kernel.array, op.n
-    s_dual = dual_exponent(op.norms.codomain)
-    y = norming_rows(eval_rows(op, factors), s_dual)
+    r = op.norms.codomain if r is None else r
+    y = _codomain_norms(eval_rows(op, factors), r)[1]
     best = np.full(len(y), -math.inf)
     running = np.arange(len(y))
     for _ in range(max_sweeps):
         X, Y = [F[running] for F in factors], y[running]
         for k in range(n):
             X[k] = norming_rows(slot_gradient(kernel, X, Y, k), op.norms.factors[k])
-        t = eval_rows(op, X)
-        y[running] = norming_rows(t, s_dual)
-        value = row_norms(t, op.norms.codomain)
+        value, y[running] = _codomain_norms(eval_rows(op, X), r)
         stop = value <= best[running] * (1.0 + 1e-13)
         best[running] = np.maximum(best[running], value)
         for F, x in zip(factors, X):
@@ -476,127 +487,43 @@ def lockstep_ascent(
             due = better[~halt]
 
 
-def _by_norm(f: Callable, X: np.ndarray, exps: tuple) -> np.ndarray:
-    """f(rows, r) for the rows of an (R, m, d) slot stack, as an (R, m, -1) array, where
-    exps = (r, [(r', mask), ...]) gives every slot the exponent r unless an (m, 1) mask picks
-    a later r' for it: one call per distinct exponent on all the rows."""
-    R, m, d = X.shape
-    rows = X.reshape(R * m, d)
-    out = f(rows, exps[0]).reshape(R, m, -1)
-    for r, mask in exps[1]:
-        out = np.where(mask, f(rows, r).reshape(R, m, -1), out)
-    return out
+def _difference_kernel(cfg: PairConfiguration, p: float) -> np.ndarray:
+    """The kernel of the difference map Phi(lam)_i = a_i^(1/p) (lam(u_i) - lam(v_i)), a
+    (d_1, ..., d_n, K) array: (rows * a^(1/p))^T (a^0 = 1 at p = inf).  The best rank-one
+    form is the operator norm of Phi from the product of the dual balls (l_(r_k')) into
+    l_p^K."""
+    weights = np.asarray(cfg.weights)
+    return (cfg.rows * (weights ** (1.0 / p))[:, None]).T.reshape(*cfg.dims, len(cfg))
+
+
+def _rank_one_ratios(cfg: PairConfiguration, p: float, norms: NormSpec,
+                     lams: Sequence[np.ndarray]) -> np.ndarray:
+    """The ratio of every rank-one form whose k-th factors are the rows of the (R, d_k) array
+    lams[k]: its p-sum over the pairs, the slot evaluations taken as elementwise sums and
+    multiplied left to right, over `rank_one_norms`; 0 where that norm is 0."""
+    K = len(cfg)
+    ev = _prod((L[:, None, :] * X).sum(axis=2) for X, L in zip(pair_factors(cfg.pairs), lams))
+    num = power_sums(ev[:, :K] - ev[:, K:], np.asarray(cfg.weights), p)[0]
+    scale = rank_one_norms(lams, norms)
+    return np.divide(num, scale, out=np.zeros_like(num), where=scale > 0.0)
 
 
 def _rank_one_ascent(
     cfg: PairConfiguration, norms: NormSpec, p: float, starts: list[list[np.ndarray]],
-    iters: int, tol: float,
+    iters: int,
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Maximize the ratio objective over rank-one forms lam_1 (x) ... (x) lam_n.
-
-    The normalization prod ||lam_k||_(r_k') is exact, so each returned value
-    is a certified lower bound of the operator-ball denominator.  All starts
-    ascend together (`lockstep_ascent`).  The slots of one dimension form a
-    group, stored as one (starts, n_g d) array, so that a step costs one numpy
-    call per group where it cost one per slot, with the same floating-point
-    operations (docs/formats.md).  Returns the value of each start and, per
-    slot, its maximizer as row i of a (starts, d_k) array.
-    """
-    weights = np.asarray(cfg.weights)
-    dims, n, P = cfg.dims, len(cfg.dims), len(cfg)
-
-    def exponents(exps):  # a group's exponents in the form _by_norm takes
-        return exps[0], [(r, np.array([e == r for e in exps])[:, None])
-                         for r in dict.fromkeys(exps) if r != exps[0]]
-
-    # the slots of each dimension: (slots, d, their PU and PV as (n_g, P, d) stacks, their
-    # factor norms and dual norms)
-    groups, F = [], pair_factors(cfg.pairs)
-    for d in dict.fromkeys(dims):
-        slots = [k for k in range(n) if dims[k] == d]
-        groups.append((slots, d, np.array([F[k][:P] for k in slots]),
-                       np.array([F[k][P:] for k in slots]),
-                       exponents([norms.factors[k] for k in slots]),
-                       exponents([dual_exponent(norms.factors[k]) for k in slots])))
-    # slot k is entry i of group g, loc[k] = (g, i); the pu and pv that a start keeps hold
-    # the groups one after the other, with slot k at entry pos[k]
-    loc = {k: (g, i) for g, (slots, *_) in enumerate(groups) for i, k in enumerate(slots)}
-    loc = [loc[k] for k in range(n)]
-    joined = [k for slots, *_ in groups for k in slots]
-    pos = {k: j for j, k in enumerate(joined)}
-    # row m: the entry of the m-th other slot of the slot at each entry
-    others = np.array([[pos[m] for m in range(n) if m != k] for k in joined], dtype=int)
-    others = others.reshape(n, n - 1).T
-
-    def normalized(Ls):
-        out = []
-        for (_, d, _, _, _, duals), L in zip(groups, Ls):
-            X = L.reshape(len(L), -1, d)
-            out.append((X / np.maximum(_by_norm(row_norms, X, duals), 1e-300)).reshape(L.shape))
-        return out
-
-    def evaluate(Ls):
-        """The ratio of every row, and what its gradient needs, packed in one array: the slot
-        evaluations PU[k] @ lam_k and PV[k] @ lam_k (one gemv per start and slot), their
-        product difference s and its power sum; a row rescaled by M keeps s / M and the
-        power sum / M, which give the same gradient."""
-        R, pu, pv, dual_norms = len(Ls[0]), [], [], []
-        for (_, d, PU, PV, _, duals), L in zip(groups, Ls):
-            X = L.reshape(R, -1, d)
-            pu.append((PU @ X[..., None])[..., 0])
-            pv.append((PV @ X[..., None])[..., 0])
-            dual_norms.append(_by_norm(row_norms, X, duals)[..., 0])
-        # products left to right over the slots
-        s = _prod(pu[g][:, i] for g, i in loc) - _prod(pv[g][:, i] for g, i in loc)
-        num, rescale = power_sums(s, weights, p)
-        scale = _prod(dual_norms[g][:, i] for g, i in loc)
-        value = np.divide(num, scale, out=np.zeros_like(num), where=scale != 0)
-        if rescale is not None:
-            s, num = s / rescale[:, None], num / rescale
-        kept = np.concatenate([X.reshape(R, -1) for X in pu + pv] + [s, num[:, None]], axis=1)
-        return [kept], value
-
-    def gradient(Ls, kept, value):
-        kept, R = kept[0], len(value)
-        pu, pv = kept[:, :n * P].reshape(R, n, P), kept[:, n * P:2 * n * P].reshape(R, n, P)
-        s, num = kept[:, 2 * n * P:-1], kept[:, -1]
-        # num == 0 makes the gradient 0 (at p = inf too), so that start stops on gn below
-        if math.isinf(p):
-            rows, i = np.arange(R), np.argmax(np.abs(s), axis=1)
-            coef = np.zeros_like(s)
-            coef[rows, i] = np.sign(s[rows, i])
-        else:
-            damp = np.array([x ** (1.0 - p) if x else 0.0 for x in num.tolist()])
-            coef = weights * np.abs(s) ** (p - 1.0) * np.sign(s) * damp[:, None]
-        # each slot's coefficients times the other slots' evaluations, left to right
-        cu = coef[:, None, :] * _prod(pu[:, j] for j in others)
-        cv = coef[:, None, :] * _prod(pv[:, j] for j in others)
-        grads, dots, a = [], [], 0
-        for (slots, d, PU, PV, exps, _), L in zip(groups, Ls):
-            b = a + len(slots)
-            G = (cu[:, a:b, None, :] @ PU)[..., 0, :] - (cv[:, a:b, None, :] @ PV)[..., 0, :]
-            # subtract the normalization's log-gradient (norming functional)
-            G = G - value[:, None, None] * _by_norm(norming_rows, L.reshape(R, -1, d), exps)
-            grads.append(G.reshape(L.shape))
-            dots.append((G[..., None, :] @ G[..., :, None])[..., 0, 0])
-            a = b
-        sq = 0.0
-        for g, i in loc:  # left to right over the slots: np.sum adds three in another order
-            sq = sq + dots[g][:, i]
-        gn = np.sqrt(sq)
-        return grads, gn, gn <= 1e-14 * value  # relative: the ratio is 1-homogeneous in the pairs
-
-    def trial(moved):
-        cand = normalized(moved)
-        return cand, *evaluate(cand)
-
-    Ls = normalized([np.array([[np.asarray(start[k], dtype=float) for k in slots]
-                               for start in starts]).reshape(len(starts), len(slots) * d)
-                     for slots, d, *_ in groups])
-    kept, value = evaluate(Ls)
-    lockstep_ascent(Ls, kept, value, gradient, trial, step=0.5, floor=1e-12, iters=iters,
-                    tol=tol)
-    return value, [Ls[g][:, i * dims[k]:(i + 1) * dims[k]] for k, (g, i) in enumerate(loc)]
+    """Maximize the ratio over rank-one forms lam_1 (x) ... (x) lam_n, the norm of the
+    difference map (`_difference_kernel`), by `_alternating_max` at r = p with at most `iters`
+    sweeps, from every start scaled slot by slot to lam_k / ||lam_k||_(r_k') (a zero slot stays
+    zero), so that no start ends below its own ratio.  Returns the ratio (`_rank_one_ratios`)
+    at the final form of each start, a certified lower bound of the op-ball denominator, and,
+    per slot, the forms as the rows of a (starts, d_k) array."""
+    duals = tuple(dual_exponent(r) for r in norms.factors)
+    phi = MultilinearOperator.from_array(_difference_kernel(cfg, p), NormSpec(duals, 2.0))
+    X = [np.array([np.asarray(s[k], dtype=float) for s in starts]) for k in range(len(duals))]
+    scale = [np.where(q > 0.0, q, 1.0)[:, None] for q in map(row_norms, X, duals)]
+    _, lams = _alternating_max(phi, [F / q for F, q in zip(X, scale)], iters, p)
+    return _rank_one_ratios(cfg, p, norms, lams), lams
 
 
 def pair_triangle(factors: Sequence[np.ndarray], norms: NormSpec) -> np.ndarray:
@@ -754,27 +681,17 @@ def exact_rank_one_maximizer(cfg: PairConfiguration, p: float,
                              norms: NormSpec) -> tuple[float, list[np.ndarray] | None] | None:
     """The op-ball denominator's best rank-one form lam_1 (x) ... (x) lam_n exactly, as
     (value, [lam_k]), or (0.0, None) when no value is positive; None where `_vertex_max` does
-    not apply.
-
-    The best rank-one form is the operator norm of the difference map Phi(lam)_i =
-    a_i^(1/p) (lam(u_i) - lam(v_i)) from the product of the dual balls (l_(r_k')) into
-    l_p^K, whose kernel is (rows * a^(1/p))^T; `_vertex_max` finds its maximizer.  So it
-    applies when every slot of dimension > 1 is l1 or linf but at most one l2 slot, and then
-    p is 1, 2 or inf or there is one pair, or when there are two l2 slots and one pair; the
-    vertex tuples (times 2^(K-1) at p = 1 with an l2 slot) number at most ENUMERATION_CAP.
-    The value is the ratio evaluated at the form it returns.  Unlike `rank_one_maximizer` it
-    takes no starts."""
-    weights, duals = np.asarray(cfg.weights), [dual_exponent(r) for r in norms.factors]
-    phi = (cfg.rows * (weights ** (1.0 / p))[:, None]).T.reshape(*cfg.dims, len(cfg))
-    exact = _vertex_max(phi, duals, p)
+    not apply to the difference map (`_difference_kernel`), whose operator norm it is: when
+    every slot of dimension > 1 is l1 or linf but at most one l2 slot, and then p is 1, 2 or
+    inf or there is one pair, or when there are two l2 slots and one pair; the vertex tuples
+    (times 2^(K-1) at p = 1 with an l2 slot) number at most ENUMERATION_CAP.  The value is
+    `_rank_one_ratios` at the form it returns.  Unlike `rank_one_maximizer` it takes no
+    starts."""
+    exact = _vertex_max(_difference_kernel(cfg, p), [dual_exponent(r) for r in norms.factors], p)
     if exact is None:
         return None
-    lams, K = exact[2], len(cfg)
-    # the ratio at the form: its slot evaluations as elementwise sums, multiplied left to right
-    ev = _prod((X * x).sum(axis=1) for X, x in zip(pair_factors(cfg.pairs), lams))
-    num, scale = power_sums((ev[:K] - ev[K:])[None], weights, p)[0][0], rank_one_norm(lams, norms)
-    value = float(num / scale) if scale > 0.0 else 0.0
-    return (value, lams) if value > 0.0 else (0.0, None)
+    value = float(_rank_one_ratios(cfg, p, norms, [x[None] for x in exact[2]])[0])
+    return (value, exact[2]) if value > 0.0 else (0.0, None)
 
 
 def rank_one_maximizer(
@@ -782,10 +699,11 @@ def rank_one_maximizer(
     restarts: int = DEFAULT_RESTARTS, max_iters: int = ASCENT_MAX_ITERS,
     extra_starts: Sequence[Sequence[np.ndarray]] | None = None,
 ) -> tuple[float, list[np.ndarray] | None]:
-    """The op-ball denominator's best rank-one form lam_1 (x) ... (x) lam_n from
-    `_rank_one_ascent`, as (value, [lam_k]), a certified lower (exact normalization), or
-    (0.0, None) when no value is positive.  Starts: `extra_starts`, the dual norming vectors
-    of the u and the v of the first max(1, restarts // 4) pairs, then stream(seed, 2, i).
+    """The op-ball denominator's best rank-one form lam_1 (x) ... (x) lam_n searched by
+    `_rank_one_ascent` (at most `max_iters` sweeps per start), as (value, [lam_k]), a
+    certified lower (exact normalization), or (0.0, None) when no value is positive.  Starts:
+    `extra_starts`, the dual norming vectors of the u and the v of the first
+    max(1, restarts // 4) pairs, then stream(seed, 2, i).
     It always searches, also where `exact_rank_one_maximizer` applies (which
     `config_denominator` takes there instead): the dictionary growth of `estimate_pi_lip`
     calls it as it is."""
@@ -796,7 +714,7 @@ def rank_one_maximizer(
     for i in range(len(starts), max(restarts, len(starts))):
         rng = stream(seed, 2, i)
         starts.append([rng.standard_normal(d) for d in cfg.dims])
-    values, lams = _rank_one_ascent(cfg, norms, p, starts, max_iters, ASCENT_TOL)
+    values, lams = _rank_one_ascent(cfg, norms, p, starts, max_iters)
     best = int(np.argmax(values))  # the first maximum
     if values[best] > 0.0:
         return float(values[best]), [L[best] for L in lams]
@@ -825,8 +743,8 @@ def config_denominator(
     certified lower where that is larger); the op ball's certified lower is the
     best rank-one form and the full-kernel candidates (exact norms).  The best
     rank-one form comes from `exact_rank_one_maximizer` where it applies
-    (method "rank-one-exact/<upper>", no ascent runs) and from
-    `rank_one_maximizer` otherwise ("rank-one-ascent/<upper>").
+    (method "rank-one-exact/<upper>", no search runs) and from the alternating
+    search of `rank_one_maximizer` otherwise ("rank-one-ascent/<upper>").
 
     `extra_rank_one_starts` / `extra_kernels` inject known good candidates (e.g. the
     maximizers found on a sub-configuration; an HS start enters as its elementary tensor),

@@ -98,7 +98,7 @@ class Budget:
     max_dictionary: int = 48
     rounds: int = 8
     adversarial_starts: int = 16
-    ascent_iters: int = 2_000
+    ascent_iters: int = 2_000  # sweeps per start of the rank-one search in the dictionary growth
 
     def __post_init__(self):
         for name, value in vars(self).items():

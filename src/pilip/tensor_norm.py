@@ -62,7 +62,7 @@ __all__ = [
 
 def conjugate_exponent(p: float) -> float:
     """p' with 1/p + 1/p' = 1; p = inf gives 1."""
-    if p <= 1:
+    if not p > 1:
         raise ValueError("conjugate exponent needs p > 1")
     if math.isinf(p):
         return 1.0
@@ -123,6 +123,8 @@ class DualWitness:
 
 def delta_p_norm(ys: Sequence[np.ndarray], p: float, codomain: float = 2.0) -> float:
     """(sum_i ||y_i||^p)^(1/p) of the vectors y_i; max of norms at p = inf, 0.0 for no y."""
+    if not p >= 1:
+        raise ValueError("delta_p_norm needs p in [1, inf]")
     vals = row_norms(np.atleast_2d(np.asarray(ys, dtype=float)), codomain)
     return weighted_power_sum(vals, np.ones(len(vals)), p)
 
@@ -353,7 +355,7 @@ def dp_upper(
     flattening and the term count of the deterministic SVD construction, so
     that construction is always a candidate; `budget.max_pairs` does not cap it.
     """
-    if p <= 1:
+    if not p > 1:
         raise ValueError("dp_upper needs p in (1, inf]")
     budget = budget or Budget()
     pp = conjugate_exponent(p)
@@ -498,7 +500,7 @@ def dp_lower_dual(
     Auto-generated scalar-type witnesses (rank-one form tensored with a
     dual-unit codomain vector) have exactly known norms.
     """
-    if p <= 1:
+    if not p > 1:
         raise ValueError("dp_lower_dual needs p in (1, inf]")
     if float(np.linalg.norm(z.kernel.data)) == 0.0:
         return BoundReport(0.0, math.inf, method="dual-witness")

@@ -5,12 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import assert_covers_four_trial_rounds
-
 from pilip import formnorm
 from pilip.formnorm import (
     ASCENT_MAX_ITERS,
-    ASCENT_TOL,
     ENUMERATION_CAP,
     SEARCH_FREE_UPPERS,
     config_denominator,
@@ -269,7 +266,7 @@ def _searched_op_ball_ends(cfg, p, norms, seed, restarts):
     for i in range(len(starts), max(restarts, len(starts))):
         rng = stream(seed, 2, i)
         starts.append([rng.standard_normal(d) for d in cfg.dims])
-    values, _ = formnorm._rank_one_ascent(cfg, norms, p, starts, ASCENT_MAX_ITERS, ASCENT_TOL)
+    values, _ = formnorm._rank_one_ascent(cfg, norms, p, starts, ASCENT_MAX_ITERS)
     certified, beaten = max(0.0, float(np.max(values))), False
     w2 = weights ** (1.0 / p) if not math.isinf(p) else np.ones_like(weights)
     kernels = [np.linalg.svd(deltas * w2[:, None], full_matrices=False)[2][0]]
@@ -334,10 +331,10 @@ def test_full_kernel_candidates_need_no_operator_norm_search():
     # best rank-one form is exact on (linf, linf) at every p, on the one-l2 mixes at
     # p = 1, 2, inf and on every single pair (K = 1) with at most two l2 slots
     assert (cases, exact, rank_one) == (28, 36, 86)
-    # On a single pair against 0 the triangle upper is D, which a rank-one form attains; in 16
+    # On a single pair against 0 the triangle upper is D, which a rank-one form attains; in 4
     # of those 34 cases the exact value evaluates 1-2 ulps above that upper, which the clamp
-    # then raises to it (the ascent had stopped below)
-    assert clamped == [(1, 1.0)] * 16
+    # then raises to it (the search had stopped below)
+    assert clamped == [(1, 1.0)] * 4
     # On a single pair against 0 the l2 kernel is rank one and its relaxed upper is its exact
     # norm; in these three cases the search ended an ulp above that upper, which it then
     # replaced.  The rank-one ascent reached at least the same lower in each, so no end moved;
@@ -604,16 +601,16 @@ def test_rank_one_ascent_of_a_tiny_pair_does_not_underflow():
     starts = [[dual_norming_vector(f, 2.0) for f in u.factors]]
     starts += [[rng.standard_normal(3), rng.standard_normal(3)] for _ in range(4)]
     values, _ = formnorm._rank_one_ascent(cfg, NormSpec.all_l2(2), 4.0, starts,
-                                          ASCENT_MAX_ITERS, ASCENT_TOL)
+                                          ASCENT_MAX_ITERS)
     # D of (u, 0) on l2 factors is ||u_1|| ||u_2||
     exact = float(np.linalg.norm(u.factors[0]) * np.linalg.norm(u.factors[1]))
     assert 0.0 < values.max() and abs(values.max() - exact) <= 1e-12 * exact
 
 
 def test_rank_one_ascent_stop_does_not_depend_on_the_scale_of_the_pairs():
-    # the ratio and its gradient are 1-homogeneous in the pairs: at scale 1e-60 per factor
-    # every start ascends as it does at scale 1, so a gradient stop at an absolute 1e-14
-    # would halt each start at its first gradient, with 0.003-0.25 of the optimum
+    # the ratio is 1-homogeneous in each factor of the pairs: at scale 1e-60 per factor every
+    # start sweeps as it does at scale 1 and stops on a relative gain, so a stop on an
+    # absolute one would halt each start at once, short of the optimum
     rng = stream(16)
     starts = [[rng.standard_normal(3), rng.standard_normal(3)] for _ in range(8)]
     ends = []
@@ -621,10 +618,10 @@ def test_rank_one_ascent_stop_does_not_depend_on_the_scale_of_the_pairs():
         u = SegrePoint((scale * np.array([1.0, 2.0, 0.5]), scale * np.array([1.0, -1.0, 3.0])))
         cfg = PairConfiguration(((u, SegrePoint.zero((3, 3))),))
         values, _ = formnorm._rank_one_ascent(cfg, NormSpec.all_l2(2), 4.0, starts,
-                                              ASCENT_MAX_ITERS, ASCENT_TOL)
+                                              ASCENT_MAX_ITERS)
         ends.append(values)
     exact = math.sqrt(5.25) * math.sqrt(11.0)  # ||u_1|| ||u_2|| at scale 1
-    np.testing.assert_allclose(ends[0], exact, rtol=1e-6)  # up to the ascent's gain stop
+    np.testing.assert_allclose(ends[0], exact, rtol=1e-12)  # every start reaches the optimum
     np.testing.assert_allclose(ends[1], ends[0] * 1e-120, rtol=1e-12)
 
 
@@ -1072,157 +1069,6 @@ def test_a_nan_exponent_is_rejected(call):
 
 
 # --------------------------------------------------------------------------
-# lockstep rank-one ascent against the one-start loop, bit for bit
-# --------------------------------------------------------------------------
-
-
-def _reference_value(lams, PU, PV, weights, p, duals):
-    su = np.ones(len(weights))
-    sv = np.ones(len(weights))
-    for k, lam in enumerate(lams):
-        su *= PU[k] @ lam
-        sv *= PV[k] @ lam
-    scale = math.prod(vector_norm(lam, duals[k]) for k, lam in enumerate(lams))
-    if scale == 0:
-        return 0.0
-    return formnorm.weighted_power_sum(su - sv, weights, p) / scale
-
-
-def _reference_ascent(cfg, norms, p, start, iters, tol, halvings=None):
-    """The ascent from one start, run on its own, one line-search trial at a time: the oracle
-    for the batch.  Each line search appends to `halvings` ("gain" or "floor", its losses)."""
-    k_pairs = len(cfg)
-    weights = np.asarray(cfg.weights)
-    duals = [dual_exponent(r) for r in norms.factors]
-    PU = [np.stack([u.factors[k] for u, _ in cfg.pairs]) for k in range(len(cfg.dims))]
-    PV = [np.stack([v.factors[k] for _, v in cfg.pairs]) for k in range(len(cfg.dims))]
-    lams = [np.asarray(s, dtype=float) for s in start]
-    lams = [lam / max(vector_norm(lam, duals[k]), 1e-300) for k, lam in enumerate(lams)]
-
-    value = _reference_value(lams, PU, PV, weights, p, duals)
-    step = 0.5
-    for _ in range(iters):
-        pu = np.stack([PU[k] @ lam for k, lam in enumerate(lams)])
-        pv = np.stack([PV[k] @ lam for k, lam in enumerate(lams)])
-        s = np.prod(pu, axis=0) - np.prod(pv, axis=0)
-        if math.isinf(p):
-            coef = np.zeros(k_pairs)
-            i = int(np.argmax(np.abs(s)))
-            coef[i] = np.sign(s[i])
-        else:
-            num = formnorm.weighted_power_sum(s, weights, p)
-            if num == 0:
-                break
-            coef = weights * np.abs(s) ** (p - 1.0) * np.sign(s) * num ** (1.0 - p)
-        grads = []
-        for k in range(len(lams)):
-            others_u = np.prod(np.delete(pu, k, axis=0), axis=0) if len(lams) > 1 else np.ones(k_pairs)
-            others_v = np.prod(np.delete(pv, k, axis=0), axis=0) if len(lams) > 1 else np.ones(k_pairs)
-            g_num = (coef * others_u) @ PU[k] - (coef * others_v) @ PV[k]
-            g = g_num - value * dual_norming_vector(lams[k], dual_exponent(duals[k]))
-            grads.append(g)
-        gn = math.sqrt(sum(float(np.dot(g, g)) for g in grads))
-        if gn < 1e-14:
-            break
-        improved, losses = False, 0
-        while step > 1e-12:
-            cand = [lam + step * g / gn for lam, g in zip(lams, grads)]
-            cand = [c / max(vector_norm(c, duals[k]), 1e-300) for k, c in enumerate(cand)]
-            cand_val = _reference_value(cand, PU, PV, weights, p, duals)
-            if cand_val > value:
-                lams, improved = cand, True
-                if halvings is not None:
-                    halvings.append(("gain", losses))
-                if cand_val <= value * (1.0 + tol):
-                    return cand_val, lams
-                value = cand_val
-                step *= 1.5
-                break
-            step *= 0.5
-            losses += 1
-        if not improved:
-            if halvings is not None:
-                halvings.append(("floor", losses))
-            break
-    return value, lams
-
-
-def _assert_batch_matches_reference(cfg, norms, p, starts, iters, tol=ASCENT_TOL, halvings=None):
-    values, lams = formnorm._rank_one_ascent(cfg, norms, p, starts, iters, tol)
-    assert len(values) == len(starts)
-    for i, start in enumerate(starts):
-        ref_value, ref_lams = _reference_ascent(cfg, norms, p, start, iters, tol, halvings)
-        assert values[i] == ref_value, (i, values[i], ref_value)
-        for k, ref in enumerate(ref_lams):
-            assert np.array_equal(lams[k][i], ref), (i, k)
-
-
-_NORM_MIXES = [(1.0,), (2.0,), (math.inf,), "mixed"]
-
-
-@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0, math.inf])
-def test_lockstep_ascent_is_bitwise_the_one_start_loop(p):
-    rng = stream(77, int(p) if math.isfinite(p) else 99)
-    halvings = []
-    for n in (1, 2, 3):
-        for mix in _NORM_MIXES:
-            factors = (tuple(rng.choice([1.0, 2.0, math.inf], size=n)) if mix == "mixed"
-                       else mix * n)
-            dims = tuple(int(d) for d in rng.integers(2, 4, size=n))
-            # 12 pairs reach numpy's pairwise summation (8 or more terms after the first)
-            count = int(rng.choice([1, 3, 12]))
-            pairs = []
-            for _ in range(count):
-                u = SegrePoint(tuple(rng.standard_normal(d) for d in dims))
-                v = (SegrePoint.zero(dims) if rng.random() < 0.3
-                     else SegrePoint(tuple(rng.standard_normal(d) for d in dims)))
-                pairs.append((u, v))
-            cfg = PairConfiguration(tuple(pairs), tuple(rng.uniform(0.2, 2.0, size=count)))
-            norms = NormSpec(factors, 2.0)
-            starts = [[rng.standard_normal(d) for d in dims] for _ in range(5)]
-            starts.append([np.zeros(d) for d in dims])
-            starts.append([dual_norming_vector(f, r) for f, r in zip(pairs[0][0].factors, factors)])
-            for iters in (1, 2, ASCENT_MAX_ITERS):
-                _assert_batch_matches_reference(cfg, norms, p, starts, iters, halvings=halvings)
-            # without the stop on a small gain, every start ends where no step above the floor gains
-            _assert_batch_matches_reference(cfg, norms, p, starts, 300, 0.0, halvings)
-    assert_covers_four_trial_rounds(halvings)
-    # slots of unequal dimension, down to 1 and past 3: l1 and linf slots shorter than the
-    # longest one, several slots of one dimension with different norms, and starts with one
-    # all-zero slot
-    inf = math.inf
-    for dims, factors in [((1, 3), (2.0, 1.0)), ((3, 1, 2), (inf, 2.0, 1.0)),
-                          ((3, 2), (2.0, 1.0)), ((2, 3, 3), (inf, 1.0, 2.0)),
-                          ((5, 2), (2.0, inf)), ((2, 5, 2), (1.0, inf, 2.0)),
-                          ((4, 9, 1), (1.0, 2.0, inf))]:
-        count = int(rng.choice([1, 3]))
-        pairs = tuple((SegrePoint(tuple(rng.standard_normal(d) for d in dims)),
-                       SegrePoint(tuple(rng.standard_normal(d) for d in dims)))
-                      for _ in range(count))
-        cfg = PairConfiguration(pairs, tuple(rng.uniform(0.2, 2.0, size=count)))
-        norms = NormSpec(factors, 2.0)
-        starts = [[rng.standard_normal(d) for d in dims] for _ in range(3)]
-        starts += [[np.zeros(d) if j == k else rng.standard_normal(d) for j, d in enumerate(dims)]
-                   for k in range(len(dims))]
-        for iters in (1, 2, ASCENT_MAX_ITERS):
-            _assert_batch_matches_reference(cfg, norms, p, starts, iters)
-
-
-@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
-def test_lockstep_ascent_stationary_start_stops_at_once(p):
-    # at lam = (e_0, e_0) on the pair ((e_0, e_0), 0) the gradient is exactly 0
-    e0 = np.array([1.0, 0.0])
-    cfg = PairConfiguration(((SegrePoint((e0, e0)), SegrePoint.zero((2, 2))),))
-    norms = NormSpec((2.0, 1.0), 2.0)
-    starts = [[e0, e0], [np.array([0.6, 0.8]), np.array([1.0, -0.5])], [e0, np.zeros(2)]]
-    for iters in (0, 1, 2, ASCENT_MAX_ITERS):
-        _assert_batch_matches_reference(cfg, norms, p, starts, iters)
-    values, lams = formnorm._rank_one_ascent(cfg, norms, p, starts[:1], ASCENT_MAX_ITERS,
-                                             ASCENT_TOL)
-    assert np.array_equal(lams[0][0], e0) and np.array_equal(lams[1][0], e0)
-
-
-# --------------------------------------------------------------------------
 # the HS-ball objective against the one-kernel version, bit for bit
 # --------------------------------------------------------------------------
 
@@ -1313,20 +1159,29 @@ def _alternating_start(op, rng):
             for d, r in zip(op.dims, op.norms.factors)]
 
 
-def _reference_alternating(op, factors, max_sweeps):
-    """Alternating maximization from one start, run on its own: the oracle for the batch."""
+def _reference_codomain(t, r):
+    """||t||_r and a norming functional of t, one vector at a time: the dual norming vector at
+    r in {1, 2, inf}, else sign(t) (|t| / max|t|)^(r - 1)."""
+    if r in (1.0, 2.0, math.inf):
+        return vector_norm(t, r), dual_norming_vector(t, dual_exponent(r))
+    top = float(np.max(np.abs(t)))
+    y = np.sign(t) * (np.abs(t) / (top if top > 0.0 else 1.0)) ** (r - 1.0)
+    return formnorm.weighted_power_sum(t, np.ones(len(t)), r), y
+
+
+def _reference_alternating(op, factors, max_sweeps, r=None):
+    """Alternating maximization of ||T(x)||_r (r the codomain norm unless given) from one
+    start, run on its own: the oracle for the batch."""
     factors = [np.asarray(f, dtype=float) for f in factors]
-    s_dual = dual_exponent(op.norms.codomain)
-    y = dual_norming_vector(eval_operator(op, SegrePoint(tuple(factors))), s_dual)
+    r = op.norms.codomain if r is None else r
+    y = _reference_codomain(eval_operator(op, SegrePoint(tuple(factors))), r)[1]
     best = -math.inf
     for _ in range(max_sweeps):
         for k in range(op.n):
             g = _reference_gradient(op.kernel.array, factors, y, k)
             assert np.array_equal(formnorm.slot_gradient(op.kernel.array, factors, y, k), g)
             factors[k] = dual_norming_vector(g, op.norms.factors[k])
-        t = eval_operator(op, SegrePoint(tuple(factors)))
-        y = dual_norming_vector(t, s_dual)
-        value = vector_norm(t, op.norms.codomain)
+        value, y = _reference_codomain(eval_operator(op, SegrePoint(tuple(factors))), r)
         if value <= best * (1.0 + 1e-13):
             best = max(best, value)
             break
@@ -1334,12 +1189,12 @@ def _reference_alternating(op, factors, max_sweeps):
     return best, factors
 
 
-def _assert_alternating_matches_reference(op, starts, max_sweeps):
+def _assert_alternating_matches_reference(op, starts, max_sweeps, r=None):
     values, factors = formnorm._alternating_max(
-        op, [np.stack([s[k] for s in starts]) for k in range(op.n)], max_sweeps)
+        op, [np.stack([s[k] for s in starts]) for k in range(op.n)], max_sweeps, r)
     assert len(values) == len(starts)
     for i, start in enumerate(starts):
-        ref_value, ref_factors = _reference_alternating(op, start, max_sweeps)
+        ref_value, ref_factors = _reference_alternating(op, start, max_sweeps, r)
         assert values[i] == ref_value, (i, values[i], ref_value)
         for k, ref in enumerate(ref_factors):
             assert np.array_equal(factors[k][i], ref), (i, k)
@@ -1366,6 +1221,63 @@ def test_lockstep_alternating_max_is_bitwise_the_one_start_loop(n):
                 starts += [[rng.standard_normal(d) for d in dims], [np.zeros(d) for d in dims]]
                 for max_sweeps in (1, 2, 200):
                     _assert_alternating_matches_reference(op, starts, max_sweeps)
+    # an l_r codomain off {1, 2, inf}, the one the rank-one search takes at r = p, on a kernel
+    # also scaled by 1e-60
+    rng = stream(78, n, 1)
+    for m in (1, 2, 3):
+        for r in (1.5, 3.0, 4.0):
+            for case in ("random", "zero-slice", "integer", "tiny"):
+                factors = tuple(rng.choice(exponents, size=n))
+                dims = tuple(int(d) for d in rng.integers(1, 5, size=n))
+                if case == "integer":
+                    kernel = rng.integers(-2, 3, size=dims + (m,)).astype(float)
+                else:
+                    kernel = rng.standard_normal(dims + (m,)) * (1e-60 if case == "tiny" else 1.0)
+                if case == "zero-slice":
+                    kernel[..., 0] = 0.0
+                op = MultilinearOperator.from_array(kernel, NormSpec(factors, 2.0))
+                starts = [_alternating_start(op, None)]
+                starts += [_alternating_start(op, stream(78, n, i)) for i in range(4)]
+                starts += [[rng.standard_normal(d) for d in dims], [np.zeros(d) for d in dims]]
+                for max_sweeps in (1, 2, 200):
+                    _assert_alternating_matches_reference(op, starts, max_sweeps, r)
+
+
+def test_rank_one_ascent_never_ends_below_its_start():
+    # random configurations with n <= 3, dims 1-3, factors in {1, 2, inf}, K <= 6 and random
+    # weights: every start ends at least at the ratio it starts at (a sweep never lowers the
+    # norm of the difference map), and at the value it reaches when run on its own
+    rng = stream(83)
+    worst, count = 0.0, 0
+    for _ in range(150):
+        n = int(rng.integers(1, 4))
+        dims = tuple(int(d) for d in rng.integers(1, 4, size=n))
+        norms = NormSpec(tuple(float(r) for r in rng.choice([1.0, 2.0, math.inf], size=n)), 2.0)
+        p = float(rng.choice([1.0, 1.5, 2.0, 3.0, 4.0, math.inf]))
+        K = int(rng.integers(1, 7))
+        # on scalar spaces u and v = -u would coincide: pair u with 0 there
+        zero = 1.0 if math.prod(dims) == 1 else 0.4
+        cfg = PairConfiguration(random_pairs(dims, K, rng, zero_fraction=zero).pairs,
+                                tuple(rng.uniform(0.2, 2.0, K)))
+        starts = [[rng.standard_normal(d) for d in dims] for _ in range(7)]
+        starts.append([dual_norming_vector(f, r) for f, r in zip(cfg.pairs[0][0].factors,
+                                                                   norms.factors)])
+        starts.append([np.ones(d) for d in dims])
+        starts.append([np.zeros(d) if k == 0 else rng.standard_normal(d)
+                       for k, d in enumerate(dims)])
+        values, lams = formnorm._rank_one_ascent(cfg, norms, p, starts, ASCENT_MAX_ITERS)
+        at_start = formnorm._rank_one_ratios(
+            cfg, p, norms, [np.array([s[k] for s in starts]) for k in range(n)])
+        assert np.all(values >= at_start * (1.0 - 1e-12)), (dims, norms, p, values, at_start)
+        pos = at_start > 0.0
+        worst = max(worst, float(np.max(1.0 - values[pos] / at_start[pos], initial=0.0)))
+        count += len(starts)
+        for i, start in enumerate(starts):
+            one, one_lams = formnorm._rank_one_ascent(cfg, norms, p, [start], ASCENT_MAX_ITERS)
+            assert one[0] == values[i], (i, one[0], values[i])
+            for L, one_L in zip(lams, one_lams):
+                assert np.array_equal(L[i], one_L[0])
+    assert count == 1500 and worst < 1e-12
 
 
 def test_operator_norm_starts_are_the_one_start_draws(monkeypatch):

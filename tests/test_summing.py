@@ -423,9 +423,9 @@ def test_estimate_linear_map_recovers_hilbert_schmidt():
     "norms,dims,m,expected",
     [
         (None, (2, 2), 2, [2.645348304368268, 2.7581849530849714]),
-        (NormSpec((1.0, math.inf), 1.0), (2, 2), 3, [6.700912154033279, 7.205296846901654]),
+        (NormSpec((1.0, math.inf), 1.0), (2, 2), 3, [6.700912154033279, 7.2052968461161075]),
         # its operator norm is exact ("svd"): the l-inf slot is enumerated, the l2 slot an SVD
-        (NormSpec((math.inf, 2.0), 2.0), (2, 3), 2, [3.9880584233210783, 4.13461118624686]),
+        (NormSpec((math.inf, 2.0), 2.0), (2, 3), 2, [3.9880584233210783, 4.149096968805249]),
     ],
 )
 def test_estimate_pi_lip_pinned_values(norms, dims, m, expected):

@@ -66,6 +66,21 @@ def test_delta_p_examples(ys, p, expected):
     np.testing.assert_allclose(delta_p_norm(ys, p), expected, rtol=1e-15)
 
 
+@pytest.mark.parametrize("p", [math.nan, 1.0, 0.5])
+def test_tensor_norm_entry_points_reject_a_bad_exponent(p):
+    # p = nan passed a `p <= 1` test: dp_lower_dual returned a "certified" lower
+    z = random_mixed((2, 2), 2, stream(1))
+    for call in (conjugate_exponent, lambda q: dp_upper(z, q), lambda q: dp_lower_dual(z, q)):
+        with pytest.raises(ValueError):
+            call(p)
+    ys = [np.array([3.0, 4.0])]
+    if p == 1.0:
+        assert delta_p_norm(ys, p) == 5.0
+    else:
+        with pytest.raises(ValueError):
+            delta_p_norm(ys, p)
+
+
 def test_dp_upper_elementary_single_term():
     rng = stream(0)
     a, b, y = rng.standard_normal(2), rng.standard_normal(3), rng.standard_normal(2)
