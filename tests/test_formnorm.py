@@ -1280,6 +1280,119 @@ def test_rank_one_ascent_never_ends_below_its_start():
     assert count == 1500 and worst < 1e-12
 
 
+# --------------------------------------------------------------------------
+# lockstep rank-one ascent against the one-start loop, bit for bit
+# --------------------------------------------------------------------------
+
+
+def _reference_value(lams, PU, PV, weights, p, duals):
+    """The ratio of one rank-one form, each slot evaluated as a matrix-vector product."""
+    su = np.ones(len(weights))
+    sv = np.ones(len(weights))
+    for k, lam in enumerate(lams):
+        su *= PU[k] @ lam
+        sv *= PV[k] @ lam
+    scale = math.prod(vector_norm(lam, duals[k]) for k, lam in enumerate(lams))
+    if scale == 0:
+        return 0.0
+    return formnorm.weighted_power_sum(su - sv, weights, p) / scale
+
+
+def _reference_ascent(cfg, norms, p, start, iters):
+    """The rank-one search from one start, run on its own: each slot scaled into its dual ball
+    (a zero slot stays zero), then the one-start alternating maximization of the difference
+    map at r = p.  Returns the ratio at the final form and the form."""
+    duals = tuple(dual_exponent(r) for r in norms.factors)
+    phi = MultilinearOperator.from_array(formnorm._difference_kernel(cfg, p), NormSpec(duals, 2.0))
+    lams = [np.asarray(s, dtype=float) for s in start]
+    lams = [lam / (q if q > 0.0 else 1.0)
+            for lam, q in ((lam, vector_norm(lam, duals[k])) for k, lam in enumerate(lams))]
+    _, lams = _reference_alternating(phi, lams, iters, p)
+    value = float(formnorm._rank_one_ratios(cfg, p, norms, [lam[None] for lam in lams])[0])
+    # the ratio as an independent sum of matrix-vector products, up to rounding
+    PU = [np.stack([u.factors[k] for u, _ in cfg.pairs]) for k in range(len(cfg.dims))]
+    PV = [np.stack([v.factors[k] for _, v in cfg.pairs]) for k in range(len(cfg.dims))]
+    other = _reference_value(lams, PU, PV, np.asarray(cfg.weights), p, duals)
+    assert math.isclose(value, other, rel_tol=1e-12, abs_tol=1e-300), (value, other)
+    return value, lams
+
+
+def _assert_batch_matches_reference(cfg, norms, p, starts, iters):
+    values, lams = formnorm._rank_one_ascent(cfg, norms, p, starts, iters)
+    assert len(values) == len(starts)
+    for i, start in enumerate(starts):
+        ref_value, ref_lams = _reference_ascent(cfg, norms, p, start, iters)
+        assert values[i] == ref_value, (i, values[i], ref_value)
+        for k, ref in enumerate(ref_lams):
+            assert np.array_equal(lams[k][i], ref), (i, k)
+
+
+_NORM_MIXES = [(1.0,), (2.0,), (math.inf,), "mixed"]
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0, math.inf])
+def test_lockstep_ascent_is_bitwise_the_one_start_loop(p):
+    rng = stream(77, int(p) if math.isfinite(p) else 99)
+    for n in (1, 2, 3):
+        for mix in _NORM_MIXES:
+            factors = (tuple(rng.choice([1.0, 2.0, math.inf], size=n)) if mix == "mixed"
+                       else mix * n)
+            dims = tuple(int(d) for d in rng.integers(2, 4, size=n))
+            # 12 pairs reach numpy's pairwise summation (8 or more terms after the first)
+            count = int(rng.choice([1, 3, 12]))
+            pairs = []
+            for _ in range(count):
+                u = SegrePoint(tuple(rng.standard_normal(d) for d in dims))
+                v = (SegrePoint.zero(dims) if rng.random() < 0.3
+                     else SegrePoint(tuple(rng.standard_normal(d) for d in dims)))
+                pairs.append((u, v))
+            cfg = PairConfiguration(tuple(pairs), tuple(rng.uniform(0.2, 2.0, size=count)))
+            norms = NormSpec(factors, 2.0)
+            starts = [[rng.standard_normal(d) for d in dims] for _ in range(5)]
+            starts.append([np.zeros(d) for d in dims])
+            starts.append([dual_norming_vector(f, r) for f, r in zip(pairs[0][0].factors, factors)])
+            for iters in (1, 2, ASCENT_MAX_ITERS):
+                _assert_batch_matches_reference(cfg, norms, p, starts, iters)
+    # slots of unequal dimension, down to 1 and past 3: l1 and linf slots shorter than the
+    # longest one, several slots of one dimension with different norms, and starts with one
+    # all-zero slot
+    inf = math.inf
+    for dims, factors in [((1, 3), (2.0, 1.0)), ((3, 1, 2), (inf, 2.0, 1.0)),
+                          ((3, 2), (2.0, 1.0)), ((2, 3, 3), (inf, 1.0, 2.0)),
+                          ((5, 2), (2.0, inf)), ((2, 5, 2), (1.0, inf, 2.0)),
+                          ((4, 9, 1), (1.0, 2.0, inf))]:
+        count = int(rng.choice([1, 3]))
+        pairs = tuple((SegrePoint(tuple(rng.standard_normal(d) for d in dims)),
+                       SegrePoint(tuple(rng.standard_normal(d) for d in dims)))
+                      for _ in range(count))
+        cfg = PairConfiguration(pairs, tuple(rng.uniform(0.2, 2.0, size=count)))
+        norms = NormSpec(factors, 2.0)
+        starts = [[rng.standard_normal(d) for d in dims] for _ in range(3)]
+        starts += [[np.zeros(d) if j == k else rng.standard_normal(d) for j, d in enumerate(dims)]
+                   for k in range(len(dims))]
+        for iters in (1, 2, ASCENT_MAX_ITERS):
+            _assert_batch_matches_reference(cfg, norms, p, starts, iters)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+def test_lockstep_ascent_stationary_start_stops_at_once(p):
+    # lam = (e_0, e_0) attains the ratio 1 of the pair ((e_0, e_0), 0).  On l2 factors the
+    # first sweep moves no slot; on an l1 factor its slot takes the sign vector (1, 1) of its
+    # gradient (1, 0), another maximizer.  Either way the second sweep gains nothing and the
+    # search stops there
+    e0 = np.array([1.0, 0.0])
+    cfg = PairConfiguration(((SegrePoint((e0, e0)), SegrePoint.zero((2, 2))),))
+    starts = [[e0, e0], [np.array([0.6, 0.8]), np.array([1.0, -0.5])], [e0, np.zeros(2)]]
+    for factors, second in [((2.0, 1.0), np.ones(2)), ((2.0, 2.0), e0)]:
+        norms = NormSpec(factors, 2.0)
+        for iters in (0, 1, 2, ASCENT_MAX_ITERS):
+            _assert_batch_matches_reference(cfg, norms, p, starts, iters)
+        for iters in (1, ASCENT_MAX_ITERS):
+            values, lams = formnorm._rank_one_ascent(cfg, norms, p, starts[:1], iters)
+            assert values[0] == 1.0
+            assert np.array_equal(lams[0][0], e0) and np.array_equal(lams[1][0], second)
+
+
 def test_operator_norm_starts_are_the_one_start_draws(monkeypatch):
     seen = []
 
