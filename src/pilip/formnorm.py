@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -59,10 +59,8 @@ __all__ = [
     "rank_one_maximizer",
     "rank_one_form",
     "rank_one_norm",
-    "halving_trials",
     "hs_to_op_scale",
     "hs_uppers",
-    "lockstep_ascent",
     "pair_triangle",
     "power_sums",
     "rank_one_norms",
@@ -76,14 +74,13 @@ __all__ = [
 DEFAULT_RESTARTS = 64
 ASCENT_MAX_ITERS = 10_000  # sweeps per start of the rank-one search
 ENUMERATION_CAP = 4096
-_LINE_TRIALS = 4  # line-search trials per start in one round of a lockstep ascent
 
 
 def weighted_power_sum(values: np.ndarray, weights: np.ndarray, p: float) -> float:
     """(sum_i a_i |t_i|^p)^(1/p), with max_i |t_i| at p = inf: the one-row call of
     `power_sums`, whose rule also covers a plain sum that under- or overflows."""
     t = np.asarray(values, dtype=float).reshape(1, -1)
-    return float(power_sums(t, np.asarray(weights), p)[0][0])
+    return float(power_sums(t, np.asarray(weights), p)[0])
 
 
 def rank_one_form(vectors: Sequence[np.ndarray], norms: NormSpec) -> MultilinearOperator:
@@ -154,7 +151,7 @@ def _codomain_norms(t: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
         return row_norms(t, r), norming_rows(t, dual_exponent(r))
     top = np.abs(t).max(axis=1, keepdims=True)
     y = np.sign(t) * (np.abs(t) / np.where(top > 0.0, top, 1.0)) ** (r - 1.0)
-    return power_sums(t, np.ones(t.shape[1]), r)[0], y
+    return power_sums(t, np.ones(t.shape[1]), r), y
 
 
 def _alternating_max(
@@ -246,7 +243,7 @@ def _vertex_max(kernel: np.ndarray, factors: Sequence[float],
         A = np.einsum("td...,vd->tv...", A, V).reshape(-1, *A.shape[2:])
     method, value, x = "enumeration", None, []
     if not free:
-        t = int(np.argmax(power_sums(A, np.ones(m), r)[0]))
+        t = int(np.argmax(power_sums(A, np.ones(m), r)))
     elif r == 2.0 or len(free) == 2:
         u, s, vt = np.linalg.svd(A.reshape(len(A), dims[free[0]], -1), full_matrices=False)
         t = int(np.argmax(s[:, 0]))
@@ -356,7 +353,7 @@ def _hs_values(G: np.ndarray, deltas: np.ndarray, weights: np.ndarray, p: float)
     norm; 0 at a zero row.  One gemv per row, as `deltas @ g` takes it."""
     nrm = row_norms(G, 2.0)
     C = G / np.where(nrm == 0, 1.0, nrm)[:, None]
-    return power_sums((deltas @ C[:, :, None])[..., 0], weights, p)[0]
+    return power_sums((deltas @ C[:, :, None])[..., 0], weights, p)
 
 
 def _prod(factors) -> np.ndarray | float:
@@ -374,117 +371,22 @@ def _roots(x: np.ndarray, e: float) -> list[float]:
     return list(map(math.pow, x.tolist(), itertools.repeat(e)))
 
 
-def power_sums(
-    s: np.ndarray, weights: np.ndarray, p: float,
-) -> tuple[np.ndarray, np.ndarray | None]:
+def power_sums(s: np.ndarray, weights: np.ndarray, p: float) -> np.ndarray:
     """(sum_i a_i |s_i|^p)^(1/p) of every row of s, with max_i |s_i| at p = inf; an empty row
     gives 0.  A row whose plain sum underflows to 0 or overflows to inf although M = max_i
     |s_i| is finite and nonzero is taken as M (sum_i a_i |s_i / M|^p)^(1/p) instead, so that
-    every other row keeps its bits.  The second result holds M for those rows and 1.0 for the
-    others, or is None when no row was rescaled."""
+    every other row keeps its bits."""
     t = np.abs(s)
     if math.isinf(p):
-        return t.max(axis=1, initial=0.0), None
+        return t.max(axis=1, initial=0.0)
     with np.errstate(over="ignore", under="ignore"):
         out = _roots((weights * t**p).sum(axis=1), 1.0 / p)
     if 0.0 not in out and math.inf not in out:
-        return np.array(out), None
+        return np.array(out)
     out, top = np.array(out), t.max(axis=1, initial=0.0)
     bad = ((out == 0.0) | (out == math.inf)) & (top > 0.0) & (top < math.inf)
-    scale = np.where(bad, top, 1.0)
     out[bad] = top[bad] * _roots((weights * (t[bad] / top[bad, None]) ** p).sum(axis=1), 1.0 / p)
-    return out, scale
-
-
-def halving_trials(step: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray, Callable]:
-    """One round of a halving line search for every row of `step`, with all its trials at once.
-
-    Row i tries the steps step[i] * 2^-j for j = 0..3 that lie above `floor`.  Returns
-    (rows, steps, pick): trial t moves row rows[t] by steps[t], the trials of a row in order of
-    j.  pick(gain) takes whether each trial gains and returns (took, chosen, next_step):
-    took[i] tells whether row i gained, chosen holds the index t of the first gaining trial of
-    each row that took, and next_step[i] is that trial's step times 1.5, or step[i] * 2^-4 when
-    no trial of row i gains.  These are the trials and the step of a loop that makes one trial
-    at a time and halves its step after each loss: halving is exact in binary floating point,
-    so step[i] * 2^-j is bit for bit the step after j losses.
-    """
-    tries = step[:, None] * 0.5 ** np.arange(_LINE_TRIALS)
-    above = tries > floor
-    rows = np.nonzero(above)[0]
-    # the steps fall with j, so the trials of a row are j = 0..count - 1, from its offset on
-    count = above.sum(axis=1)
-    offset = np.cumsum(count) - count
-
-    def pick(gain: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        hit = np.zeros(tries.shape, dtype=bool)
-        hit[above] = gain
-        took = hit.any(axis=1)
-        first = np.argmax(hit, axis=1)  # the first gain of each row
-        next_step = np.where(took, tries[np.arange(len(step)), first] * 1.5,
-                             step * 0.5**_LINE_TRIALS)
-        return took, (offset + first)[took], next_step
-
-    return rows, tries[above], pick
-
-
-def lockstep_ascent(
-    points: list[np.ndarray], state: list[np.ndarray], value: np.ndarray,
-    gradient: Callable, trial: Callable, *, step: float, floor: float, iters: int, tol: float,
-) -> None:
-    """Halving line-search ascent from every start at once; row i of every array is start i.
-
-    `points` holds the iterates (one array per block), `state` what the objective keeps at each
-    current point and `value` its value there; all three are updated in place.
-    gradient(point_rows, state_rows, value_rows) returns the gradient blocks, their joint l2
-    norm and a mask of the starts that stop there.  trial(moved_rows) maps the moved rows
-    x + s g/|g| back onto the feasible set and returns them with their state and values.
-
-    Each round computes a gradient for the starts that moved (at most `iters` per start) and
-    tries, for every start still running, the next four halvings of its step at once
-    (`halving_trials`); the start takes its first trial that gains.  A start stops on an
-    infinite value, on its gradient mask, when its step falls to `floor` or when its gain is
-    within a factor 1 + tol.  Each start does the same floating-point operations as a run on
-    its own that makes one trial at a time (docs/formats.md).
-    """
-    step = np.full(len(value), step)
-    left = np.full(len(value), iters)        # gradient evaluations left
-    running = np.ones(len(value), dtype=bool)
-    due = np.arange(len(value))              # running starts that need a gradient where they moved
-    grads = [np.zeros_like(X) for X in points]
-    gn = np.ones(len(value))
-    while True:
-        done = (left[due] == 0) | np.isinf(value[due])
-        if done.any():
-            running[due[done]] = False
-            due = due[~done]
-        if due.size:
-            left[due] -= 1
-            g, gn[due], stop = gradient([X[due] for X in points], [E[due] for E in state],
-                                        value[due])
-            for G, g_k in zip(grads, g):
-                G[due] = g_k
-            if stop.any():
-                running[due[stop]] = False
-        running &= step > floor
-
-        live = np.flatnonzero(running)
-        if not live.size:
-            break
-        rows, steps, pick = halving_trials(step[live], floor)
-        at = live[rows]
-        cand, cand_state, cand_val = trial([X[at] + steps[:, None] * G[at] / gn[at, None]
-                                            for X, G in zip(points, grads)])
-        took, chosen, step[live] = pick(cand_val > value[at])
-        better = live[took]
-        for X, C in zip(points + state, cand + cand_state):
-            X[better] = C[chosen]
-        gained = cand_val[chosen]
-        halt = gained <= value[better] * (1.0 + tol)
-        value[better] = gained
-        due = better
-        if halt.any():
-            running[better[halt]] = False
-            due = better[~halt]
+    return out
 
 
 def _difference_kernel(cfg: PairConfiguration, p: float) -> np.ndarray:
@@ -503,7 +405,7 @@ def _rank_one_ratios(cfg: PairConfiguration, p: float, norms: NormSpec,
     multiplied left to right, over `rank_one_norms`; 0 where that norm is 0."""
     K = len(cfg)
     ev = _prod((L[:, None, :] * X).sum(axis=2) for X, L in zip(pair_factors(cfg.pairs), lams))
-    num = power_sums(ev[:, :K] - ev[:, K:], np.asarray(cfg.weights), p)[0]
+    num = power_sums(ev[:, :K] - ev[:, K:], np.asarray(cfg.weights), p)
     scale = rank_one_norms(lams, norms)
     return np.divide(num, scale, out=np.zeros_like(num), where=scale > 0.0)
 
@@ -564,8 +466,8 @@ def search_free_uppers(
     points, "nuclear" (a^(1/p) times the difference's nuclear norm), the first in this order
     on a tie.  Each value has the bits of a one-configuration call (docs/formats.md)."""
     if math.prod(dims) == 1:
-        return power_sums(rows[:, :, 0], weights, p)[0], np.zeros(len(rows), dtype=int)
-    value = power_sums(triangle, weights, p)[0]
+        return power_sums(rows[:, :, 0], weights, p), np.zeros(len(rows), dtype=int)
+    value = power_sums(triangle, weights, p)
     won = np.full(len(value), 2)  # indices into SEARCH_FREE_UPPERS: "triangle" so far
     kappa = hs_to_op_scale(dims, norms)
     svd = ~_triangle_wins(value, kappa, row_l2, p)
@@ -674,7 +576,7 @@ def exact_op_denominator(cfg: PairConfiguration, p: float,
     sums = vals[0, :len(V)]  # the first block's vertex keeps its sign
     for block in vals[1:]:
         sums = (sums[:, None] + block[None]).reshape(-1, K)
-    return float(power_sums(sums, weights, p)[0].max()), "vertex-exact"
+    return float(power_sums(sums, weights, p).max()), "vertex-exact"
 
 
 def exact_rank_one_maximizer(cfg: PairConfiguration, p: float,
@@ -764,11 +666,8 @@ def config_denominator(
     exact = exact_op_denominator(cfg, p, norms) if ball == "op" else None
     if exact is not None:
         return BoundReport(exact[0], exact[0], method=exact[1], detail=detail)
-    upper, method_up = denominator_upper(cfg, p, norms, ball)
-    if method_up in ("scalar-exact", "hs-exact"):
-        return BoundReport(upper, upper, method=method_up, detail=detail)
-
-    if ball == "hs":  # the l2 ball of R^D: the op ball of the one-slot flattening
+    if ball == "hs" and math.prod(cfg.dims) > 1 and p != 2.0 and not math.isinf(p):
+        # the l2 ball of R^D: the op ball of the one-slot flattening
         flat = PairConfiguration(tuple((SegrePoint((row,)), SegrePoint.zero((row.size,)))
                                        for row in deltas), cfg.weights)
         starts = [[elementary_tensor(SegrePoint.of(*s)).array.ravel()]
@@ -777,6 +676,9 @@ def config_denominator(
                                  extra_rank_one_starts=starts, extra_kernels=extra_kernels)
         rep.detail["ball"] = "hs"
         return rep
+    upper, method_up = denominator_upper(cfg, p, norms, ball)
+    if method_up in ("scalar-exact", "hs-exact"):  # every HS-ball call that gets here
+        return BoundReport(upper, upper, method=method_up, detail=detail)
 
     # operator ball
     rank_one = exact_rank_one_maximizer(cfg, p, norms)

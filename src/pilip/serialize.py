@@ -111,9 +111,18 @@ def exponent_to_json(r: float) -> Any:
     return "inf" if math.isinf(r) else int(r)
 
 
+def _has_bool(value: Any) -> bool:
+    """Whether a JSON value is or holds true or false, which Python reads as 1 and 0."""
+    if isinstance(value, list):
+        return any(map(_has_bool, value))
+    return isinstance(value, bool)
+
+
 def exponent_from_json(value: Any) -> float:
     if value in ("inf", "Infinity"):
         return math.inf
+    if isinstance(value, bool):
+        raise SchemaError(f"invalid norm exponent {value!r}")
     try:
         r = float(value)
     except (TypeError, ValueError):
@@ -132,6 +141,10 @@ def tensor_to_json(t: DenseTensor) -> dict:
 def tensor_from_json(obj: Any) -> DenseTensor:
     if not isinstance(obj, dict) or "shape" not in obj or "data" not in obj:
         raise SchemaError('tensor JSON needs "shape" and "data"')
+    if not isinstance(obj["shape"], list) or any(type(d) is not int for d in obj["shape"]):
+        raise SchemaError(f"shape must be a list of integers, got {obj['shape']!r}")
+    if _has_bool(obj["data"]):
+        raise SchemaError("tensor data must be numbers, not true or false")
     try:
         return DenseTensor(tuple(obj["shape"]), np.asarray(obj["data"], dtype=float))
     except (ValueError, TypeError) as exc:

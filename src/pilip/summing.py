@@ -37,7 +37,6 @@ from .bounds import BoundReport
 from .formnorm import (
     config_denominator,
     denominator_upper,
-    lockstep_ascent,
     operator_norm,
     rank_one_form,
     rank_one_maximizer,
@@ -380,8 +379,9 @@ def _violation_search(
 
     The ratio is invariant under joint scaling of all factors, so factors stay
     projected into their unit balls without loss of generality.  All starts
-    ascend together (`lockstep_ascent`, one (starts, d_k) array per slot of u
-    and of v).  Form values are one gemv per start against the
+    ascend together on one halving line search (docs/formats.md), one
+    (starts, d_k) array per slot of u and of v, each start bit for bit a run
+    on its own.  Form values are one gemv per start against the
     elementary-tensor difference; form gradients collapse into one synthetic
     kernel per start by linearity.
     """
@@ -408,10 +408,9 @@ def _violation_search(
         return np.divide(lhs, rhs, out=np.where(lhs > lhs_floor, math.inf, 0.0),
                          where=~(rhs <= 1e-300))
 
-    def gradient(X, kept, _):
+    def gradient(X, diff, vals):
         """Gradients of log(lhs) - (1/p) log sum_j w_j |phi_j(Delta)|^p, and their norm."""
         X_u, X_v = X[:n], X[n:]
-        diff, vals = kept
         lhs = np.maximum(row_norms(diff, norms.codomain), 1e-300)[:, None]
         ystar = norming_rows(diff, s_dual)
         sums = form_sums(vals)
@@ -434,15 +433,7 @@ def _violation_search(
         for g_u, g_v in zip(grads_u, grads_v):
             sq_u = sq_u + (g_u[:, None, :] @ g_u[:, :, None])[:, 0, 0]
             sq_v = sq_v + (g_v[:, None, :] @ g_v[:, :, None])[:, 0, 0]
-        gn = np.sqrt(sq_u + sq_v)
-        return grads_u + grads_v, gn, gn < 1e-14
-
-    def trial(moved):
-        cand = [project_rows(X, r) for X, r in zip(moved, norms.factors * 2)]
-        if not all(np.all(np.isfinite(C)) for C in cand):
-            raise ValueError("entries must be finite")  # the check SegrePoint makes
-        c_diff, c_vals = evaluate(cand[:n], cand[n:])
-        return cand, [c_diff, c_vals], ratio(c_diff, c_vals)
+        return grads_u + grads_v, np.sqrt(sq_u + sq_v)
 
     drawn_u, drawn_v = [], []
     for s_idx in range(starts):
@@ -451,10 +442,52 @@ def _violation_search(
         drawn_v.append([np.zeros(d) for d in op.dims] if s_idx % 3 == 0
                        else _random_factors(op.dims, norms, rng))
     UV = [np.stack([x[k] for x in drawn]) for drawn in (drawn_u, drawn_v) for k in range(n)]
-    kept = list(evaluate(UV[:n], UV[n:]))
-    value = ratio(*kept)
-    lockstep_ascent(UV, kept, value, gradient, trial, step=0.25, floor=1e-10, iters=iters,
-                    tol=1e-10)
+    diff, vals = evaluate(UV[:n], UV[n:])
+    value = ratio(diff, vals)
+    step = np.full(starts, 0.25)           # row i of every array is start i
+    left = np.full(starts, iters)          # gradient evaluations left
+    running = np.ones(starts, dtype=bool)
+    due = np.arange(starts)                # running starts that need a gradient where they moved
+    grads = [np.zeros_like(X) for X in UV]
+    gn = np.ones(starts)
+    while True:
+        done = (left[due] == 0) | np.isinf(value[due])
+        running[due[done]] = False
+        due = due[~done]
+        if due.size:
+            left[due] -= 1
+            g, gn[due] = gradient([X[due] for X in UV], diff[due], vals[due])
+            for G, g_k in zip(grads, g):
+                G[due] = g_k
+            running[due[gn[due] < 1e-14]] = False
+        running &= step > 1e-10
+        live = np.flatnonzero(running)
+        if not live.size:
+            break
+        # trials s/2^j above the floor: bit for bit the steps after j losses of a one-trial loop
+        tries = step[live, None] * 0.5 ** np.arange(4)
+        above = tries > 1e-10
+        at = live[np.nonzero(above)[0]]
+        s = tries[above]
+        cand = [project_rows(X[at] + s[:, None] * G[at] / gn[at, None], r)
+                for X, G, r in zip(UV, grads, norms.factors * 2)]
+        if not all(np.all(np.isfinite(C)) for C in cand):
+            raise ValueError("entries must be finite")  # the check SegrePoint makes
+        c_diff, c_vals = evaluate(cand[:n], cand[n:])
+        c_value = ratio(c_diff, c_vals)
+        hit = np.zeros(tries.shape, dtype=bool)
+        hit[above] = c_value > value[at]
+        took = hit.any(axis=1)
+        first = np.argmax(hit, axis=1)     # the first gain of each live start
+        step[live] = np.where(took, tries[np.arange(live.size), first] * 1.5, step[live] / 16)
+        chosen = (np.cumsum(above).reshape(above.shape) - 1)[took, first[took]]  # stack index
+        better = live[took]
+        for X, C in zip(UV + [diff, vals], cand + [c_diff, c_vals]):
+            X[better] = C[chosen]
+        halt = c_value[chosen] <= value[better] * (1.0 + 1e-10)
+        value[better] = c_value[chosen]
+        running[better[halt]] = False
+        due = better[~halt]
     results = [(SegrePoint(tuple(X[i].copy() for X in UV[:n])),
                 SegrePoint(tuple(X[i].copy() for X in UV[n:])), float(value[i]))
                for i in range(starts) if value[i] > 0]

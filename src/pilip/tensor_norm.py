@@ -270,7 +270,7 @@ def _rebalance(rep: Representation, z: MixedTensor, p: float,
             if not kept.any():
                 raise ValueError("configuration is empty after dropping degenerate pairs")
         den = search_free_uppers(rows, tri, row_l2, ones[:tri.shape[1]], dims, norms, pp)[0]
-        return den * power_sums(y_norms, ones, p)[0]
+        return den * power_sums(y_norms, ones, p)
 
     stacks = [[np.stack(fs) for fs in zip(p_pt.factors, q_pt.factors)]
               for p_pt, q_pt, _ in rep.terms]

@@ -363,6 +363,24 @@ def test_denominator_upper_on_the_hs_ball_is_config_denominators_upper():
         denominator_upper(cfg, 2.0, NormSpec.all_l2(2), "frobenius")
 
 
+def test_hs_ball_denominator_prices_its_upper_once(monkeypatch):
+    # off p = 2 and p = inf the HS bracket is the flattening's op bracket, whose "kappa-hs"
+    # upper is the one hs_uppers call; at p = 2 the one call is the exact value
+    calls = []
+    real = formnorm.hs_uppers
+
+    def spy(deltas, weights, p):
+        calls.append(deltas.shape)
+        return real(deltas, weights, p)
+
+    monkeypatch.setattr(formnorm, "hs_uppers", spy)
+    cfg = random_pairs((3, 3), 4, stream(7))
+    for p in (1.0, 2.0):
+        calls.clear()
+        config_denominator(cfg, p, "hs")
+        assert calls == [(1, 4, 9)], (p, calls)
+
+
 def test_exact_hs_ball_is_the_op_ball_of_the_flattening():
     # the HS ball of forms is the l2 ball of R^D: at p = 1 its denominator is the largest
     # ||sum_i e_i a_i Delta_i||_2 over signs e with e_1 = 1, found exactly; elsewhere the HS
@@ -547,12 +565,16 @@ def test_power_sums_match_the_one_vector_version():
         S[0] = 0.0
         weights = rng.uniform(0.1, 2.0, S.shape[1])
         for p in (1.0, 1.5, 2.0, 3.0, 4.0, 7.3, math.inf):
-            rows, scale = formnorm.power_sums(S, weights, p)
+            rows = formnorm.power_sums(S, weights, p)
             for i, s in enumerate(S):
                 want = _one_vector_power_sum(s, weights, p)
                 assert rows[i] == want and formnorm.weighted_power_sum(s, weights, p) == want
-            if scale is not None:
-                rescaled += int(np.sum(scale != 1.0))
+            if math.isfinite(p):  # rows that take the rescue path: a plain sum of 0 or inf
+                with np.errstate(over="ignore", under="ignore"):
+                    plain = (weights * np.abs(S) ** p).sum(axis=1)
+                top = np.abs(S).max(axis=1)
+                rescaled += int(np.sum(((plain == 0.0) | (plain == math.inf))
+                                       & (top > 0.0) & (top < math.inf)))
     assert rescaled > 100
     for p in (1.0, 2.0, math.inf):
         assert formnorm.weighted_power_sum([], [], p) == 0.0
@@ -623,44 +645,6 @@ def test_rank_one_ascent_stop_does_not_depend_on_the_scale_of_the_pairs():
     exact = math.sqrt(5.25) * math.sqrt(11.0)  # ||u_1|| ||u_2|| at scale 1
     np.testing.assert_allclose(ends[0], exact, rtol=1e-12)  # every start reaches the optimum
     np.testing.assert_allclose(ends[1], ends[0] * 1e-120, rtol=1e-12)
-
-
-def test_halving_trials_takes_the_first_gain():
-    floor = 1e-12
-    step = np.array([1.0, 0.5, 3e-12, 2.0, 1e-12])
-    rows, steps, pick = formnorm.halving_trials(step, floor)
-    # row 2 crosses the floor after its second trial; row 4 starts at the floor
-    assert rows.tolist() == [0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 3, 3, 3, 3]
-    assert steps.tolist() == [1.0, 0.5, 0.25, 0.125, 0.5, 0.25, 0.125, 0.0625,
-                              3e-12, 3e-12 * 0.5, 2.0, 1.0, 0.5, 0.25]
-    gain = np.array([False, False, False, False,  # no gain
-                     False, True, True, False,    # two gains: the first one wins
-                     False, True,                 # a gain just above the floor
-                     True, False, True, True])
-    took, chosen, next_step = pick(gain)
-    assert took.tolist() == [False, True, True, True, False]
-    assert chosen.tolist() == [5, 9, 10]
-    assert next_step.tolist() == [1.0 / 16, 0.25 * 1.5, 3e-12 * 0.5 * 1.5, 2.0 * 1.5,
-                                  1e-12 / 16]
-    # the steps of a loop that halves after each loss, one trial at a time
-    for i, s in enumerate(step):
-        j = 0
-        while s > floor and j < 4 and not gain[rows == i][j]:
-            s, j = s * 0.5, j + 1
-        assert next_step[i] == (s * 1.5 if took[i] else step[i] / 16)
-
-
-def test_halving_trials_single_row_and_all_under_the_floor():
-    rows, steps, pick = formnorm.halving_trials(np.array([0.25]), 1e-10)
-    assert rows.tolist() == [0] * 4 and steps.tolist() == [0.25, 0.125, 0.0625, 0.03125]
-    took, chosen, next_step = pick(np.array([False, False, False, True]))
-    assert took.tolist() == [True] and chosen.tolist() == [3]
-    assert next_step.tolist() == [0.03125 * 1.5]
-    rows, steps, pick = formnorm.halving_trials(np.array([1e-10, 5e-11]), 1e-10)
-    assert rows.size == 0 and steps.size == 0
-    took, chosen, next_step = pick(np.zeros(0, dtype=bool))
-    assert took.tolist() == [False, False] and chosen.size == 0
-    assert next_step.tolist() == [1e-10 / 16, 5e-11 / 16]
 
 
 def test_hs_to_op_scale_l1_counterexample_guard():
@@ -1097,43 +1081,6 @@ def test_hs_values_match_the_one_kernel_version():
                 assert list(values) == [_hs_value(g, deltas, weights, p) for g in G]
 
 
-def _never(*_):
-    raise AssertionError("called")
-
-
-def test_lockstep_ascent_without_starts_or_gradients_leaves_the_points():
-    empty = np.zeros((0, 2))
-    value = np.zeros(0)
-    formnorm.lockstep_ascent([empty], [], value, _never, _never, step=1.0, floor=1e-12,
-                             iters=10, tol=0.0)
-    assert empty.shape == (0, 2) and value.shape == (0,)
-    X, value = np.array([[0.5], [2.0]]), np.array([1.0, 3.0])
-    formnorm.lockstep_ascent([X], [], value, _never, _never, step=1.0, floor=1e-12, iters=0,
-                             tol=0.0)
-    assert X.tolist() == [[0.5], [2.0]] and value.tolist() == [1.0, 3.0]
-
-
-def test_lockstep_ascent_infinite_value_stops_without_a_gradient():
-    # maximize 2 - (x - 1)^2 from x = 0, next to a start whose value is infinite
-    seen = []
-
-    def gradient(points, state, value):
-        seen.append(points[0].copy())
-        g = -2.0 * (points[0] - 1.0)
-        gn = np.abs(g[:, 0])
-        return [g], gn, gn < 1e-14
-
-    def trial(moved):
-        return moved, [], 2.0 - (moved[0][:, 0] - 1.0) ** 2
-
-    X, value = np.array([[5.0], [0.0]]), np.array([math.inf, 1.0])
-    formnorm.lockstep_ascent([X], [], value, gradient, trial, step=0.5, floor=1e-12, iters=50,
-                             tol=0.0)
-    assert seen and all(len(rows) == 1 for rows in seen)
-    assert X[0, 0] == 5.0 and value[0] == math.inf
-    assert abs(X[1, 0] - 1.0) < 1e-6 and 2.0 - 1e-12 < value[1] <= 2.0
-
-
 # --------------------------------------------------------------------------
 # lockstep alternating maximization against the one-start loop, bit for bit
 # --------------------------------------------------------------------------
@@ -1331,7 +1278,7 @@ _NORM_MIXES = [(1.0,), (2.0,), (math.inf,), "mixed"]
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0, math.inf])
-def test_lockstep_ascent_is_bitwise_the_one_start_loop(p):
+def test_rank_one_ascent_is_bitwise_the_one_start_loop(p):
     rng = stream(77, int(p) if math.isfinite(p) else 99)
     for n in (1, 2, 3):
         for mix in _NORM_MIXES:
@@ -1375,7 +1322,7 @@ def test_lockstep_ascent_is_bitwise_the_one_start_loop(p):
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
-def test_lockstep_ascent_stationary_start_stops_at_once(p):
+def test_rank_one_ascent_stationary_start_stops_at_once(p):
     # lam = (e_0, e_0) attains the ratio 1 of the pair ((e_0, e_0), 0).  On l2 factors the
     # first sweep moves no slot; on an l1 factor its slot takes the sign vector (1, 1) of its
     # gradient (1, 0), another maximizer.  Either way the second sweep gains nothing and the

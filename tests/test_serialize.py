@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from pilip.cli import cli_main
 from pilip.rng import stream
 from pilip.serialize import (
     SchemaError,
@@ -97,6 +98,26 @@ def test_bad_exponent_schema_error():
         operator_from_json(
             {"shape": [2, 1], "data": [1, 2], "factor_norms": [3], "codomain_norm": 2}
         )
+
+
+@pytest.mark.parametrize("obj", [
+    {"shape": [2, 1], "data": [1, 2], "factor_norms": [True]},        # true is not l1
+    {"shape": [2, 1], "data": [1, 2], "codomain_norm": False},
+    {"shape": [2, True], "data": [1, 2]},                             # not a dimension 1
+    {"shape": [2.7, 1], "data": [1, 2]},                              # not truncated to 2
+    {"shape": [2.0, 1], "data": [1, 2]},
+    {"shape": ["2", 1], "data": [1, 2]},
+    {"shape": 2, "data": [1, 2]},
+    {"shape": [2, 1], "data": [True, False]},                         # not 1 and 0
+    {"shape": [2, 1], "data": [0.5, True]},
+    {"shape": [2, 1], "data": [[0.5], [False]]},
+])
+def test_booleans_and_non_integer_dimensions_are_schema_errors(obj, tmp_path):
+    with pytest.raises(SchemaError):
+        operator_from_json(obj)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    assert cli_main(["norm", str(bad)]) == 2
 
 
 def test_inf_exponent_roundtrip():

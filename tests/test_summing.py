@@ -723,7 +723,7 @@ def test_lockstep_violation_search_is_bitwise_the_one_start_loop(p, n):
             weights[0] = 1e-16 if count > 1 else weights[0]
             weights /= np.sum(weights)
             cert = _certificate(forms, weights, p, dims)
-            for iters in (1, 2, 60):
+            for iters in (0, 1, 2, 60):
                 _assert_search_matches_reference(op, cert, p, case, 4, iters, halvings)
             case += 1
     assert_covers_four_trial_rounds(halvings)
